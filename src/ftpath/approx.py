@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from . import flow
 from .bipath import WrongBudget
 from .core import (FTPError, Infeasible, Instance, Solution, RATIO_BOUNDED,
-                   is_feasible)
+                   SolverCheckFailed, is_feasible)
 from .shortest import INF, dijkstra_tree, meta_shortest_path, safe_subgraph_distances
 
 __all__ = ["NotFeasible", "InducedFlow", "SegmentDecomposition",
@@ -72,7 +72,8 @@ def approx_kplus1(instance: Instance) -> Solution:
     support = _support(net, result)
     cost = sum(instance.edges[eid].w for eid in support)
     solution = Solution(support, cost, RATIO_BOUNDED, (k + 1, 1))
-    assert is_feasible(instance, solution.edges)
+    if not is_feasible(instance, solution.edges):
+        raise SolverCheckFailed("approx-k1 returned an infeasible edge set")
     return solution
 
 
@@ -127,11 +128,14 @@ def approx_k(instance: Instance) -> Solution:
     chosen: set[int] = set()
     for u, v in zip(seq, seq[1:]):
         segment = witness[(u, v)]
-        assert is_feasible(instance.with_terminals(u, v), segment)
+        if not is_feasible(instance.with_terminals(u, v), segment):
+            raise SolverCheckFailed(
+                f"approx-k link {u}->{v} is not a feasible segment")
         chosen |= set(segment)
     cost = sum(instance.edges[eid].w for eid in chosen)
     solution = Solution(frozenset(chosen), cost, RATIO_BOUNDED, (k, 1))
-    assert is_feasible(instance, solution.edges)
+    if not is_feasible(instance, solution.edges):
+        raise SolverCheckFailed("approx-k returned an infeasible edge set")
     return solution
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import flow
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
-                   is_feasible)
+                   SolverCheckFailed, is_feasible)
 from .shortest import INF, meta_shortest_path, safe_subgraph_distances
 
 __all__ = ["WrongBudget", "LinkLengths", "link_lengths", "solve_1ftp"]
@@ -131,5 +131,6 @@ def solve_1ftp(instance: Instance) -> Solution:
         chosen.update(ll.witness[(u, v)][1])
     cost = sum(instance.edges[eid].w for eid in chosen)
     solution = Solution(frozenset(chosen), cost, OPTIMAL)
-    assert is_feasible(instance, solution.edges)
+    if not is_feasible(instance, solution.edges):
+        raise SolverCheckFailed("bipath returned an infeasible edge set")
     return solution

@@ -6,7 +6,9 @@ deterministic: the same input and flags produce byte-identical stdout.
 Wall-clock times go only to the append-only run log (FTP_LOG_DIR).
 
 Exit codes: 0 success, 1 nothing to do, 2 infeasible instance,
-3 parse/validation error, 4 a size cap was exceeded.
+3 parse/validation error, 4 a size cap was exceeded, 5 internal error
+(a solver failed its own output check, or any other unexpected
+exception).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ EXIT_EMPTY = 1
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
 EXIT_CAPS = 4
+EXIT_INTERNAL = 5
 
 ALGORITHMS = ("auto", "bipath", "dag", "srp", "approx-k", "approx-k1",
               "oracle", "frac")
@@ -602,6 +605,9 @@ def main(argv=None) -> int:
             ValueError) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {exc!r}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

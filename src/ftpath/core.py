@@ -34,6 +34,7 @@ __all__ = [
     "BadParameters",
     "ScenarioSpaceTooLarge",
     "Infeasible",
+    "SolverCheckFailed",
     "build_instance",
     "validate",
     "is_feasible",
@@ -104,6 +105,13 @@ class Infeasible(FTPError):
         self.scenario = scenario
         self.cut_side = cut_side
         self.max_achievable = max_achievable
+
+
+class SolverCheckFailed(FTPError):
+    """A solver produced an answer that failed its own output check.
+
+    This is a bug in the package, never a property of the input.
+    """
 
 
 # Solution status values.

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from . import flow
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
-                   is_feasible, reachable)
+                   SolverCheckFailed, is_feasible, reachable)
 
 __all__ = ["NotADag", "ConfigurationSpaceTooLarge", "LayeredEdge",
            "LayeredInstance", "Configuration", "Link", "layerize",
@@ -123,29 +123,28 @@ def _find_cycle(instance: Instance, order_pos: dict[int, int]) -> tuple[int, ...
             adj.setdefault(e.u, []).append(e.v)
     for lst in adj.values():
         lst.sort()
+    # Explicit stack: the path holds the open vertices (state 1), and
+    # each keeps an iterator over its remaining neighbours.
     state: dict[int, int] = {}
-    stack_path: list[int] = []
-
-    def dfs(u: int) -> tuple[int, ...] | None:
-        state[u] = 1
-        stack_path.append(u)
-        for v in adj.get(u, ()):
-            if state.get(v, 0) == 1:
-                i = stack_path.index(v)
-                return tuple(stack_path[i:]) + (v,)
-            if state.get(v, 0) == 0:
-                found = dfs(v)
-                if found:
-                    return found
-        state[u] = 2
-        stack_path.pop()
-        return None
-
-    for u in sorted(adj):
-        if state.get(u, 0) == 0:
-            found = dfs(u)
-            if found:
-                return found
+    for root in sorted(adj):
+        if state.get(root, 0):
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(adj[root])]
+        while pending:
+            for v in pending[-1]:
+                seen = state.get(v, 0)
+                if seen == 1:
+                    return tuple(path[path.index(v):]) + (v,)
+                if not seen:
+                    state[v] = 1
+                    path.append(v)
+                    pending.append(iter(adj.get(v, ())))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
     raise AssertionError("no cycle found in a non-sortable graph")
 
 
@@ -404,5 +403,6 @@ def solve_kftp_dag(instance: Instance,
     origins = {layered.edges[lid].origin for lid in layered_ids}
     cost = sum(instance.edges[eid].w for eid in origins)
     solution = Solution(frozenset(origins), cost, OPTIMAL)
-    assert is_feasible(instance, solution.edges)
+    if not is_feasible(instance, solution.edges):
+        raise SolverCheckFailed("dag returned an infeasible edge set")
     return solution

@@ -5,11 +5,12 @@ import sys
 
 import pytest
 
-from ftpath.cli import (EXIT_CAPS, EXIT_EMPTY, EXIT_INFEASIBLE, EXIT_INVALID,
-                        EXIT_OK, ParseError, main, parse_dimacs,
+from ftpath import bipath
+from ftpath.cli import (EXIT_CAPS, EXIT_EMPTY, EXIT_INFEASIBLE, EXIT_INTERNAL,
+                        EXIT_INVALID, EXIT_OK, ParseError, main, parse_dimacs,
                         parse_instance, parse_solution, serialize_instance,
                         serialize_solution)
-from ftpath.core import Solution, build_instance
+from ftpath.core import Solution, SolverCheckFailed, build_instance
 from ftpath.frac import gap_family
 from ftpath.oracle import brute_force_feasible
 
@@ -118,6 +119,28 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
     p.write_text("not an instance\n")
     code, _, err = run_main(["solve", str(p)], capsys)
     assert code == EXIT_INVALID
+
+
+def test_solver_check_failure_exit_code(gap_file, capsys, monkeypatch):
+    monkeypatch.setattr(bipath, "is_feasible", lambda instance, edges: False)
+    with pytest.raises(SolverCheckFailed):
+        bipath.solve_1ftp(gap_family(4, 1))
+    code, out, err = run_main(["solve", gap_file], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: SolverCheckFailed")
+    assert err.count("\n") == 1
+
+
+def test_solve_dag_on_long_cycle_exit_code(tmp_path, capsys):
+    n = 3000
+    inst = build_instance(True, n, 0, n - 1, 2,
+                          [(i, (i + 1) % n, 1, True) for i in range(n)])
+    p = tmp_path / "cycle.ftp"
+    p.write_text(serialize_instance(inst))
+    code, _, err = run_main(["solve", str(p), "--algorithm", "dag"], capsys)
+    assert code == EXIT_INVALID
+    assert "directed cycle" in err
 
 
 def test_solve_srp_on_k4_exit_code(tmp_path, capsys):

@@ -328,3 +328,12 @@ def test_self_loops_are_harmless():
     solution = solve_kftp_dag(inst)
     assert solution.cost == 3
     assert 1 not in solution.edges
+
+
+def test_layerize_long_cycle_has_no_recursion_limit():
+    n = 3000
+    cyclic = build_instance(True, n, 0, n - 1, 2,
+                            [(i, (i + 1) % n, 1, True) for i in range(n)])
+    with pytest.raises(NotADag) as err:
+        layerize(cyclic)
+    assert err.value.cycle == tuple(range(n)) + (0,)

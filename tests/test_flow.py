@@ -148,3 +148,63 @@ def test_balanced_flow_transportation():
 
     short = FlowNetwork(3, (Arc(0, 2, 1),), supplies=(-1, -1, 2))
     assert balanced_flow(short) is None
+
+
+def _query(net: FlowNetwork, s: int, t: int, amount: int):
+    try:
+        return min_cost_flow(net, s, t, amount)
+    except Infeasible as err:
+        return ("infeasible", err.max_achievable)
+
+
+def test_min_cost_flow_reused_network_matches_fresh_and_exhaustive():
+    # One network answers every (s, t, amount) query in a shuffled
+    # order, so memoized state from earlier queries is reused.
+    rng = random.Random(29)
+    for _ in range(40):
+        net, _, _ = random_network(rng, n_max=4, m_max=10, max_cap=3)
+        n = net.vertex_count
+        arcs = [(a.tail, a.head, a.capacity, a.cost) for a in net.arcs]
+        queries = [(s, t, amount) for s in range(n) for t in range(n)
+                   if s != t for amount in range(4)]
+        rng.shuffle(queries)
+        for s, t, amount in queries:
+            got = _query(net, s, t, amount)
+            fresh = FlowNetwork(net.vertex_count, tuple(net.arcs))
+            assert got == _query(fresh, s, t, amount)
+            expected = exhaustive_min_cost_flow(n, arcs, s, t, amount)
+            if expected is None:
+                assert not isinstance(got, FlowResult)
+                assert got[1] == max_flow(net, s, t, amount).value < amount
+            else:
+                assert (got.total_cost, got.flows) == expected
+                assert_valid_flow(net, got, s, t, amount)
+
+
+def test_min_cost_flow_negative_cost_raises_on_every_call():
+    net = FlowNetwork(2, (Arc(0, 1, 1, 1), Arc(0, 1, 1, -1)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative cost"):
+            min_cost_flow(net, 0, 1, 1)
+
+
+def test_min_cost_flow_target_outside_first_tree():
+    # 0 -> 1 exists, 2 has no incoming arc: the tree cached for source 0
+    # by the first query does not reach it.
+    net = FlowNetwork(3, (Arc(0, 1, 2, 1), Arc(2, 0, 1, 1)))
+    assert min_cost_flow(net, 0, 1, 1).flows == (1, 0)
+    with pytest.raises(Infeasible) as err:
+        min_cost_flow(net, 0, 2, 1)
+    assert err.value.max_achievable == 0
+
+
+def test_min_cost_flow_five_units_matches_exhaustive_search():
+    # Five augmentations: the later searches only stay exact if the
+    # potentials are refreshed after each one.
+    arcs = [(2, 4, 1, 2), (0, 2, 1, 1), (1, 2, 1, 1), (2, 3, None, 0),
+            (3, 4, 3, 1), (3, 4, 1, 2), (1, 3, None, 1), (0, 1, 1, 6),
+            (0, 3, 2, 1), (0, 3, 1, 3)]
+    net = FlowNetwork(5, tuple(Arc(*a) for a in arcs))
+    result = min_cost_flow(net, 0, 4, 5)
+    assert (result.total_cost, result.flows) == exhaustive_min_cost_flow(5, arcs, 0, 4, 5)
+    assert_valid_flow(net, result, 0, 4, 5)
