@@ -246,29 +246,31 @@ def _record(instance: Instance, algorithm: str, solution: Solution,
 # ---------------------------------------------------------------------------
 # Solvers
 
-def _auto_algorithm(instance: Instance, cap_configs: int) -> str:
+def _auto_algorithm(instance: Instance,
+                    cap_configs: int) -> tuple[str, srp.DecompositionNode | None]:
+    """The solver ``auto`` picks, with the srp decomposition it built."""
     if instance.k == 0:
-        return "shortest"
+        return "shortest", None
     if instance.k == 1:
-        return "bipath"
+        return "bipath", None
     if instance.directed:
         try:
             layered = dag.layerize(instance)
             if dag.configuration_count(layered, instance.k) <= cap_configs:
-                return "dag"
+                return "dag", None
         except dag.NotADag:
             pass
     else:
         try:
-            srp.decompose_srp(instance)
-            return "srp"
+            return "srp", srp.decompose_srp(instance)
         except srp.NotSeriesParallel:
             pass
-    return "approx-k"
+    return "approx-k", None
 
 
 def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
-                cap_configs: int) -> Solution:
+                cap_configs: int,
+                tree: srp.DecompositionNode | None = None) -> Solution:
     if algorithm == "shortest":
         return shortest_path_solution(instance)
     if algorithm == "bipath":
@@ -276,7 +278,7 @@ def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
     if algorithm == "dag":
         return dag.solve_kftp_dag(instance, cap_configs)
     if algorithm == "srp":
-        return srp.solve_srp(instance)
+        return srp.solve_srp(instance, tree)
     if algorithm == "approx-k":
         return approx.approx_k(instance)
     if algorithm == "approx-k1":
@@ -291,9 +293,9 @@ def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.path, args.format)
-    algorithm = args.algorithm
+    algorithm, tree = args.algorithm, None
     if algorithm == "auto":
-        algorithm = _auto_algorithm(instance, args.cap_configs)
+        algorithm, tree = _auto_algorithm(instance, args.cap_configs)
     if algorithm == "frac":
         started = time.perf_counter()
         vector = frac.solve_frac(instance)
@@ -307,7 +309,8 @@ def cmd_solve(args) -> int:
                      "wall_time_s": round(elapsed, 6)})
         return EXIT_OK
     started = time.perf_counter()
-    solution = _run_solver(instance, algorithm, args.cap_scenarios, args.cap_configs)
+    solution = _run_solver(instance, algorithm, args.cap_scenarios, args.cap_configs,
+                           tree)
     elapsed = time.perf_counter() - started
     sys.stdout.write(serialize_solution(solution, algorithm))
     _log_record(_record(instance, algorithm, solution, elapsed))

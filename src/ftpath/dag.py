@@ -24,6 +24,7 @@ __all__ = ["NotADag", "ConfigurationSpaceTooLarge", "LayeredEdge",
            "enumerate_configurations", "link_cost", "solve_kftp_dag"]
 
 DEFAULT_CONFIG_CAP = 10**6
+LINK_EDGE_CAP = 20
 
 
 class NotADag(FTPError):
@@ -39,10 +40,14 @@ class NotADag(FTPError):
 
 
 class ConfigurationSpaceTooLarge(FTPError):
-    """The layered configuration space exceeds the configured cap."""
+    """A size cap of the DAG solver was exceeded.
 
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(f"about {estimate} configurations, cap is {cap}")
+    ``estimate`` and ``cap`` count layer configurations unless
+    ``message`` names another quantity.
+    """
+
+    def __init__(self, estimate: int, cap: int, message: str | None = None):
+        super().__init__(message or f"about {estimate} configurations, cap is {cap}")
         self.estimate = estimate
         self.cap = cap
 
@@ -315,8 +320,10 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
     if not _transport_feasible(layered, edges, d1, d2, k):
         return None
     m = len(edges)
-    if m > 20:
-        raise ConfigurationSpaceTooLarge(2 ** m, 2 ** 20)
+    if m > LINK_EDGE_CAP:
+        raise ConfigurationSpaceTooLarge(
+            m, LINK_EDGE_CAP, f"{m} candidate edges for one link from layer "
+            f"{d1.layer}, cap is {LINK_EDGE_CAP} (every edge subset is scanned)")
     # Subsets in (cost, ids) order: the first feasible one is the
     # cheapest, with ties resolved to the smallest id set.
     masks = sorted(range(1, 2 ** m),

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import oracle, simplex
 from .core import (BadParameters, FTPError, Infeasible, Instance,
-                   build_instance, is_feasible)
+                   SolverCheckFailed, build_instance, is_feasible)
 
 __all__ = ["TooLargeForExactLP", "CapacityVector", "GapReport", "solve_frac",
            "gap_family", "rounding_vector", "gap_report",
@@ -135,7 +135,9 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
     # an edge beyond one); they can only appear on zero-cost edges.
     x = tuple(min(solution[e.id], one) for e in instance.edges)
     clamped_value = sum(Fraction(e.w) * x[e.id] for e in instance.edges)
-    assert clamped_value == value
+    if clamped_value != value:
+        raise SolverCheckFailed(
+            f"frac clamping changed the LP value from {value} to {clamped_value}")
     return CapacityVector(x, value)
 
 

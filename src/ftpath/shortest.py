@@ -12,7 +12,8 @@ import heapq
 import math
 from typing import Callable, Sequence
 
-from .core import Infeasible, Instance, Solution, OPTIMAL
+from .core import (Infeasible, Instance, Solution, OPTIMAL, SolverCheckFailed,
+                   is_feasible)
 
 __all__ = ["dijkstra_tree", "path_edges", "safe_subgraph_distances",
            "meta_shortest_path", "shortest_path_solution"]
@@ -147,4 +148,6 @@ def shortest_path_solution(instance: Instance) -> Solution:
         raise Infeasible("terminals are disconnected")
     edges = frozenset(path_edges(instance, via, instance.s, instance.t))
     cost = sum(instance.edges[eid].w for eid in edges)
+    if not is_feasible(instance.with_budget(0), edges):
+        raise SolverCheckFailed("shortest returned no s-t path")
     return Solution(edges, cost, OPTIMAL)

@@ -1,14 +1,20 @@
-"""Dense two-phase simplex over exact rationals.
+"""Dense two-phase simplex with exact rational results.
 
-Small and deliberately boring: Fraction arithmetic end to end (so
-optimal values are exact), Bland's rule (so cycling is impossible and
-results are deterministic), and a plain tableau.  Problem sizes in this
-package are a few hundred rows and columns at most.
+Small and deliberately boring: Bland's rule (so cycling is impossible
+and results are deterministic) on a plain tableau.  The tableau is
+fraction-free (Edmonds, J. Res. NBS 1967; Bareiss, Math. Comp. 1968):
+each row is a list of Python ints, right-hand side last, that stands
+for the exact rational row divided by its basic entry, the row's
+positive denominator.  Rows are reduced by their gcd after every pivot,
+so pricing is a sign test and the ratio test a cross-multiplication on
+ints; Fractions appear only in the returned ``x`` and value.  Problem
+sizes in this package are a few hundred rows and columns at most.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = ["LPInfeasible", "LPUnbounded", "solve_lp",
            "LESS_EQUAL", "GREATER_EQUAL", "EQUAL"]
@@ -27,6 +33,32 @@ class LPInfeasible(Exception):
 
 class LPUnbounded(Exception):
     pass
+
+
+def _integer_row(entries: dict[int, Fraction], width: int) -> list[int]:
+    """The dense row of ``entries`` times the lcm of their denominators."""
+    scale = lcm(*(v.denominator for v in entries.values()))
+    row = [0] * width
+    for j, v in entries.items():
+        row[j] = v.numerator * (scale // v.denominator)
+    return row
+
+
+def _eliminate(row: list[int], prow: list[int], col: int, nz: list[int]) -> list[int]:
+    """``row`` minus the multiple of ``prow`` that zeroes entry ``col``.
+
+    ``prow[col]`` is positive and ``nz`` lists the nonzero columns of
+    ``prow``.  The result is scaled by ``prow[col]`` and then reduced by
+    its gcd, so it stands for the same rational row as the exact
+    difference once divided by its own basic entry (or, for the cost
+    row, has the same signs).
+    """
+    f, p = row[col], prow[col]
+    new = row[:] if p == 1 else [a * p for a in row]
+    for j in nz:
+        new[j] -= f * prow[j]
+    g = gcd(*new)
+    return [a // g for a in new] if g > 1 else new
 
 
 def solve_lp(objective, rows, num_vars: int) -> tuple[list[Fraction], Fraction]:
@@ -48,139 +80,113 @@ def solve_lp(objective, rows, num_vars: int) -> tuple[list[Fraction], Fraction]:
         cost = [Fraction(c) for c in objective] + [ZERO] * (num_vars - len(objective))
 
     # Canonical equalities with rhs >= 0; slack signs flip with the row.
-    slack_total = sum(1 for _, sense, _ in rows if sense != EQUAL)
-    ncols = num_vars + slack_total
-    matrix: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     slack_col = num_vars
+    canonical: list[tuple[dict[int, Fraction], Fraction]] = []
     slack_of_row: list[int | None] = []
     for coeffs, sense, b in rows:
-        row = [ZERO] * ncols
-        for j, a in coeffs.items():
-            row[j] = Fraction(a)
+        row = {j: Fraction(a) for j, a in coeffs.items()}
         b = Fraction(b)
-        if sense == LESS_EQUAL:
-            row[slack_col] = ONE
-            slack_of_row.append(slack_col)
-            slack_col += 1
-        elif sense == GREATER_EQUAL:
-            row[slack_col] = -ONE
-            slack_of_row.append(slack_col)
-            slack_col += 1
-        elif sense == EQUAL:
+        if sense == EQUAL:
             slack_of_row.append(None)
+        elif sense in (LESS_EQUAL, GREATER_EQUAL):
+            row[slack_col] = ONE if sense == LESS_EQUAL else -ONE
+            slack_of_row.append(slack_col)
+            slack_col += 1
         else:
             raise ValueError(f"unknown sense {sense!r}")
         if b < 0:
-            row = [-a for a in row]
+            row = {j: -a for j, a in row.items()}
             b = -b
-        matrix.append(row)
-        rhs.append(b)
+        canonical.append((row, b))
+    ncols = slack_col
 
-    nrows = len(matrix)
-    if nrows == 0:
+    if not canonical:
         return [ZERO] * num_vars, ZERO
 
     # A slack column whose coefficient survived as +1 can start basic
     # (each slack sits in exactly one row); other rows get an artificial
-    # variable appended past every real column.
-    basis: list[int] = [-1] * nrows
-    for i in range(nrows):
-        sc = slack_of_row[i]
-        if sc is not None and matrix[i][sc] == ONE:
-            basis[i] = sc
-    total_cols = ncols
-    for i in range(nrows):
+    # variable appended past every real column.  The rhs goes last.
+    basis = [sc if sc is not None and row[sc] == ONE else -1
+             for (row, _), sc in zip(canonical, slack_of_row)]
+    total_cols = ncols + basis.count(-1)
+    matrix: list[list[int]] = []
+    artificial = ncols
+    for i, (row, b) in enumerate(canonical):
         if basis[i] == -1:
-            for row in matrix:
-                row.append(ZERO)
-            matrix[i][total_cols] = ONE
-            basis[i] = total_cols
-            total_cols += 1
+            row[artificial] = ONE
+            basis[i] = artificial
+            artificial += 1
+        row[total_cols] = b
+        matrix.append(_integer_row(row, total_cols + 1))
 
-    def pivot(red: list[Fraction], val: list[Fraction], row_i: int, col_j: int) -> None:
+    # ``obj`` is the reduced-cost row with minus the objective value
+    # last, up to a positive factor: only its signs are ever read.
+    def pivot(obj: list[int], row_i: int, col_j: int) -> None:
         prow = matrix[row_i]
-        p = prow[col_j]
-        if p != ONE:
-            inv = ONE / p
-            matrix[row_i] = prow = [a * inv for a in prow]
-            rhs[row_i] *= inv
-        nz = [j for j, a in enumerate(prow) if a != ZERO]
-        for r in range(nrows):
-            if r == row_i:
-                continue
-            f = matrix[r][col_j]
-            if f == ZERO:
-                continue
-            row = matrix[r]
-            for j in nz:
-                row[j] -= f * prow[j]
-            rhs[r] -= f * rhs[row_i]
-        f = red[col_j]
-        if f != ZERO:
-            for j in nz:
-                red[j] -= f * prow[j]
-            val[0] += f * rhs[row_i]
+        if prow[col_j] < 0:
+            matrix[row_i] = prow = [-a for a in prow]
+        nz = [j for j, a in enumerate(prow) if a]
+        for r, row in enumerate(matrix):
+            if r != row_i and row[col_j]:
+                matrix[r] = _eliminate(row, prow, col_j, nz)
+        if obj[col_j]:
+            obj[:] = _eliminate(obj, prow, col_j, nz)
         basis[row_i] = col_j
 
-    def optimize(red: list[Fraction], val: list[Fraction], allowed: int) -> None:
+    def optimize(obj: list[int], allowed: int) -> None:
         # Bland's rule: smallest improving column, smallest basic leaver.
         while True:
-            enter = -1
-            for j in range(allowed):
-                if red[j] < ZERO:
-                    enter = j
-                    break
+            enter = next((j for j in range(allowed) if obj[j] < 0), -1)
             if enter < 0:
                 return
-            leave, best = -1, None
-            for i in range(nrows):
-                a = matrix[i][enter]
-                if a > ZERO:
-                    ratio = rhs[i] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best, leave = ratio, i
+            # Row i's ratio is row[-1] / row[enter]: the denominators cancel.
+            leave = -1
+            for i, row in enumerate(matrix):
+                a = row[enter]
+                if a > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    lhs = row[-1] * matrix[leave][enter]
+                    rhs = matrix[leave][-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
             if leave < 0:
                 raise LPUnbounded("objective decreases without bound")
-            pivot(red, val, leave, enter)
+            pivot(obj, leave, enter)
 
-    def reduced(costs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-        red = list(costs) + [ZERO] * (total_cols - len(costs))
-        val = [ZERO]
-        for i in range(nrows):
-            f = red[basis[i]]
-            if f != ZERO:
-                prow = matrix[i]
-                for j in range(total_cols):
-                    if prow[j] != ZERO:
-                        red[j] -= f * prow[j]
-                val[0] += f * rhs[i]
-        return red, val
+    def reduced(costs: list[Fraction]) -> list[int]:
+        obj = _integer_row(dict(enumerate(costs[:total_cols])), total_cols + 1)
+        for row, b in zip(matrix, basis):
+            if obj[b]:
+                obj = _eliminate(obj, row, b, [j for j, a in enumerate(row) if a])
+        return obj
 
     # Phase 1: drive artificial variables to zero.
     if total_cols > ncols:
-        phase1 = [ZERO] * ncols + [ONE] * (total_cols - ncols)
-        red, val = reduced(phase1)
-        optimize(red, val, total_cols)
-        if val[0] != ZERO:
+        obj = reduced([ZERO] * ncols + [ONE] * (total_cols - ncols))
+        optimize(obj, total_cols)
+        if obj[-1] != 0:
             raise LPInfeasible("no feasible point")
-        for i in range(nrows - 1, -1, -1):
+        for i in range(len(matrix) - 1, -1, -1):
             if basis[i] < ncols:
                 continue
-            swap = next((j for j in range(ncols) if matrix[i][j] != ZERO), None)
+            swap = next((j for j in range(ncols) if matrix[i][j]), None)
             if swap is not None:
-                pivot(red, val, i, swap)
+                pivot(obj, i, swap)
             else:
-                # Redundant row: drop it (and let pivot see the new size).
-                del matrix[i], rhs[i], basis[i]
-                nrows = len(matrix)
+                # Redundant row: drop it.
+                del matrix[i], basis[i]
 
     # Phase 2: the real objective, artificial columns off limits.
-    red, val = reduced(cost)
-    optimize(red, val, ncols)
+    optimize(reduced(cost), ncols)
 
     x = [ZERO] * num_vars
-    for i in range(nrows):
-        if basis[i] < num_vars:
-            x[basis[i]] = rhs[i]
-    return x, val[0]
+    value = ZERO
+    for row, b in zip(matrix, basis):
+        xb = Fraction(row[-1], row[b])
+        if b < num_vars:
+            x[b] = xb
+        if b < len(cost):
+            value += cost[b] * xb
+    return x, value

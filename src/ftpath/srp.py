@@ -16,7 +16,8 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL)
+from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
+                   SolverCheckFailed, is_feasible)
 
 __all__ = ["NotSeriesParallel", "TreeMismatch", "Leaf", "Series", "Parallel",
            "DecompositionNode", "SolutionTable", "decompose_srp",
@@ -557,5 +558,7 @@ def solve_srp(instance: Instance,
     """Decompose (unless a tree is given) and solve at the full budget."""
     if tree is None:
         tree = decompose_srp(instance)
-    table = solve_ftp_srp(instance, tree)
-    return table.solution(instance.k)
+    solution = solve_ftp_srp(instance, tree).solution(instance.k)
+    if not is_feasible(instance, solution.edges):
+        raise SolverCheckFailed("srp returned an infeasible edge set")
+    return solution

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ftpath import bipath
+from ftpath import bipath, shortest, simplex, srp
 from ftpath.cli import (EXIT_CAPS, EXIT_EMPTY, EXIT_INFEASIBLE, EXIT_INTERNAL,
                         EXIT_INVALID, EXIT_OK, ParseError, main, parse_dimacs,
                         parse_instance, parse_solution, serialize_instance,
@@ -130,6 +130,63 @@ def test_solver_check_failure_exit_code(gap_file, capsys, monkeypatch):
     assert out == ""
     assert err.startswith("internal error: SolverCheckFailed")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("module, k", [(srp, 2), (shortest, 0)],
+                         ids=["srp", "shortest"])
+def test_srp_and_shortest_check_failure_exit_code(tmp_path, capsys, monkeypatch,
+                                                  module, k):
+    path = tmp_path / "gap.ftp"
+    path.write_text(serialize_instance(gap_family(4, k)))
+    monkeypatch.setattr(module, "is_feasible", lambda instance, edges: False)
+    code, out, err = run_main(["solve", str(path)], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: SolverCheckFailed")
+
+
+def test_frac_check_failure_exit_code(gap_file, capsys, monkeypatch):
+    real = simplex.solve_lp
+
+    def off_by_one(*args):
+        x, value = real(*args)
+        return x, value + 1
+
+    monkeypatch.setattr(simplex, "solve_lp", off_by_one)
+    code, out, err = run_main(["solve", gap_file, "--algorithm", "frac"], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err.startswith("internal error: SolverCheckFailed")
+
+
+def test_auto_srp_decomposes_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gap42.ftp"
+    path.write_text(serialize_instance(gap_family(4, 2)))
+    expected = run_main(["solve", str(path), "--algorithm", "srp"], capsys)
+    calls = []
+    real = srp.decompose_srp
+
+    def counting(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(srp, "decompose_srp", counting)
+    assert run_main(["solve", str(path)], capsys) == expected
+    assert len(calls) == 1
+
+
+def test_dag_link_edge_cap_message(tmp_path, capsys):
+    inst = build_instance(True, 3, 0, 2, 2,
+                          [(0, 1, 1, True)] * 21 + [(1, 2, 1, False)])
+    path = tmp_path / "parallel.ftp"
+    path.write_text(serialize_instance(inst))
+    for algorithm in ("auto", "dag"):
+        code, out, err = run_main(["solve", str(path), "--algorithm", algorithm],
+                                  capsys)
+        assert code == EXIT_CAPS
+        assert out == ""
+        assert err.startswith("caps exceeded: 21 candidate edges for one link")
+        assert "configurations" not in err
 
 
 def test_solve_dag_on_long_cycle_exit_code(tmp_path, capsys):

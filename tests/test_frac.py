@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -38,6 +40,108 @@ def test_simplex_degenerate_redundant_rows():
                          ({0: 1}, LESS_EQUAL, 1)], 2)
     assert value == 2
     assert x == [Fraction(1), Fraction(0)]
+
+
+def _satisfies(rows, x):
+    if any(v < 0 for v in x):
+        return False
+    for coeffs, sense, b in rows:
+        lhs = sum(Fraction(a) * x[j] for j, a in coeffs.items())
+        if (sense == LESS_EQUAL and lhs > b or sense == GREATER_EQUAL and lhs < b
+                or sense == EQUAL and lhs != b):
+            return False
+    return True
+
+
+def _solve_square(matrix, rhs):
+    """Gauss-Jordan elimination over Fractions; None when singular."""
+    n = len(rhs)
+    aug = [[Fraction(a) for a in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if aug[r][c] != 0), None)
+        if p is None:
+            return None
+        aug[c], aug[p] = aug[p], aug[c]
+        for r in range(n):
+            if r != c and aug[r][c] != 0:
+                f = aug[r][c] / aug[c][c]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[c])]
+    return [aug[r][n] / aug[r][r] for r in range(n)]
+
+
+def _vertices(rows, num_vars):
+    """Vertices of {x >= 0 : rows}: every choice of num_vars tight constraints."""
+    tight = [([coeffs.get(j, 0) for j in range(num_vars)], b) for coeffs, _, b in rows]
+    tight += [([int(i == j) for j in range(num_vars)], 0) for i in range(num_vars)]
+    found = set()
+    for chosen in combinations(tight, num_vars):
+        x = _solve_square([a for a, _ in chosen], [b for _, b in chosen])
+        if x is not None and _satisfies(rows, x):
+            found.add(tuple(x))
+    return found
+
+
+def _brute_force_lp(objective, rows, num_vars):
+    """Status and optimal value from all vertices and extreme rays.
+
+    The feasible set lies in x >= 0, so it has a vertex when it is not
+    empty, and the LP is unbounded exactly when an extreme ray of the
+    recession cone (a vertex of the cone cut by sum(d) == 1) descends.
+    """
+    def cost(x):
+        return sum(Fraction(objective.get(j, 0)) * x[j] for j in range(num_vars))
+
+    points = _vertices(rows, num_vars)
+    if not points:
+        return "infeasible", None
+    cone = [(coeffs, sense, 0) for coeffs, sense, _ in rows]
+    cone.append((dict.fromkeys(range(num_vars), 1), EQUAL, 1))
+    if any(cost(d) < 0 for d in _vertices(cone, num_vars)):
+        return "unbounded", None
+    return "optimal", min(cost(x) for x in points)
+
+
+def test_simplex_matches_brute_force_over_bases():
+    rng = random.Random(241)
+
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3)))
+
+    outcomes = Counter()
+    for _ in range(300):
+        num_vars = rng.randint(1, 4)
+        rows = [({j: q() for j in range(num_vars) if rng.random() < 0.75},
+                 rng.choice((LESS_EQUAL, GREATER_EQUAL, EQUAL)), q())
+                for _ in range(rng.randint(1, 4))]
+        objective = {j: q() for j in range(num_vars)}
+        status, value = _brute_force_lp(objective, rows, num_vars)
+        outcomes[status] += 1
+        if status == "infeasible":
+            with pytest.raises(LPInfeasible):
+                solve_lp(objective, rows, num_vars)
+        elif status == "unbounded":
+            with pytest.raises(LPUnbounded):
+                solve_lp(objective, rows, num_vars)
+        else:
+            x, got = solve_lp(objective, rows, num_vars)
+            assert got == value
+            assert _satisfies(rows, x)
+            assert sum(objective[j] * x[j] for j in range(num_vars)) == value
+    assert min(outcomes[s] for s in ("infeasible", "unbounded", "optimal")) >= 30
+
+
+def test_simplex_pins_vertex_among_several_optima():
+    # (2,0,0,0) and (0,0,0,1) both cost 2.  Bland's rule returns the
+    # first; Dantzig's rule, a last-index entering rule or ties broken
+    # toward the larger basic index all return the second.
+    objective = {0: 1, 1: 3, 2: 3, 3: 2}
+    rows = [({0: 1, 1: 2, 2: 1, 3: 2}, GREATER_EQUAL, 2),
+            ({0: 2, 1: 1, 2: 1, 3: 1}, GREATER_EQUAL, 1)]
+    optima = [v for v in _vertices(rows, 4)
+              if sum(objective[j] * v[j] for j in range(4)) == 2]
+    assert len(optima) == 2
+    assert solve_lp(objective, rows, 4) == ([Fraction(2), Fraction(0), Fraction(0),
+                                             Fraction(0)], Fraction(2))
 
 
 def test_gap_family_values_exact():
