@@ -2,9 +2,12 @@
 
 Two algorithms: the support of a min-cost (k+1)-unit flow with faulty
 edges capped at one unit costs at most (k+1) times the optimum; routing
-that flow segment-by-segment between consecutive cut vertices -- the
-same link construction the k=1 solver uses, with the safe-edge capacity
-lowered to k -- improves the guarantee to k times the optimum.
+that flow segment-by-segment between consecutive cut vertices improves
+the guarantee to k times the optimum.  The second is the link graph of
+the exact k=1 solver (``bipath``) with three parameters changed: the
+safe-edge capacity is k (not 2 or 1), each link carries k+1 flow units
+(not 2), and a link weighs its flow's support, each edge counted once
+(not the flow's cost).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flow
-from .bipath import WrongBudget
+from .bipath import WrongBudget, _link_graph, _support
 from .core import (FTPError, Infeasible, Instance, Solution, RATIO_BOUNDED,
                    SolverCheckFailed, is_feasible)
 from .shortest import INF, dijkstra_tree, meta_shortest_path, safe_subgraph_distances
@@ -24,28 +27,6 @@ __all__ = ["NotFeasible", "InducedFlow", "SegmentDecomposition",
 
 class NotFeasible(FTPError):
     """The supplied edge set is not a feasible solution."""
-
-
-def _flow_network(instance: Instance, safe_cap: int,
-                  edge_ids=None) -> flow.FlowNetwork:
-    # Faulty edges always carry at most one unit.  Undirected edges are
-    # expanded into opposite arcs; the deterministic min-cost flow never
-    # loads both directions, so one edge is one capacity budget.
-    ids = sorted(edge_ids) if edge_ids is not None else range(len(instance.edges))
-    arcs = []
-    for eid in ids:
-        e = instance.edges[eid]
-        if e.u == e.v:
-            continue
-        cap = 1 if e.faulty else safe_cap
-        arcs.append(flow.Arc(e.u, e.v, cap, e.w, e.id))
-        if not instance.directed:
-            arcs.append(flow.Arc(e.v, e.u, cap, e.w, e.id))
-    return flow.FlowNetwork(instance.vertex_count, tuple(arcs))
-
-
-def _support(net: flow.FlowNetwork, result: flow.FlowResult) -> frozenset[int]:
-    return frozenset(net.arcs[i].origin for i, f in enumerate(result.flows) if f > 0)
 
 
 def _require_feasible(instance: Instance) -> None:
@@ -67,9 +48,9 @@ def approx_kplus1(instance: Instance) -> Solution:
     k = instance.k
     if instance.s == instance.t:
         return Solution(frozenset(), 0, RATIO_BOUNDED, (k + 1, 1))
-    net = _flow_network(instance, safe_cap=k + 1)
+    net = flow.edge_network(instance, k + 1)
     result = flow.min_cost_flow(net, instance.s, instance.t, k + 1)
-    support = _support(net, result)
+    support = frozenset(_support(net, result))
     cost = sum(instance.edges[eid].w for eid in support)
     solution = Solution(support, cost, RATIO_BOUNDED, (k + 1, 1))
     if not is_feasible(instance, solution.edges):
@@ -95,43 +76,24 @@ def approx_k(instance: Instance) -> Solution:
     _require_feasible(instance)
     if instance.s == instance.t:
         return Solution(frozenset(), 0, RATIO_BOUNDED, (k, 1))
-    n = instance.vertex_count
-    safe_dist, safe_witness = safe_subgraph_distances(instance)
-    net = _flow_network(instance, safe_cap=k)
-    length: list[list] = [[INF] * n for _ in range(n)]
-    witness: dict[tuple[int, int], frozenset[int] | tuple[int, ...]] = {}
-    for u in range(n):
-        for v in range(n):
-            if u == v:
-                length[u][v] = 0
-                witness[(u, v)] = frozenset()
-                continue
-            support_weight = INF
-            support: frozenset[int] = frozenset()
-            try:
-                res = flow.min_cost_flow(net, u, v, k + 1)
-                support = _support(net, res)
-                support_weight = sum(instance.edges[eid].w for eid in support)
-            except Infeasible:
-                pass
-            if safe_dist[u][v] <= support_weight:
-                if safe_dist[u][v] != INF:
-                    length[u][v] = safe_dist[u][v]
-                    witness[(u, v)] = frozenset(safe_witness[(u, v)])
-            else:
-                length[u][v] = support_weight
-                witness[(u, v)] = support
-    total, seq = meta_shortest_path(n, lambda u, v: length[u][v],
-                                    instance.s, instance.t)
+
+    def support_weight(net, res):
+        return sum(instance.edges[eid].w for eid in _support(net, res))
+
+    links = _link_graph(instance, safe_subgraph_distances(instance),
+                        safe_cap=k, units=k + 1, weight=support_weight)
+    total, seq = meta_shortest_path(
+        instance.vertex_count, lambda u, v: links.dist[u][v],
+        instance.s, instance.t)
     if total == INF:
         raise Infeasible("no link decomposition connects the terminals")
     chosen: set[int] = set()
     for u, v in zip(seq, seq[1:]):
-        segment = witness[(u, v)]
+        segment = links.witness[(u, v)][1]
         if not is_feasible(instance.with_terminals(u, v), segment):
             raise SolverCheckFailed(
                 f"approx-k link {u}->{v} is not a feasible segment")
-        chosen |= set(segment)
+        chosen.update(segment)
     cost = sum(instance.edges[eid].w for eid in chosen)
     solution = Solution(frozenset(chosen), cost, RATIO_BOUNDED, (k, 1))
     if not is_feasible(instance, solution.edges):
@@ -169,7 +131,7 @@ def induced_flow(instance: Instance, solution) -> InducedFlow:
     k = instance.k
     if instance.s == instance.t:
         return InducedFlow(k + 1, {}, frozenset(), frozenset())
-    net = _flow_network(instance, safe_cap=k + 1, edge_ids=ids)
+    net = flow.edge_network(instance, k + 1, ids)
     result = flow.min_cost_flow(net, instance.s, instance.t, k + 1)
     edge_flow: dict[int, int] = {}
     for i, f in enumerate(result.flows):

@@ -33,10 +33,14 @@ class LinkLengths:
     """Per-pair link lengths and the structures realizing them.
 
     ``safe_dist[u][v]``: shortest-path distance using safe edges only.
-    ``pair_dist[u][v]``: cost of a cheapest 2-unit flow from u to v
-    (two edge-disjoint routes when undirected).  ``dist`` is the
-    pointwise minimum and ``witness[(u, v)]`` records which case won and
-    the realizing edge ids.
+    ``pair_dist[u][v]``: weight of a min-cost flow of ``units`` units
+    from u to v whose safe edges carry at most ``safe_cap`` units each
+    (faulty edges one).  ``dist`` is the pointwise minimum and
+    ``witness[(u, v)]`` records which case won and the realizing edge
+    ids.  For k=1, :func:`link_lengths` takes 2 units, ``safe_cap`` 2
+    if directed and 1 if undirected (two edge-disjoint routes), and the
+    flow cost as the weight; ``approx.approx_k`` takes k+1 units,
+    ``safe_cap`` k and the weight of the flow's support.
     """
 
     safe_dist: list[list]
@@ -45,41 +49,22 @@ class LinkLengths:
     witness: dict[tuple[int, int], tuple[str, tuple[int, ...]]]
 
 
-def _two_route_network(instance: Instance) -> flow.FlowNetwork:
-    arcs = []
-    for e in instance.edges:
-        if e.u == e.v:
-            continue
-        if instance.directed:
-            # A safe edge may carry both units; a faulty one at most one.
-            cap = 1 if e.faulty else 2
-            arcs.append(flow.Arc(e.u, e.v, cap, e.w, e.id))
-        else:
-            # One capacity unit per undirected edge.  The two opposite
-            # arcs never carry flow together: cancelling them is always
-            # at least as cheap, and the deterministic tie-break of
-            # min_cost_flow prefers the cancelled vector.
-            arcs.append(flow.Arc(e.u, e.v, 1, e.w, e.id))
-            arcs.append(flow.Arc(e.v, e.u, 1, e.w, e.id))
-    return flow.FlowNetwork(instance.vertex_count, tuple(arcs))
-
-
 def _support(net: flow.FlowNetwork, result: flow.FlowResult) -> tuple[int, ...]:
     used = {net.arcs[i].origin for i, f in enumerate(result.flows) if f > 0}
     return tuple(sorted(used))
 
 
-def link_lengths(instance: Instance) -> LinkLengths:
-    """Compute all-pairs link lengths for the single-failure solver.
+def _link_graph(instance: Instance, safe, safe_cap: int, units: int,
+                weight) -> LinkLengths:
+    """Link lengths of every vertex pair, see :class:`LinkLengths`.
 
-    Raises:
-        WrongBudget: the instance budget is not 1.
+    ``safe`` is the ``(dist, witness)`` pair of
+    ``safe_subgraph_distances``; ``weight(net, result)`` gives the
+    length of a pair's flow link.  A safe path wins ties.
     """
-    if instance.k != 1:
-        raise WrongBudget(f"budget is {instance.k}, this solver requires k=1")
     n = instance.vertex_count
-    safe_dist, safe_witness = safe_subgraph_distances(instance)
-    net = _two_route_network(instance)
+    safe_dist, safe_witness = safe
+    net = flow.edge_network(instance, safe_cap)
     pair_dist: list[list] = [[INF] * n for _ in range(n)]
     dist: list[list] = [[INF] * n for _ in range(n)]
     witness: dict[tuple[int, int], tuple[str, tuple[int, ...]]] = {}
@@ -91,8 +76,8 @@ def link_lengths(instance: Instance) -> LinkLengths:
                 witness[(u, u)] = (SAFE_PATH, ())
                 continue
             try:
-                res = flow.min_cost_flow(net, u, v, 2)
-                pair_dist[u][v] = res.total_cost
+                res = flow.min_cost_flow(net, u, v, units)
+                pair_dist[u][v] = weight(net, res)
             except Infeasible:
                 res = None
             s_d = safe_dist[u][v]
@@ -106,6 +91,21 @@ def link_lengths(instance: Instance) -> LinkLengths:
                 dist[u][v] = p_d
                 witness[(u, v)] = (TWO_ROUTE, _support(net, res))
     return LinkLengths(safe_dist, pair_dist, dist, witness)
+
+
+def link_lengths(instance: Instance) -> LinkLengths:
+    """Compute all-pairs link lengths for the single-failure solver.
+
+    Raises:
+        WrongBudget: the instance budget is not 1.
+    """
+    if instance.k != 1:
+        raise WrongBudget(f"budget is {instance.k}, this solver requires k=1")
+    # A directed safe edge may carry both units, an undirected one only
+    # one, so the two routes are edge-disjoint.
+    return _link_graph(instance, safe_subgraph_distances(instance),
+                       safe_cap=2 if instance.directed else 1, units=2,
+                       weight=lambda net, res: res.total_cost)
 
 
 def solve_1ftp(instance: Instance) -> Solution:

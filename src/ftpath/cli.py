@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from . import approx, bipath, dag, frac, oracle, srp
 from .core import (FTPError, Infeasible, Instance, ScenarioSpaceTooLarge,
-                   Solution, ValidationError, build_instance, is_feasible)
+                   Solution, ValidationError, build_instance,
+                   infeasibility_witness, reachable)
 from .shortest import shortest_path_solution
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_solution",
@@ -324,39 +325,15 @@ def cmd_check(args) -> int:
             candidate = parse_solution(handle.read())
     except OSError as exc:
         raise ParseError(f"cannot read {args.solution}: {exc}") from exc
-    if is_feasible(instance, candidate):
+    scenario = infeasibility_witness(instance, candidate)
+    if scenario is None:
         sys.stdout.write("feasible\n")
         return EXIT_OK
-    scenario, side = _infeasibility_witness(instance, candidate)
+    side = reachable(instance, instance.s, candidate - scenario)
     sys.stdout.write("infeasible\n")
     sys.stdout.write("witness-scenario: " + " ".join(str(e) for e in sorted(scenario)) + "\n")
     sys.stdout.write("witness-cut-side: " + " ".join(str(v) for v in sorted(side)) + "\n")
     return EXIT_OK
-
-
-def _infeasibility_witness(instance: Instance, candidate) -> tuple[frozenset[int], frozenset[int]]:
-    """A failure set of size <= k whose removal disconnects the candidate."""
-    from . import flow
-    from .core import check_candidate, reachable
-
-    ids = check_candidate(instance, candidate)
-    k = instance.k
-    arcs = []
-    for eid in sorted(ids):
-        e = instance.edges[eid]
-        if e.u == e.v:
-            continue
-        cap = 1 if e.faulty else k + 2
-        arcs.append(flow.Arc(e.u, e.v, cap, 0, e.id))
-        if not instance.directed:
-            arcs.append(flow.Arc(e.v, e.u, cap, 0, e.id))
-    net = flow.FlowNetwork(instance.vertex_count, tuple(arcs))
-    result = flow.max_flow(net, instance.s, instance.t, k + 1)
-    assert result.value <= k and result.min_cut is not None
-    scenario = frozenset(net.arcs[i].origin for i in result.min_cut)
-    surviving = ids - scenario
-    side = frozenset(reachable(instance, instance.s, surviving))
-    return scenario, side
 
 
 def cmd_gap(args) -> int:
@@ -592,9 +569,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        # Built once per process: building costs about 15 parses.
+        _parser = _build_parser()
+    args = _parser.parse_args(argv)
     try:
         return args.func(args)
     except Infeasible as exc:

@@ -38,6 +38,7 @@ __all__ = [
     "build_instance",
     "validate",
     "is_feasible",
+    "infeasibility_witness",
     "enumerate_scenarios",
     "scenario_count",
 ]
@@ -246,29 +247,35 @@ def is_feasible(instance: Instance, candidate: Iterable[int]) -> bool:
 
     The candidate is feasible iff for every failure set ``F`` of at most
     ``k`` faulty edges, ``candidate - F`` still contains an ``s``-``t``
-    path.  Equivalently (by max-flow/min-cut), the max ``s``-``t`` flow
-    through the candidate with capacity 1 on faulty edges and ``k+2``
-    (effectively unlimited) on safe edges is at least ``k+1``.
+    path, that is iff :func:`infeasibility_witness` finds no failing
+    scenario; it runs one max-flow computation.
+    """
+    return infeasibility_witness(instance, candidate) is None
+
+
+def infeasibility_witness(instance: Instance,
+                          candidate: Iterable[int]) -> frozenset[int] | None:
+    """The failure scenario a candidate edge set does not survive, or ``None``.
+
+    The scenario is a set of at most ``k`` faulty candidate edges whose
+    removal leaves no ``s``-``t`` path in the candidate.  By
+    max-flow/min-cut, none exists iff the max ``s``-``t`` flow through
+    the candidate with capacity 1 on faulty edges and ``k+2`` (effectively
+    unlimited) on safe edges is at least ``k+1``.  Otherwise the minimum
+    cut has capacity at most ``k``, so it crosses faulty edges only, and
+    those edges are the returned scenario.
     """
     from . import flow
 
     ids = check_candidate(instance, candidate)
     if instance.s == instance.t:
-        return True
+        return None
     k = instance.k
-    big = k + 2
-    arcs = []
-    for eid in sorted(ids):
-        e = instance.edges[eid]
-        if e.u == e.v:
-            continue
-        cap = 1 if e.faulty else big
-        arcs.append(flow.Arc(e.u, e.v, cap, 0, e.id))
-        if not instance.directed:
-            arcs.append(flow.Arc(e.v, e.u, cap, 0, e.id))
-    net = flow.FlowNetwork(instance.vertex_count, tuple(arcs))
+    net = flow.edge_network(instance, k + 2, ids)
     result = flow.max_flow(net, instance.s, instance.t, k + 1)
-    return result.value >= k + 1
+    if result.value > k:
+        return None
+    return frozenset(net.arcs[i].origin for i in result.min_cut)
 
 
 def scenario_count(instance: Instance) -> int:

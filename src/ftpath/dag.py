@@ -233,8 +233,10 @@ def layerize(instance: Instance) -> LayeredInstance:
             edges.append(LayeredEdge(
                 id=len(edges), layer=i + step, tail=a, head=b,
                 w=e.w if step == 0 else 0, faulty=e.faulty, origin=e.id))
-    assert layer_members[0] == [vertex_of[instance.s]]
-    assert layer_members[r - 1] == [vertex_of[instance.t]]
+    if (layer_members[0] != [vertex_of[instance.s]]
+            or layer_members[r - 1] != [vertex_of[instance.t]]):
+        raise SolverCheckFailed("layerize did not put s alone in the first "
+                                "layer and t alone in the last")
     return LayeredInstance(instance,
                            tuple(tuple(lm) for lm in layer_members),
                            tuple(edges))

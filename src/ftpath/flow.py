@@ -22,10 +22,10 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-from .core import Infeasible
+from .core import Infeasible, Instance
 
-__all__ = ["Arc", "FlowNetwork", "FlowResult", "max_flow", "min_cost_flow",
-           "balanced_flow"]
+__all__ = ["Arc", "FlowNetwork", "FlowResult", "edge_network", "max_flow",
+           "min_cost_flow", "balanced_flow"]
 
 
 class Arc(NamedTuple):
@@ -75,6 +75,31 @@ class FlowResult:
     flows: tuple[int, ...]
     total_cost: int | None = None
     min_cut: tuple[int, ...] | None = None
+
+
+def edge_network(instance: Instance, safe_cap: int,
+                 edge_ids=None) -> FlowNetwork:
+    """The network of an instance's edges, or of the ``edge_ids`` only.
+
+    Faulty edges get capacity 1 and safe edges ``safe_cap``; every arc
+    keeps its edge's cost and id (``origin``).  Self-loops are skipped
+    and an undirected edge becomes two opposite arcs of the same
+    capacity: a minimum-cost flow never loads both (cancelling them is
+    at least as cheap and lexicographically smaller), and a minimum cut
+    never crosses both, so one edge stays one capacity budget.
+    """
+    edges = instance.edges
+    ids = range(len(edges)) if edge_ids is None else sorted(edge_ids)
+    arcs = []
+    for eid in ids:
+        e = edges[eid]
+        if e.u == e.v:
+            continue
+        cap = 1 if e.faulty else safe_cap
+        arcs.append(Arc(e.u, e.v, cap, e.w, e.id))
+        if not instance.directed:
+            arcs.append(Arc(e.v, e.u, cap, e.w, e.id))
+    return FlowNetwork(instance.vertex_count, tuple(arcs))
 
 
 def _check_capacities(arcs) -> None:

@@ -233,6 +233,8 @@ def gap_report(D: int, k: int, var_cap: int = DEFAULT_VAR_CAP) -> GapReport:
     instance = gap_family(D, k)
     frac = solve_frac(instance, var_cap)
     integral = oracle.brute_force_opt(instance, edge_cap=max(oracle.DEFAULT_EDGE_CAP, D))
-    assert integral.best is not None
+    if integral.best is None:
+        raise SolverCheckFailed(
+            f"oracle found no feasible subset of gap_family({D}, {k})")
     ratio = Fraction(integral.best.cost) / frac.value
     return GapReport(integral.best.cost, frac.value, ratio)

@@ -261,7 +261,9 @@ def _materialize(instance: Instance, tree: object, s: int, t: int) -> Decomposit
         else:
             built[key] = Parallel(left, right, left.u, left.v)
     result = built[(id(root[0]), root[1])]
-    assert (result.u, result.v) == (s, t)
+    if (result.u, result.v) != (s, t):
+        raise SolverCheckFailed(
+            f"decomposition root joins {result.u}-{result.v}, not {s}-{t}")
     return result
 
 

@@ -8,6 +8,7 @@ and the production code is meaningful evidence.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from ftpath.core import Instance, build_instance
 
@@ -112,6 +113,22 @@ def simple_paths(instance: Instance, source: int, target: int) -> list[tuple[int
         return [()]
     walk(source, {source}, [])
     return out
+
+
+def has_path(instance: Instance, edge_ids) -> bool:
+    """Whether the given edges alone contain a simple s-t path."""
+    allowed = frozenset(edge_ids)
+    return any(allowed.issuperset(p)
+               for p in simple_paths(instance, instance.s, instance.t))
+
+
+def survives_every_failure(instance: Instance, candidate) -> bool:
+    """Feasibility by enumerating every failure of at most k faulty edges."""
+    ids = frozenset(candidate)
+    faulty = sorted(e for e in ids if instance.edges[e].faulty)
+    return all(has_path(instance, ids.difference(failed))
+               for size in range(min(instance.k, len(faulty)) + 1)
+               for failed in combinations(faulty, size))
 
 
 def cheapest_disjoint_pair(instance: Instance, u: int, v: int):

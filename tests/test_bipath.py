@@ -69,6 +69,19 @@ def test_pair_dist_matches_disjoint_path_enumeration():
     assert compared >= 400
 
 
+def test_directed_pair_dist_counts_shared_safe_edge_twice():
+    # Both units cross the safe s->a edge, so the flow cost counts it
+    # twice: 5 + 5 + 1 + 1 = 12, not the support weight 5 + 1 + 1 = 7.
+    inst = build_instance(True, 3, 0, 2, 1,
+                          [(0, 1, 5, False), (1, 2, 1, True), (1, 2, 1, True)])
+    ll = link_lengths(inst)
+    assert ll.safe_dist[0][2] == INF
+    assert ll.pair_dist[0][2] == 12
+    assert ll.dist[0][2] == 12
+    assert ll.witness[(0, 2)] == ("two-route", (0, 1, 2))
+    assert solve_1ftp(inst).cost == 7
+
+
 def test_directed_shared_safe_arc():
     # No two arc-disjoint 0->2 paths exist, yet {all three arcs} is
     # robust: the single safe arc may serve both routes.  The link

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ftpath import bipath, shortest, simplex, srp
+from ftpath import bipath, cli, flow, shortest, simplex, srp
 from ftpath.cli import (EXIT_CAPS, EXIT_EMPTY, EXIT_INFEASIBLE, EXIT_INTERNAL,
                         EXIT_INVALID, EXIT_OK, ParseError, main, parse_dimacs,
                         parse_instance, parse_solution, serialize_instance,
@@ -239,6 +239,44 @@ def test_check_pipeline(tmp_path, gap_file, capsys):
     assert code == EXIT_OK
     assert out.startswith("infeasible")
     assert "witness-scenario: 0" in out
+
+
+def test_check_infeasible_runs_one_max_flow(tmp_path, gap_file, capsys,
+                                            monkeypatch):
+    calls = []
+    original = flow.max_flow
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "max_flow", counting)
+    bad = tmp_path / "bad.ftps"
+    bad.write_text("ftp-solution v1\nedges: 0\n")
+    code, out, _ = run_main(["check", gap_file, str(bad)], capsys)
+    assert code == EXIT_OK
+    assert out == "infeasible\nwitness-scenario: 0\nwitness-cut-side: 0\n"
+    assert len(calls) == 1
+
+
+def test_parser_built_once_per_process(gap_file, capsys, monkeypatch):
+    builds = []
+    original = cli._build_parser
+
+    def counting():
+        builds.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    code, out, _ = run_main(["solve", gap_file, "--algorithm", "bipath"], capsys)
+    assert code == EXIT_OK
+    assert out == ("ftp-solution v1\nalgorithm: bipath\nstatus: optimal\n"
+                   "cost: 2\nedges: 2 3\n")
+    code, out, _ = run_main(["gap", "2", "1"], capsys)
+    assert code == EXIT_OK
+    assert out.startswith("ftp-gap-report v1\nd: 2\nk: 1\n")
+    assert builds == [1]
 
 
 def test_check_matches_brute_force_on_fuzzed_subsets(tmp_path, capsys):

@@ -1,15 +1,19 @@
+import ast
+import pathlib
 import random
 
 import pytest
 
+import ftpath
+
 from ftpath.core import (BadEndpoint, BadParameters, DuplicateEdgeId, Edge,
                          Instance, NegativeWeight, OverflowRisk,
                          ScenarioSpaceTooLarge, UnknownEdgeId, build_instance,
-                         enumerate_scenarios, is_feasible, scenario_count,
-                         validate)
+                         enumerate_scenarios, infeasibility_witness,
+                         is_feasible, scenario_count, validate)
 from ftpath.oracle import brute_force_feasible
 
-from conftest import random_instance
+from conftest import has_path, random_instance, survives_every_failure
 
 
 def test_validate_minimal_instance():
@@ -176,3 +180,46 @@ def test_is_feasible_no_faulty_edges_means_any_path():
         from ftpath.core import reachable
         connected = inst.t in reachable(inst, inst.s, candidate)
         assert is_feasible(inst, candidate) == connected
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_infeasibility_witness_matches_brute_force(directed):
+    rng = random.Random(113 + directed)
+    infeasible = 0
+    for _ in range(120):
+        inst = random_instance(rng, n_max=6, m_max=9, directed=directed,
+                               k=rng.randint(0, 2))
+        m = len(inst.edges)
+        for _ in range(4):
+            candidate = frozenset(rng.sample(range(m), rng.randint(0, m)))
+            scenario = infeasibility_witness(inst, candidate)
+            assert (scenario is None) == survives_every_failure(inst, candidate)
+            if scenario is None:
+                continue
+            infeasible += 1
+            assert len(scenario) <= inst.k
+            assert scenario <= candidate
+            assert all(inst.edges[e].faulty for e in scenario)
+            assert not has_path(inst, candidate - scenario)
+    assert infeasible >= 100
+
+
+def test_infeasibility_witness_names_the_failing_edges():
+    # Two parallel faulty s-t edges and a safe detour that is cut off.
+    inst = build_instance(False, 3, 0, 1, 2,
+                          [(0, 1, 1, True), (0, 1, 1, True), (0, 2, 1, False)])
+    assert infeasibility_witness(inst, {0, 1, 2}) == frozenset({0, 1})
+    assert infeasibility_witness(inst.with_budget(1), {0, 1, 2}) is None
+    with pytest.raises(UnknownEdgeId):
+        infeasibility_witness(inst, {3})
+
+
+def test_no_bare_assert_in_package():
+    # Output checks must survive python -O, which strips assert statements.
+    package = pathlib.Path(ftpath.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
