@@ -247,9 +247,9 @@ def _record(instance: Instance, algorithm: str, solution: Solution,
 # ---------------------------------------------------------------------------
 # Solvers
 
-def _auto_algorithm(instance: Instance,
-                    cap_configs: int) -> tuple[str, srp.DecompositionNode | None]:
-    """The solver ``auto`` picks, with the srp decomposition it built."""
+def _auto_algorithm(instance: Instance, cap_configs: int
+                    ) -> tuple[str, srp.DecompositionNode | dag.LayeredInstance | None]:
+    """The solver ``auto`` picks, with the srp tree or layered DAG it built."""
     if instance.k == 0:
         return "shortest", None
     if instance.k == 1:
@@ -258,7 +258,7 @@ def _auto_algorithm(instance: Instance,
         try:
             layered = dag.layerize(instance)
             if dag.configuration_count(layered, instance.k) <= cap_configs:
-                return "dag", None
+                return "dag", layered
         except dag.NotADag:
             pass
     else:
@@ -270,16 +270,15 @@ def _auto_algorithm(instance: Instance,
 
 
 def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
-                cap_configs: int,
-                tree: srp.DecompositionNode | None = None) -> Solution:
+                cap_configs: int, built=None) -> Solution:
     if algorithm == "shortest":
         return shortest_path_solution(instance)
     if algorithm == "bipath":
         return bipath.solve_1ftp(instance)
     if algorithm == "dag":
-        return dag.solve_kftp_dag(instance, cap_configs)
+        return dag.solve_kftp_dag(instance, cap_configs, built)
     if algorithm == "srp":
-        return srp.solve_srp(instance, tree)
+        return srp.solve_srp(instance, built)
     if algorithm == "approx-k":
         return approx.approx_k(instance)
     if algorithm == "approx-k1":
@@ -294,9 +293,9 @@ def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.path, args.format)
-    algorithm, tree = args.algorithm, None
+    algorithm, built = args.algorithm, None
     if algorithm == "auto":
-        algorithm, tree = _auto_algorithm(instance, args.cap_configs)
+        algorithm, built = _auto_algorithm(instance, args.cap_configs)
     if algorithm == "frac":
         started = time.perf_counter()
         vector = frac.solve_frac(instance)
@@ -311,7 +310,7 @@ def cmd_solve(args) -> int:
         return EXIT_OK
     started = time.perf_counter()
     solution = _run_solver(instance, algorithm, args.cap_scenarios, args.cap_configs,
-                           tree)
+                           built)
     elapsed = time.perf_counter() - started
     sys.stdout.write(serialize_solution(solution, algorithm))
     _log_record(_record(instance, algorithm, solution, elapsed))

@@ -1,30 +1,31 @@
 """Exact solver for directed acyclic instances at any fixed budget.
 
 The graph is first stretched into a layered graph (one layer per vertex
-in topological order, long edges subdivided into zero-cost chains).  A
-*configuration* assigns k+1 demand units to the vertices of one layer;
-two configurations in consecutive layers are linked when the demand can
-be transported between them with capacity 1 on faulty edges, and the
-link cost is the cheapest edge subset supporting that transport.  A
-shortest path through the configuration graph then yields an optimal
-solution, mapped back through edge origins.
+depth, long edges subdivided into zero-cost chains).  A *configuration*
+assigns k+1 demand units to the vertices of one layer.  Edges join
+consecutive layers, so carrying ``f`` units from ``u`` to ``v`` costs
+``min(cheapest safe u->v edge, the f cheapest faulty u->v edges)``, and
+a link between configurations costs the least sum of these pair costs
+over the splits of each tail's units among its heads.  A forward dynamic
+program finds the cheapest route; only its links get a realizing edge
+set (:func:`link_cost`), mapped back through edge origins.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, combinations_with_replacement, groupby
 
-from . import flow
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
-                   SolverCheckFailed, is_feasible, reachable)
+                   SolverCheckFailed, build_instance, is_feasible, reachable)
 
 __all__ = ["NotADag", "ConfigurationSpaceTooLarge", "LayeredEdge",
            "LayeredInstance", "Configuration", "Link", "layerize",
            "enumerate_configurations", "link_cost", "solve_kftp_dag"]
 
 DEFAULT_CONFIG_CAP = 10**6
-LINK_EDGE_CAP = 20
 
 
 class NotADag(FTPError):
@@ -40,14 +41,10 @@ class NotADag(FTPError):
 
 
 class ConfigurationSpaceTooLarge(FTPError):
-    """A size cap of the DAG solver was exceeded.
+    """The DAG solver's cap on layer configurations was exceeded."""
 
-    ``estimate`` and ``cap`` count layer configurations unless
-    ``message`` names another quantity.
-    """
-
-    def __init__(self, estimate: int, cap: int, message: str | None = None):
-        super().__init__(message or f"about {estimate} configurations, cap is {cap}")
+    def __init__(self, estimate: int, cap: int):
+        super().__init__(f"about {estimate} configurations, cap is {cap}")
         self.estimate = estimate
         self.cap = cap
 
@@ -80,17 +77,18 @@ class LayeredInstance:
     layers: tuple[tuple[int, ...], ...]
     edges: tuple[LayeredEdge, ...]
 
-    @property
-    def origin_map(self) -> dict[int, int]:
-        return {e.id: e.origin for e in self.edges}
+    @cached_property
+    def _edges_by_layer(self) -> dict[int, list[LayeredEdge]]:
+        by_layer: dict[int, list[LayeredEdge]] = {}
+        for e in self.edges:
+            by_layer.setdefault(e.layer, []).append(e)
+        return by_layer
 
     def edges_in_layer(self, i: int) -> tuple[LayeredEdge, ...]:
-        return tuple(e for e in self.edges if e.layer == i)
+        return tuple(self._edges_by_layer.get(i, ()))
 
     def as_instance(self) -> Instance:
         """The layered graph as a plain directed instance (same budget)."""
-        from .core import build_instance
-
         count = max((max(layer) for layer in self.layers if layer), default=0) + 1
         return build_instance(
             True, count, self.layers[0][0], self.layers[-1][0],
@@ -209,9 +207,13 @@ def layerize(instance: Instance) -> LayeredInstance:
     kept = [v for v in order if v in relevant]
     kept_edges = [e for e in instance.edges
                   if e.u in relevant and e.v in relevant and e.u != e.v]
-    depth: dict[int, int] = {instance.s: 0}
-    for v in kept[1:]:
-        depth[v] = max(depth[e.u] + 1 for e in kept_edges if e.v == v)
+    heads: dict[int, list[int]] = {v: [] for v in kept}
+    for e in kept_edges:
+        heads[e.u].append(e.v)
+    depth: dict[int, int] = dict.fromkeys(kept, 0)
+    for v in kept:  # topological order: longest-path depths, in linear time
+        for w in heads[v]:
+            depth[w] = max(depth[w], depth[v] + 1)
     r = depth[instance.t] + 1
     next_vertex = 0
     layer_members: list[list[int]] = [[] for _ in range(r)]
@@ -259,92 +261,108 @@ def enumerate_configurations(layered: LayeredInstance, i: int, k: int,
     total = configuration_count(layered, k)
     if total > cap:
         raise ConfigurationSpaceTooLarge(total, cap)
-    width = len(layered.layers[i])
-    out: list[Configuration] = []
-
-    def emit(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(Configuration(i, tuple(prefix + [remaining])))
-            return
-        for d in range(remaining, -1, -1):
-            emit(prefix + [d], remaining - d, slots - 1)
-
-    if width:
-        emit([], k + 1, width)
-    return out
+    # A sorted tuple of k+1 vertex positions (a spread) is one demand
+    # vector; ascending spreads are descending demand vectors.
+    return [_configuration(layered, i, spread) for spread in
+            combinations_with_replacement(range(len(layered.layers[i])), k + 1)]
 
 
-def _transport_feasible(layered: LayeredInstance, edges: list[LayeredEdge],
-                        d1: Configuration, d2: Configuration, k: int) -> bool:
-    # Transportation check: move d1's units to d2 across `edges` with
-    # capacity 1 on faulty edges and k+2 (unlimited here) on safe ones.
-    verts1 = layered.layers[d1.layer]
-    verts2 = layered.layers[d2.layer]
-    need = {v: d for v, d in zip(verts2, d2.demand) if d > 0}
-    have = {v: d for v, d in zip(verts1, d1.demand) if d > 0}
-    # Quick degree bounds before running a flow.
-    out_cap: dict[int, int] = {v: 0 for v in have}
-    in_cap: dict[int, int] = {v: 0 for v in need}
+def _configuration(layered: LayeredInstance, i: int,
+                   spread: tuple[int, ...]) -> Configuration:
+    return Configuration(i, tuple(map(spread.count, range(len(layered.layers[i])))))
+
+
+def _pair_rows(edges, k: int, pos: dict[int, int], forced=(), floor: float = -1
+               ) -> dict[int, list[tuple[int, list[int]]]]:
+    # Per tail, (head position, row) pairs: row[f] is the least weight
+    # that lets the tail->head edges carry f units (f <= k+1, as far as
+    # they can).  Edges in ``forced`` are paid for: a safe one carries
+    # every unit, a faulty one a unit; other edges count if id > ``floor``.
+    units = k + 1
+    groups: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
     for e in edges:
-        c = 1 if e.faulty else k + 2
-        if e.tail in out_cap:
-            out_cap[e.tail] += c
-        if e.head in in_cap:
-            in_cap[e.head] += c
-    if any(out_cap[v] < have[v] for v in have):
-        return False
-    if any(in_cap[v] < need[v] for v in need):
-        return False
-    index = {v: i for i, v in enumerate(sorted(set(have) | set(need)))}
-    arcs = tuple(flow.Arc(index[e.tail], index[e.head],
-                          1 if e.faulty else k + 2) for e in edges)
-    supplies = [0] * len(index)
-    for v, d in have.items():
-        supplies[index[v]] -= d
-    for v, d in need.items():
-        supplies[index[v]] += d
-    net = flow.FlowNetwork(len(index), arcs, tuple(supplies))
-    return flow.balanced_flow(net) is not None
+        free, safe, faulty = groups.setdefault((e.tail, e.head), ([0], [], []))
+        if e.id in forced:
+            free[0] = min(units, free[0] + (1 if e.faulty else units))
+        elif e.id > floor:
+            (faulty if e.faulty else safe).append(e.w)
+    rows: dict[int, list[tuple[int, list[int]]]] = {}
+    for (tail, head), ([free], safe, faulty) in groups.items():
+        sums = list(accumulate(sorted(faulty)))  # sums[j]: the j+1 cheapest
+        carried = range(units - free) if safe else range(min(units - free, len(sums)))
+        row = [0] * (free + 1) + [min(safe + sums[j:j + 1]) for j in carried]
+        rows.setdefault(tail, []).append((pos[head], row))
+    return rows
+
+
+def _reach(rows: dict[int, list[tuple[int, list[int]]]],
+           have: list[tuple[int, int]], memo: dict) -> dict[tuple[int, ...], int]:
+    # Least cost of every spread (the sorted head positions of the units)
+    # that splitting each (tail, units) of ``have`` over the tail's (head
+    # position, row) pairs reaches; ascending spreads are descending
+    # demand vectors.  ``memo`` keeps each tail's (positions, cost) splits.
+    partial: dict[tuple[int, ...], int] = {(): 0}
+    for tail, units in have:
+        if (tail, units) not in memo:
+            splits: list[tuple[tuple[int, ...], int]] = [((), 0)]
+            for p, row in rows.get(tail, []):
+                splits = [(taken + (p,) * x, cost + row[x]) for taken, cost in splits
+                          for x in range(min(units - len(taken), len(row) - 1) + 1)]
+            memo[tail, units] = [split for split in splits if len(split[0]) == units]
+        grown: dict[tuple[int, ...], int] = {}
+        for spread, cost in partial.items():
+            for taken, extra in memo[tail, units]:
+                key = tuple(sorted(spread + taken))
+                if cost + extra < grown.get(key, math.inf):
+                    grown[key] = cost + extra
+        partial = grown
+    return partial
 
 
 def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
               k: int) -> Link | None:
     """Cheapest edge subset transporting d1's demand to d2, or ``None``.
 
-    The candidate edges run from d1's support to d2's support; all their
-    subsets are scanned in (cost, ids) order, so the result is
-    deterministic.  ``None`` means no subset works (the link is absent).
+    The candidate edges run from d1's support to d2's support.  The cost
+    ``C*`` is the least sum of per-pair costs (``f`` units over a pair
+    cost its cheapest safe edge or its ``f`` cheapest faulty edges) over
+    the splits of d1's units that deliver d2.  The realizing set is the
+    first candidate subset in ``(cost, sorted ids)`` order that carries
+    the transport: while the chosen ids alone do not carry it at cost
+    ``C*``, add the smallest larger id that a subset of cost ``C*``
+    holding the chosen ids, that id and otherwise larger ids completes.
+    ``None`` means no subset works (the link is absent).
     """
     supp1 = set(d1.support(layered))
     supp2 = set(d2.support(layered))
     edges = [e for e in layered.edges_in_layer(d1.layer)
              if e.tail in supp1 and e.head in supp2]
-    if not _transport_feasible(layered, edges, d1, d2, k):
+    have = [(v, d) for v, d in zip(layered.layers[d1.layer], d1.demand) if d]
+    pos = {v: p for p, v in enumerate(layered.layers[d2.layer])}
+    target = tuple(p for p, d in enumerate(d2.demand) for _ in range(d))
+    weight = {e.id: e.w for e in edges}
+
+    def cheapest(forced: list[int], floor: float) -> int | None:
+        extra = _reach(_pair_rows(edges, k, pos, forced, floor), have, {}).get(target)
+        return None if extra is None else extra + sum(weight[i] for i in forced)
+
+    best = cheapest([], -1)
+    if best is None:
         return None
-    m = len(edges)
-    if m > LINK_EDGE_CAP:
-        raise ConfigurationSpaceTooLarge(
-            m, LINK_EDGE_CAP, f"{m} candidate edges for one link from layer "
-            f"{d1.layer}, cap is {LINK_EDGE_CAP} (every edge subset is scanned)")
-    # Subsets in (cost, ids) order: the first feasible one is the
-    # cheapest, with ties resolved to the smallest id set.
-    masks = sorted(range(1, 2 ** m),
-                   key=lambda mask: (sum(edges[i].w for i in range(m) if mask >> i & 1),
-                                     tuple(edges[i].id for i in range(m) if mask >> i & 1)))
-    for mask in masks:
-        subset = [edges[i] for i in range(m) if mask >> i & 1]
-        if _transport_feasible(layered, subset, d1, d2, k):
-            return Link(d1, d2, sum(e.w for e in subset),
-                        frozenset(e.id for e in subset))
-    return None
+    chosen: list[int] = []
+    while cheapest(chosen, math.inf) != best:
+        chosen.append(next(i for i in sorted(weight) if i > max(chosen, default=-1)
+                           and cheapest(chosen + [i], i) == best))
+    return Link(d1, d2, best, frozenset(chosen))
 
 
-def solve_kftp_dag(instance: Instance,
-                   cap: int = DEFAULT_CONFIG_CAP) -> Solution:
+def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP,
+                   layered: LayeredInstance | None = None) -> Solution:
     """Optimal solution on a directed acyclic instance.
 
-    Runs a forward dynamic program over layer configurations, expanding
-    links lazily from the reached configurations only.
+    Runs a forward dynamic program over layer configurations, each
+    split over its layer's per-pair cost table into the configurations
+    it links to.  ``layered`` is ``layerize(instance)``, if already built.
 
     Raises:
         NotADag: not a DAG.
@@ -353,62 +371,44 @@ def solve_kftp_dag(instance: Instance,
     """
     if instance.s == instance.t:
         return Solution(frozenset(), 0, OPTIMAL)
-    layered = layerize(instance)
+    if layered is None:
+        layered = layerize(instance)
     k = instance.k
     if not layered.edges:
         raise Infeasible("terminals are disconnected")
     total_configs = configuration_count(layered, k)
     if total_configs > cap:
         raise ConfigurationSpaceTooLarge(total_configs, cap)
-    r = len(layered.layers)
-    start = Configuration(0, (k + 1,))
-    # reached: configuration -> (cost, parent, realizing layered-edge ids)
-    reached: dict[Configuration, tuple[int, Configuration | None, frozenset[int]]] = {
-        start: (0, None, frozenset())}
-    frontier = [start]
-    for i in range(r - 1):
-        nxt = enumerate_configurations(layered, i + 1, k, cap)
-        boundary = list(layered.edges_in_layer(i))
-        new_frontier: list[Configuration] = []
-        # Per-tail capacity toward layer i+1, for a cheap pre-reject.
-        out_cap: dict[int, int] = {}
-        heads_of: dict[int, set[int]] = {}
-        for e in boundary:
-            out_cap[e.tail] = out_cap.get(e.tail, 0) + (1 if e.faulty else k + 2)
-            heads_of.setdefault(e.tail, set()).add(e.head)
-        for d1 in sorted(frontier, key=lambda c: c.demand, reverse=True):
-            base_cost = reached[d1][0]
-            supp1 = d1.support(layered)
-            have = {v: d for v, d in zip(layered.layers[i], d1.demand) if d > 0}
-            if any(out_cap.get(v, 0) < have[v] for v in supp1):
-                continue
-            allowed_heads = set()
-            for v in supp1:
-                allowed_heads |= heads_of.get(v, set())
-            for d2 in nxt:
-                if any(v not in allowed_heads for v in d2.support(layered)):
-                    continue
-                link = link_cost(layered, d1, d2, k)
-                if link is None:
-                    continue
-                cand = base_cost + link.cost
-                old = reached.get(d2)
-                if old is None or cand < old[0]:
-                    if old is None:
-                        new_frontier.append(d2)
-                    reached[d2] = (cand, d1, link.realizing)
-        frontier = [c for c in new_frontier if c in reached]
-        if not frontier:
-            break
-    goal = Configuration(r - 1, (k + 1,))
-    if goal not in reached:
+    # best[i]: spread over layer i -> (cost, parent spread over layer i-1).
+    # Tails run in descending demand order and only a strictly cheaper
+    # route replaces a parent, so ties keep the first tail.
+    best: list[dict[tuple[int, ...], tuple]] = [{(0,) * (k + 1): (0, ())}]
+    for i in range(len(layered.layers) - 1):
+        pos = {v: p for p, v in enumerate(layered.layers[i + 1])}
+        rows = _pair_rows(layered.edges_in_layer(i), k, pos)
+        memo: dict = {}
+        reached: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+        for spread in sorted(best[i]):
+            base = best[i][spread][0]
+            have = [(layered.layers[i][p], len(list(units)))
+                    for p, units in groupby(spread)]
+            for head_spread, cost in _reach(rows, have, memo).items():
+                if base + cost < reached.get(head_spread, (math.inf,))[0]:
+                    reached[head_spread] = (base + cost, spread)
+        best.append(reached)
+    goal = (0,) * (k + 1)
+    if goal not in best[-1]:
         raise Infeasible("no robust route through the layered graph")
     layered_ids: set[int] = set()
-    cur: Configuration | None = goal
-    while cur is not None:
-        cost, parent, realizing = reached[cur]
-        layered_ids |= realizing
-        cur = parent
+    spread = goal
+    for i in range(len(best) - 1, 0, -1):
+        cost, parent = best[i][spread]
+        link = link_cost(layered, _configuration(layered, i - 1, parent),
+                         _configuration(layered, i, spread), k)
+        if link is None or link.cost != cost - best[i - 1][parent][0]:
+            raise SolverCheckFailed("dag link cost disagrees with its table")
+        layered_ids |= link.realizing
+        spread = parent
     origins = {layered.edges[lid].origin for lid in layered_ids}
     cost = sum(instance.edges[eid].w for eid in origins)
     solution = Solution(frozenset(origins), cost, OPTIMAL)

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from ftpath import bipath, cli, flow, shortest, simplex, srp
+from ftpath import bipath, cli, dag, flow, shortest, simplex, srp
 from ftpath.cli import (EXIT_CAPS, EXIT_EMPTY, EXIT_INFEASIBLE, EXIT_INTERNAL,
                         EXIT_INVALID, EXIT_OK, ParseError, main, parse_dimacs,
                         parse_instance, parse_solution, serialize_instance,
@@ -175,18 +175,40 @@ def test_auto_srp_decomposes_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_dag_link_edge_cap_message(tmp_path, capsys):
+@pytest.mark.parametrize("arcs", [21, 200])
+def test_dag_many_parallel_arcs_solve(tmp_path, capsys, arcs):
+    # Three of the parallel faulty arcs carry the three units; no cap on
+    # the candidate edges of one link remains.
     inst = build_instance(True, 3, 0, 2, 2,
-                          [(0, 1, 1, True)] * 21 + [(1, 2, 1, False)])
+                          [(0, 1, 1, True)] * arcs + [(1, 2, 1, False)])
     path = tmp_path / "parallel.ftp"
     path.write_text(serialize_instance(inst))
+    expected = ("ftp-solution v1\nalgorithm: dag\nstatus: optimal\ncost: 4\n"
+                f"edges: 0 1 2 {arcs}\n")
     for algorithm in ("auto", "dag"):
-        code, out, err = run_main(["solve", str(path), "--algorithm", algorithm],
-                                  capsys)
-        assert code == EXIT_CAPS
-        assert out == ""
-        assert err.startswith("caps exceeded: 21 candidate edges for one link")
-        assert "configurations" not in err
+        assert run_main(["solve", str(path), "--algorithm", algorithm],
+                        capsys) == (EXIT_OK, expected, "")
+
+
+def test_auto_dag_layerizes_once(tmp_path, capsys, monkeypatch):
+    inst = build_instance(True, 4, 0, 3, 2,
+                          [(0, 1, 2, True), (0, 1, 1, True), (0, 2, 3, False),
+                           (1, 3, 1, True), (1, 3, 2, True), (2, 3, 0, True),
+                           (0, 3, 9, True), (1, 2, 1, False)])
+    path = tmp_path / "dag.ftp"
+    path.write_text(serialize_instance(inst))
+    expected = run_main(["solve", str(path), "--algorithm", "dag"], capsys)
+    assert expected[0] == EXIT_OK
+    calls = []
+    real = dag.layerize
+
+    def counting(instance):
+        calls.append(instance)
+        return real(instance)
+
+    monkeypatch.setattr(dag, "layerize", counting)
+    assert run_main(["solve", str(path)], capsys) == expected
+    assert len(calls) == 1
 
 
 def test_solve_dag_on_long_cycle_exit_code(tmp_path, capsys):

@@ -11,7 +11,7 @@ from ftpath.dag import (Configuration, ConfigurationSpaceTooLarge, NotADag,
 from ftpath.oracle import brute_force_opt
 from ftpath.shortest import shortest_path_solution
 
-from conftest import random_dag_instance
+from conftest import random_dag_instance, simple_paths
 
 
 def test_layerize_identity_on_layered_graph():
@@ -337,3 +337,122 @@ def test_layerize_long_cycle_has_no_recursion_limit():
     with pytest.raises(NotADag) as err:
         layerize(cyclic)
     assert err.value.cycle == tuple(range(n)) + (0,)
+
+
+def _first_feasible_subset(edges, have, need, k):
+    """The first subset in (cost, sorted ids) order that carries the demand."""
+    subsets = [[e for i, e in enumerate(edges) if mask >> i & 1]
+               for mask in range(1, 2 ** len(edges))]
+    subsets.sort(key=lambda s: (sum(e.w for e in s), sorted(e.id for e in s)))
+    for subset in subsets:
+        if _transport_feasible_reference(subset, have, need, k):
+            return sum(e.w for e in subset), frozenset(e.id for e in subset)
+    return None
+
+
+def test_link_cost_realizing_set_is_first_in_cost_then_id_order():
+    # Zero weights make ties common: {2, 5} sorts before {5} at equal
+    # cost, so the realizing set may hold edges the transport never uses.
+    from ftpath.dag import LayeredEdge, LayeredInstance
+
+    rng = random.Random(83)
+    compared = linked = 0
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        width1, width2 = rng.randint(2, 3), rng.randint(2, 3)
+        heads = range(width1, width1 + width2)
+        gadget = [LayeredEdge(i, 0, rng.randrange(width1), rng.choice(heads),
+                              rng.randint(0, 4), rng.random() < 0.7, i)
+                  for i in range(rng.randint(1, 8))]
+        shell = build_instance(True, 2, 0, 1, k, [(0, 1, 1, False)])
+        layered = LayeredInstance(shell, (tuple(range(width1)), tuple(heads)),
+                                  tuple(gadget))
+        for d1 in enumerate_configurations(layered, 0, k):
+            have = {v: d for v, d in zip(layered.layers[0], d1.demand) if d}
+            for d2 in enumerate_configurations(layered, 1, k):
+                need = {v: d for v, d in zip(layered.layers[1], d2.demand) if d}
+                candidates = [e for e in gadget
+                              if e.tail in have and e.head in need]
+                expected = _first_feasible_subset(candidates, have, need, k)
+                link = link_cost(layered, d1, d2, k)
+                got = None if link is None else (link.cost, link.realizing)
+                assert got == expected
+                compared += 1
+                linked += link is not None
+    assert compared >= 1000 and linked >= 150
+
+
+def test_matches_oracle_at_budget_three_with_zero_weights():
+    rng = random.Random(84)
+    feasible = 0
+    for _ in range(60):
+        inst = random_dag_instance(rng, n_max=6, m_max=9, k=3, max_w=2,
+                                   faulty_prob=0.7)
+        result = brute_force_opt(inst)
+        if result.best is None:
+            with pytest.raises(Infeasible):
+                solve_kftp_dag(inst)
+            continue
+        solution = solve_kftp_dag(inst)
+        assert solution.cost == result.best.cost
+        assert is_feasible(inst, solution.edges)
+        feasible += 1
+    assert feasible >= 10
+
+
+def _layer_spans(layered):
+    """Per original edge id: (layer of its first chain edge, chain length)."""
+    spans = {}
+    for e in layered.edges:
+        first, length = spans.get(e.origin, (e.layer, 0))
+        spans[e.origin] = (min(first, e.layer), length + 1)
+    return spans
+
+
+def test_layerize_depths_are_longest_paths():
+    rng = random.Random(85)
+    checked = 0
+    for _ in range(80):
+        inst = random_dag_instance(rng, n_max=8, m_max=14)
+        s, t = inst.s, inst.t
+        longest = {v: max((len(p) for p in simple_paths(inst, s, v)), default=None)
+                   for v in range(inst.vertex_count)}
+        relevant = {v for v in range(inst.vertex_count)
+                    if longest[v] is not None and simple_paths(inst, v, t)}
+        layered = layerize(inst)
+        if t not in relevant:
+            assert not layered.edges
+            continue
+        assert len(layered.layers) == longest[t] + 1
+        kept = [e for e in inst.edges
+                if e.u != e.v and e.u in relevant and e.v in relevant]
+        assert _layer_spans(layered) == {
+            e.id: (longest[e.u], longest[e.v] - longest[e.u]) for e in kept}
+        checked += 1
+    assert checked >= 40
+
+
+def test_layerize_long_chain_with_skip_edges():
+    # Every vertex lies on the chain, so its depth is its index, and a
+    # skip edge u -> u+3 becomes a three-edge chain.
+    n = 4000
+    edges = [(i, i + 1, 1, True) for i in range(n - 1)]
+    edges += [(i, i + 3, 2, False) for i in range(0, n - 3, 5)]
+    inst = build_instance(True, n, 0, n - 1, 2, edges)
+    layered = layerize(inst)
+    assert len(layered.layers) == n
+    assert _layer_spans(layered) == {
+        eid: (u, v - u) for eid, (u, v, _, _) in enumerate(edges)}
+
+
+def test_route_ties_keep_the_first_configuration_in_descending_order():
+    # Layer 1 holds vertex 1 and the midpoint of the long edge.  Two
+    # configurations of layer 1 lead to t at the same cost, and the one
+    # first in descending demand order stays the parent: (1, 1) before
+    # (0, 2) in the first instance, (2, 0) before (1, 1) in the second.
+    both = build_instance(True, 3, 0, 2, 1,
+                          [(0, 1, 0, True), (1, 2, 0, True), (0, 2, 1, False)])
+    assert solve_kftp_dag(both).edges == frozenset({0, 1, 2})
+    safe_path = build_instance(True, 3, 0, 2, 1,
+                               [(0, 2, 0, True), (0, 1, 2, False), (1, 2, 2, False)])
+    assert solve_kftp_dag(safe_path).edges == frozenset({1, 2})
