@@ -70,14 +70,18 @@ def serialize_instance(instance: Instance) -> str:
 
 def parse_instance(text: str) -> Instance:
     """Parse the native document; unknown or repeated fields are errors."""
-    lines = [line.strip() for line in text.splitlines()]
-    lines = [line for line in lines if line and not line.startswith("#")]
-    if not lines or lines[0] != INSTANCE_HEADER:
-        raise ParseError(f"missing '{INSTANCE_HEADER}' header")
     fields: dict[str, str] = {}
     edges: list[tuple[int, int, int, bool]] = []
-    expected_id = 0
-    for line in lines[1:]:
+    header = False
+    for line in text.splitlines():
+        line = line.strip()
+        if not line or line[0] == "#":
+            continue
+        if not header:
+            if line != INSTANCE_HEADER:
+                break
+            header = True
+            continue
         if line.startswith("edge "):
             parts = line.split()
             if len(parts) != 6:
@@ -89,10 +93,9 @@ def parse_instance(text: str) -> Instance:
                 eid, u, v, w = int(eid), int(u), int(v), int(w)
             except ValueError as exc:
                 raise ParseError(f"bad edge numbers: {line!r}") from exc
-            if eid != expected_id:
+            if eid != len(edges):
                 raise ParseError(f"edge ids must be dense and ordered; got {eid}, "
-                                 f"expected {expected_id}")
-            expected_id += 1
+                                 f"expected {len(edges)}")
             edges.append((u, v, w, flag == "faulty"))
             continue
         if ":" not in line:
@@ -104,6 +107,8 @@ def parse_instance(text: str) -> Instance:
         if key in fields:
             raise ParseError(f"field {key!r} given twice")
         fields[key] = value
+    if not header:
+        raise ParseError(f"missing '{INSTANCE_HEADER}' header")
     missing = {"directed", "vertices", "s", "t", "k"} - set(fields)
     if missing:
         raise ParseError(f"missing fields: {', '.join(sorted(missing))}")
@@ -248,8 +253,8 @@ def _record(instance: Instance, algorithm: str, solution: Solution,
 # Solvers
 
 def _auto_algorithm(instance: Instance, cap_configs: int
-                    ) -> tuple[str, srp.DecompositionNode | dag.LayeredInstance | None]:
-    """The solver ``auto`` picks, with the srp tree or layered DAG it built."""
+                    ) -> tuple[str, srp._Flat | dag.LayeredInstance | None]:
+    """The solver ``auto`` picks, with the flat srp reduction or layered DAG it built."""
     if instance.k == 0:
         return "shortest", None
     if instance.k == 1:
@@ -263,7 +268,7 @@ def _auto_algorithm(instance: Instance, cap_configs: int
             pass
     else:
         try:
-            return "srp", srp.decompose_srp(instance)
+            return "srp", srp._reduce(instance)
         except srp.NotSeriesParallel:
             pass
     return "approx-k", None

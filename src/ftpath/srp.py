@@ -5,8 +5,17 @@ series composition (gluing one graph's sink to the next one's source)
 and parallel composition (identifying both terminal pairs).  On such
 graphs the problem decomposes: a bottom-up pass over the decomposition
 tree produces, at every node, optimal solutions for *all* budgets
-``0..k`` at once.  Edge sets are held in a persistent union structure so
-each combine step costs O(1) regardless of subtree size.
+``0..k`` at once.
+
+The reduction writes the tree as flat post-order arrays: leaves are the
+nodes ``0..m-1`` (the edge ids), merged nodes follow in creation order,
+and a child reference is ``index * 2 + flip``.  Parsed expressions and
+given trees become the same arrays.  The table is one loop over them and
+reads no flips: a series combine is symmetric, and a parallel node keeps
+its children in creation order.  Edge sets are nested pairs, flattened
+once at the root, so each combine costs O(k^2) regardless of subtree
+size.  The ``Leaf``/``Series``/``Parallel`` dataclasses are built, in one
+bottom-up pass, only for callers that ask for a tree.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Iterator, NamedTuple, Union
 
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
                    SolverCheckFailed, is_feasible)
@@ -82,6 +91,133 @@ def tree_leaves(node: DecompositionNode) -> Iterator[Leaf]:
 # ---------------------------------------------------------------------------
 # Recognition
 
+_LEAF, _SERIES, _PARALLEL = 0, 1, 2
+
+
+class _Flat(NamedTuple):
+    """A decomposition as post-order arrays (see the module docstring).
+
+    ``flip`` is 1 when the root node's own orientation runs ``t`` to ``s``.
+    """
+
+    kind: list[int]
+    left: list[int]
+    right: list[int]
+    flip: int
+
+
+def _reduce(instance: Instance) -> _Flat:
+    """The reduction behind :func:`decompose_srp`, as flat arrays."""
+    if instance.directed:
+        raise ValueError("series-parallel decomposition requires an undirected instance")
+    s, t, n = instance.s, instance.t, instance.vertex_count
+    if s == t:
+        raise NotSeriesParallel("terminals coincide", ())
+    if not instance.edges:
+        raise NotSeriesParallel("graph has no edges", ())
+    m = len(instance.edges)
+    kind, left, right = [_LEAF] * m, [0] * m, [0] * m
+    nu = [e.u for e in instance.edges]
+    nv = [e.v for e in instance.edges]
+    # Live non-loop nodes by pair key min*n+max and by endpoint.
+    by_pair: dict[int, set[int]] = {}
+    incident: list[set[int]] = [set() for _ in range(n)]
+    for i, (u, v) in enumerate(zip(nu, nv)):
+        if u != v:
+            by_pair.setdefault(u * n + v if u < v else v * n + u, set()).add(i)
+            incident[u].add(i)
+            incident[v].add(i)
+    pair_heap = [p for p, group in by_pair.items() if len(group) >= 2]
+    heapq.heapify(pair_heap)
+    # Every contractible vertex has an entry (the list is ascending, so
+    # already a heap); stale entries are skipped.
+    vert_heap = [x for x in range(n) if len(incident[x]) == 2 and x != s and x != t]
+
+    while True:
+        while pair_heap:
+            p = heapq.heappop(pair_heap)
+            if len(by_pair[p]) < 2:
+                continue
+            # Merged nodes take the largest keys, so the group drains in
+            # sorted order: merge the two smallest, append the result.
+            a, b = divmod(p, n)
+            queue = sorted(by_pair[p])
+            for j in range(0, 2 * len(queue) - 2, 2):
+                c1, c2 = queue[j], queue[j + 1]
+                queue.append(len(kind))
+                kind.append(_PARALLEL)
+                left.append(c1 * 2 + (nu[c1] != a))
+                right.append(c2 * 2 + (nu[c2] != a))
+                nu.append(a)
+                nv.append(b)
+            by_pair[p] = {queue[-1]}
+            for x in (a, b):
+                incident[x].difference_update(queue)
+                incident[x].add(queue[-1])
+                if len(incident[x]) == 2 and x != s and x != t:
+                    heapq.heappush(vert_heap, x)
+        while vert_heap:
+            x = heapq.heappop(vert_heap)
+            if len(incident[x]) == 2:
+                break
+        else:
+            break
+        # No later node joins x, so its two pairs need no update; the
+        # cleared set turns its stale heap entries away.
+        c1, c2 = sorted(incident[x])
+        incident[x].clear()
+        a = nv[c1] if nu[c1] == x else nu[c1]
+        b = nv[c2] if nu[c2] == x else nu[c2]
+        node = len(kind)
+        kind.append(_SERIES)
+        left.append(c1 * 2 + (nu[c1] == x))
+        right.append(c2 * 2 + (nu[c2] != x))
+        nu.append(a)
+        nv.append(b)
+        # a != b: two nodes joining x to one vertex would have merged.
+        # The sizes at a and b do not change, so neither needs a push.
+        incident[a].discard(c1)
+        incident[a].add(node)
+        incident[b].discard(c2)
+        incident[b].add(node)
+        p = a * n + b if a < b else b * n + a
+        group = by_pair.setdefault(p, set())
+        group.add(node)
+        if len(group) >= 2:
+            heapq.heappush(pair_heap, p)
+
+    if len(kind) != 2 * m - 1:
+        raise NotSeriesParallel(
+            f"reduction stuck with {2 * m - len(kind)} edges left",
+            _remainder(m, left, right, nu, nv))
+    u, v = nu[-1], nv[-1]
+    if {u, v} != {s, t}:
+        raise NotSeriesParallel(
+            f"graph reduces to a single {u}-{v} edge, not to the terminals",
+            _remainder(m, left, right, nu, nv))
+    return _Flat(kind, left, right, int(u != s))
+
+
+def _remainder(m: int, left: list[int], right: list[int], nu: list[int],
+               nv: list[int]) -> tuple:
+    # The nodes no merge consumed, in creation order, with their leaves.
+    consumed = bytearray(len(nu))
+    for i in range(m, len(nu)):
+        consumed[left[i] >> 1] = consumed[right[i] >> 1] = 1
+    out = []
+    for i in range(len(nu)):
+        if consumed[i]:
+            continue
+        leaves, stack = [], [i]
+        while stack:
+            j = stack.pop()
+            if j < m:
+                leaves.append(j)
+            else:
+                stack += (left[j] >> 1, right[j] >> 1)
+        out.append((nu[i], nv[i], tuple(sorted(leaves))))
+    return tuple(out)
+
 
 def decompose_srp(instance: Instance) -> DecompositionNode:
     """Reduce the graph to a two-terminal decomposition tree.
@@ -94,177 +230,35 @@ def decompose_srp(instance: Instance) -> DecompositionNode:
         NotSeriesParallel: the reduction gets stuck; the exception
             carries the irreducible remainder.
     """
-    if instance.directed:
-        raise ValueError("series-parallel decomposition requires an undirected instance")
-    if instance.s == instance.t:
-        raise NotSeriesParallel("terminals coincide", ())
-    if not instance.edges:
-        raise NotSeriesParallel("graph has no edges", ())
-
-    # Work entries: key -> (u, v, worktree).  Worktrees are nested tuples
-    # ('leaf', eid) / ('S', a, b) / ('P', a, b) / ('flip', a), flips kept
-    # lazy so reduction stays near-linear.
-    entries: dict[int, tuple[int, int, object]] = {}
-    by_pair: dict[frozenset, set[int]] = {}
-    incident: dict[int, set[int]] = {}
-    next_key = 0
-    for e in instance.edges:
-        entries[next_key] = (e.u, e.v, ("leaf", e.id))
-        if e.u != e.v:
-            by_pair.setdefault(frozenset((e.u, e.v)), set()).add(next_key)
-            incident.setdefault(e.u, set()).add(next_key)
-            incident.setdefault(e.v, set()).add(next_key)
-        next_key += 1
-
-    def oriented(key: int, a: int, b: int) -> object:
-        u, v, tree = entries[key]
-        if (u, v) == (a, b):
-            return tree
-        return ("flip", tree)
-
-    pair_heap = [tuple(sorted(p)) for p, ks in by_pair.items() if len(ks) >= 2]
-    heapq.heapify(pair_heap)
-    vert_heap = [v for v, ks in incident.items()
-                 if len(ks) == 2 and v not in (instance.s, instance.t)]
-    heapq.heapify(vert_heap)
-
-    def add_entry(a: int, b: int, tree: object) -> None:
-        nonlocal next_key
-        entries[next_key] = (a, b, tree)
-        if a != b:
-            pair = frozenset((a, b))
-            group = by_pair.setdefault(pair, set())
-            group.add(next_key)
-            incident.setdefault(a, set()).add(next_key)
-            incident.setdefault(b, set()).add(next_key)
-            if len(group) >= 2:
-                heapq.heappush(pair_heap, tuple(sorted(pair)))
-            for x in (a, b):
-                if len(incident[x]) == 2 and x not in (instance.s, instance.t):
-                    heapq.heappush(vert_heap, x)
-        next_key += 1
-
-    def drop_entry(key: int) -> None:
-        u, v, _ = entries.pop(key)
-        if u != v:
-            by_pair[frozenset((u, v))].discard(key)
-            incident[u].discard(key)
-            incident[v].discard(key)
-            for x in (u, v):
-                if len(incident[x]) == 2 and x not in (instance.s, instance.t):
-                    heapq.heappush(vert_heap, x)
-
-    while True:
-        progressed = False
-        while pair_heap:
-            pa, pb = heapq.heappop(pair_heap)
-            group = by_pair.get(frozenset((pa, pb)), set())
-            while len(group) >= 2:
-                k1, k2 = sorted(group)[:2]
-                t1 = oriented(k1, pa, pb)
-                t2 = oriented(k2, pa, pb)
-                drop_entry(k1)
-                drop_entry(k2)
-                add_entry(pa, pb, ("P", t1, t2))
-                group = by_pair.get(frozenset((pa, pb)), set())
-                progressed = True
-        while vert_heap:
-            # Heap entries can be stale; contract the first live one.
-            x = heapq.heappop(vert_heap)
-            ks = incident.get(x, set())
-            if len(ks) != 2 or x in (instance.s, instance.t):
-                continue
-            k1, k2 = sorted(ks)
-            a = next(p for p in entries[k1][:2] if p != x)
-            b = next(p for p in entries[k2][:2] if p != x)
-            t1 = oriented(k1, a, x)
-            t2 = oriented(k2, x, b)
-            drop_entry(k1)
-            drop_entry(k2)
-            add_entry(a, b, ("S", t1, t2))
-            progressed = True
-            break
-        if not progressed:
-            break
-
-    if len(entries) != 1:
-        raise NotSeriesParallel(
-            "reduction stuck with {} edges left".format(len(entries)),
-            _remainder(instance, entries))
-    (u, v, tree), = entries.values()
-    if {u, v} != {instance.s, instance.t}:
-        raise NotSeriesParallel(
-            f"graph reduces to a single {u}-{v} edge, not to the terminals",
-            _remainder(instance, entries))
-    if (u, v) != (instance.s, instance.t):
-        tree = ("flip", tree)
-    return _materialize(instance, tree, instance.s, instance.t)
-
-
-def _remainder(instance: Instance, entries: dict) -> tuple:
-    out = []
-    for key in sorted(entries):
-        u, v, tree = entries[key]
-        leaves = tuple(sorted(_work_leaf_ids(tree)))
-        out.append((u, v, leaves))
-    return tuple(out)
-
-
-def _work_leaf_ids(tree: object) -> list[int]:
-    ids, stack = [], [tree]
-    while stack:
-        node = stack.pop()
-        kind = node[0]
-        if kind == "leaf":
-            ids.append(node[1])
-        elif kind == "flip":
-            stack.append(node[1])
-        else:
-            stack.append(node[1])
-            stack.append(node[2])
-    return ids
-
-
-def _materialize(instance: Instance, tree: object, s: int, t: int) -> DecompositionNode:
-    # Resolve lazy flips and assign terminal pairs, without recursion.
-    # Post-order over (node, flipped); children of a flipped series swap.
-    def resolved(node: object, flipped: bool) -> tuple:
-        while node[0] == "flip":
-            node = node[1]
-            flipped = not flipped
-        return node, flipped
-
-    root = resolved(tree, False)
-    order: list[tuple] = []
-    stack = [root]
-    while stack:
-        node, flipped = stack.pop()
-        order.append((node, flipped))
-        if node[0] != "leaf":
-            stack.append(resolved(node[1], flipped))
-            stack.append(resolved(node[2], flipped))
-    built: dict[tuple[int, bool], DecompositionNode] = {}
-    for node, flipped in reversed(order):
-        key = (id(node), flipped)
-        if node[0] == "leaf":
-            e = instance.edges[node[1]]
-            u, v = (e.v, e.u) if flipped else (e.u, e.v)
-            built[key] = Leaf(node[1], u, v)
-            continue
-        first, second = (node[2], node[1]) if (node[0] == "S" and flipped) else (node[1], node[2])
-        ln, lf = resolved(first, flipped)
-        rn, rf = resolved(second, flipped)
-        left = built[(id(ln), lf)]
-        right = built[(id(rn), rf)]
-        if node[0] == "S":
-            built[key] = Series(left, right, left.u, right.v)
-        else:
-            built[key] = Parallel(left, right, left.u, left.v)
-    result = built[(id(root[0]), root[1])]
-    if (result.u, result.v) != (s, t):
+    kind, left, right, flip = _reduce(instance)
+    # Top-down, a node is flipped when its parent's use of it is.
+    flips = bytearray(len(kind))
+    flips[-1] = flip
+    for i in range(len(kind) - 1, len(instance.edges) - 1, -1):
+        flips[left[i] >> 1] = flips[i] ^ (left[i] & 1)
+        flips[right[i] >> 1] = flips[i] ^ (right[i] & 1)
+    root = _build(instance, kind, left, right, flips)
+    if (root.u, root.v) != (instance.s, instance.t):
         raise SolverCheckFailed(
-            f"decomposition root joins {result.u}-{result.v}, not {s}-{t}")
-    return result
+            f"decomposition root joins {root.u}-{root.v}, not {instance.s}-{instance.t}")
+    return root
+
+
+def _build(instance: Instance, kind: list[int], left: list[int], right: list[int],
+           flips: bytearray) -> DecompositionNode:
+    # Bottom-up dataclasses; a flipped leaf runs v-u, a flipped series
+    # node swaps its children.
+    built: list = [Leaf(e.id, e.v, e.u) if flips[e.id] else Leaf(e.id, e.u, e.v)
+                   for e in instance.edges]
+    for i in range(len(built), len(kind)):
+        first, second = built[left[i] >> 1], built[right[i] >> 1]
+        if kind[i] == _PARALLEL:
+            built.append(Parallel(first, second, first.u, first.v))
+        else:
+            if flips[i]:
+                first, second = second, first
+            built.append(Series(first, second, first.u, second.v))
+    return built[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -286,23 +280,28 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
     pos = 0
     tokens = []
     while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
+        match = _TOKEN.match(text, pos)
+        if not match:
             raise TreeMismatch(f"bad decomposition syntax at offset {pos}")
-        tokens.append(m.group(1))
-        pos = m.end()
+        tokens.append(match.group(1))
+        pos = match.end()
 
-    # Stack of open compositions, each [kind, left-or-None]; expressions
-    # may nest arbitrarily deep, so no recursion.
+    # Post-order arrays as in the reduction, with unflipped children.
+    # Open compositions are [kind, left-or-None] frames, so expressions
+    # may nest arbitrarily deep without recursion.
+    m = len(instance.edges)
+    kind, left, right = [_LEAF] * m, [0] * m, [0] * m
+    leaf_ids: list[int] = []
     frames: list[list] = []
-    done: object | None = None
+    done: int | None = None
     expect_value = True
     for tok in tokens:
         if expect_value:
             if tok.startswith("e"):
-                value: object = ("leaf", int(tok[1:]))
+                value = int(tok[1:])
+                leaf_ids.append(value)
             elif tok in ("S(", "P("):
-                frames.append([tok[0], None])
+                frames.append([_SERIES if tok == "S(" else _PARALLEL, None])
                 continue
             else:
                 raise TreeMismatch(f"unexpected token {tok!r}")
@@ -316,15 +315,48 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
         elif tok == ")":
             if not frames or frames[-1][1] is None or done is None:
                 raise TreeMismatch("unexpected ')'")
-            kind, left = frames.pop()
-            value = (kind, left, done)
+            node_kind, first = frames.pop()
+            kind.append(node_kind)
+            left.append(first * 2)
+            right.append(done * 2)
+            value = len(kind) - 1
         else:
             raise TreeMismatch(f"unexpected token {tok!r}")
         done = value
         expect_value = False
     if frames or done is None or expect_value:
         raise TreeMismatch("unterminated decomposition expression")
-    return _orient_work_tree(done, instance)
+    for eid in leaf_ids:
+        if eid >= m:
+            raise TreeMismatch(f"leaf references unknown edge e{eid}")
+    if sorted(leaf_ids) != list(range(m)):
+        raise TreeMismatch("tree leaves do not partition the edge set")
+
+    # Bottom-up, the (u, v) each node can join; top-down, the smallest
+    # series midpoint that meets the node's ends.
+    ends = [{(e.u, e.v), (e.v, e.u)} if e.u != e.v else set() for e in instance.edges]
+    for i in range(m, len(kind)):
+        lc, rc = ends[left[i] >> 1], ends[right[i] >> 1]
+        if kind[i] == _SERIES:
+            ends.append({(a, d) for a, b in lc for c, d in rc if b == c and a != d})
+        else:
+            ends.append(lc & rc)
+    goal: list = [None] * len(kind)
+    goal[-1] = (instance.s, instance.t)
+    if goal[-1] not in ends[-1]:
+        raise TreeMismatch("decomposition does not compose to the terminals")
+    for i in range(len(kind) - 1, m - 1, -1):
+        a, d = goal[i]
+        l, r = left[i] >> 1, right[i] >> 1
+        if kind[i] == _PARALLEL:
+            goal[l] = goal[r] = goal[i]
+        else:
+            mid = min(b for x, b in ends[l] if x == a and (b, d) in ends[r])
+            goal[l], goal[r] = (a, mid), (mid, d)
+    flips = bytearray(len(kind))
+    for e in instance.edges:
+        flips[e.id] = goal[e.id] != (e.u, e.v)
+    return _build(instance, kind, left, right, flips)
 
 
 def format_decomposition(node: DecompositionNode) -> str:
@@ -347,119 +379,8 @@ def format_decomposition(node: DecompositionNode) -> str:
     return "".join(parts)
 
 
-def _orient_work_tree(work: object, instance: Instance) -> DecompositionNode:
-    # Bottom-up candidate terminal pairs, then a top-down assignment.
-    m = len(instance.edges)
-    seen: list[int] = []
-    post: list = []
-    stack = [work]
-    while stack:
-        node = stack.pop()
-        post.append(node)
-        if node[0] != "leaf":
-            stack.append(node[1])
-            stack.append(node[2])
-    candidates: dict[int, set[tuple[int, int]]] = {}
-    for node in reversed(post):
-        if node[0] == "leaf":
-            eid = node[1]
-            if not 0 <= eid < m:
-                raise TreeMismatch(f"leaf references unknown edge e{eid}")
-            seen.append(eid)
-            e = instance.edges[eid]
-            cands = set()
-            if e.u != e.v:
-                cands = {(e.u, e.v), (e.v, e.u)}
-            candidates[id(node)] = cands
-        else:
-            lc = candidates[id(node[1])]
-            rc = candidates[id(node[2])]
-            cands = set()
-            for a, b in lc:
-                for c, d in rc:
-                    if node[0] == "S" and b == c and a != d:
-                        cands.add((a, d))
-                    elif node[0] == "P" and (a, b) == (c, d):
-                        cands.add((a, b))
-            candidates[id(node)] = cands
-    if sorted(seen) != list(range(m)):
-        raise TreeMismatch("tree leaves do not partition the edge set")
-    target = (instance.s, instance.t)
-    if target not in candidates[id(work)]:
-        raise TreeMismatch("decomposition does not compose to the terminals")
-
-    def assign(node: object, want: tuple[int, int]) -> DecompositionNode:
-        frames: list = [(node, want, False)]
-        done: dict[tuple[int, tuple[int, int]], DecompositionNode] = {}
-        while frames:
-            cur, goal, expanded = frames.pop()
-            key = (id(cur), goal)
-            if key in done:
-                continue
-            if cur[0] == "leaf":
-                done[key] = Leaf(cur[1], *goal)
-                continue
-            a, d = goal
-            if cur[0] == "P":
-                lg = rg = goal
-            else:
-                mids = sorted(b for (x, b) in candidates[id(cur[1])]
-                              if x == a and (b, d) in candidates[id(cur[2])])
-                if not mids:
-                    raise TreeMismatch("series composition cannot meet its terminals")
-                lg, rg = (a, mids[0]), (mids[0], d)
-            if expanded:
-                if cur[0] == "S":
-                    done[key] = Series(done[(id(cur[1]), lg)], done[(id(cur[2]), rg)], a, d)
-                else:
-                    done[key] = Parallel(done[(id(cur[1]), lg)], done[(id(cur[2]), rg)], a, d)
-            else:
-                frames.append((cur, goal, True))
-                frames.append((cur[2], rg, False))
-                frames.append((cur[1], lg, False))
-        return done[(id(node), want)]
-
-    return assign(work, target)
-
-
 # ---------------------------------------------------------------------------
 # Table solver
-
-
-class _PSet:
-    """Persistent edge set: O(1) union, flattened only on demand."""
-
-    __slots__ = ("eid", "left", "right")
-
-    def __init__(self, eid=None, left=None, right=None):
-        self.eid = eid
-        self.left = left
-        self.right = right
-
-
-_EMPTY = _PSet()
-
-
-def _union(a: _PSet, b: _PSet) -> _PSet:
-    if a is _EMPTY:
-        return b
-    if b is _EMPTY:
-        return a
-    return _PSet(left=a, right=b)
-
-
-def _flatten(pset: _PSet) -> frozenset[int]:
-    out: list[int] = []
-    stack = [pset]
-    while stack:
-        node = stack.pop()
-        if node is _EMPTY or node is None:
-            continue
-        if node.eid is not None:
-            out.append(node.eid)
-        stack.append(node.left)
-        stack.append(node.right)
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -484,82 +405,115 @@ class SolutionTable:
         return Solution(entry[0], entry[1], OPTIMAL)
 
 
-def solve_ftp_srp(instance: Instance, tree: DecompositionNode) -> SolutionTable:
+def _flatten_tree(instance: Instance, tree: DecompositionNode) -> _Flat:
+    # The tree's post-order as flat arrays, checking every node on the way.
+    edges = instance.edges
+    m = len(edges)
+    kind, left, right = [_LEAF] * m, [0] * m, [0] * m
+    seen = bytearray(m)
+    done: list[int] = []
+    stack: list = [(tree, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if isinstance(node, Leaf):
+            if not 0 <= node.edge < m or seen[node.edge]:
+                raise TreeMismatch("tree leaves do not partition the edge set")
+            e = edges[node.edge]
+            if {node.u, node.v} != {e.u, e.v}:
+                raise TreeMismatch(f"leaf e{e.id} joins {node.u}-{node.v}, "
+                                   f"but the edge joins {e.u}-{e.v}")
+            seen[e.id] = 1
+            done.append(e.id * 2 + (node.u != e.u))
+        elif not expanded:
+            stack += ((node, True), (node.right, False), (node.left, False))
+        else:
+            a, b = node.left, node.right
+            if isinstance(node, Series):
+                fits = a.v == b.u and (node.u, node.v) == (a.u, b.v)
+            else:
+                fits = (a.u, a.v) == (b.u, b.v) == (node.u, node.v)
+            if not fits:
+                raise TreeMismatch(f"{type(node).__name__} node {node.u}-{node.v} "
+                                   "does not fit its children")
+            right.append(done.pop())
+            left.append(done.pop())
+            kind.append(_SERIES if isinstance(node, Series) else _PARALLEL)
+            done.append((len(kind) - 1) * 2)
+    if not all(seen):
+        raise TreeMismatch("tree leaves do not partition the edge set")
+    if {tree.u, tree.v} != {instance.s, instance.t}:
+        raise TreeMismatch("root terminals differ from the instance terminals")
+    return _Flat(kind, left, right, int((done[0] & 1) ^ (tree.u != instance.s)))
+
+
+_INF = float("inf")
+
+
+def _table(instance: Instance, flat: _Flat) -> SolutionTable:
+    # Entry j of a node is budget j-1; entry 0 is the empty choice (cost
+    # 0) a parallel side may take, so a parallel node is the min-plus
+    # convolution of its children (first split wins ties) and a series
+    # node their sum.  _INF marks an infeasible entry.
+    width = instance.k + 2
+    costs: list = []
+    sets: list = []
+    for e in instance.edges:
+        costs.append([0, e.w] + [_INF if e.faulty else e.w] * (width - 2))
+        sets.append([None] + [e.id] * (width - 1))
+    kind, left, right = flat.kind, flat.left, flat.right
+    budgets = range(1, width)
+    for i in range(len(costs), len(kind)):
+        a, b = left[i] >> 1, right[i] >> 1
+        ca, cb, sa, sb = costs[a], costs[b], sets[a], sets[b]
+        costs[a] = costs[b] = sets[a] = sets[b] = None
+        if kind[i] == _SERIES:
+            costs.append([x + y for x, y in zip(ca, cb)])
+            sets.append([None] + [(sa[j], sb[j]) for j in budgets])
+            continue
+        cost, chosen = [0], [None]
+        for j in budgets:
+            best, split = _INF, 0
+            for x in range(j + 1):
+                if ca[x] + cb[j - x] < best:
+                    best, split = ca[x] + cb[j - x], x
+            cost.append(best)
+            chosen.append((sa[split], sb[j - split]))
+        costs.append(cost)
+        sets.append(chosen)
+    cost, chosen = costs[-1], sets[-1]
+    return SolutionTable(tuple(None if cost[j] == _INF
+                               else (_edge_set(chosen[j]), cost[j]) for j in budgets))
+
+
+def _edge_set(nested: object) -> frozenset[int]:
+    ids, stack = [], [nested]
+    while stack:
+        item = stack.pop()
+        if type(item) is tuple:
+            stack += item
+        elif item is not None:
+            ids.append(item)
+    return frozenset(ids)
+
+
+def solve_ftp_srp(instance: Instance, tree: DecompositionNode | _Flat) -> SolutionTable:
     """Run the bottom-up table pass over a decomposition tree.
+
+    ``tree`` may also be the flat form that the reduction builds.
 
     Raises:
         TreeMismatch: the tree does not describe the instance.
     """
-    leaf_ids = [leaf.edge for leaf in tree_leaves(tree)]
-    if sorted(leaf_ids) != list(range(len(instance.edges))):
-        raise TreeMismatch("tree leaves do not partition the edge set")
-    if {tree.u, tree.v} != {instance.s, instance.t}:
-        raise TreeMismatch("root terminals differ from the instance terminals")
-    k = instance.k
-    width = k + 1
-
-    # Iterative post-order; per node a pair (costs, sets) of length k+1,
-    # entry None meaning infeasible at that budget.
-    results: dict[int, tuple[list, list]] = {}
-    stack: list[tuple[DecompositionNode, bool]] = [(tree, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if isinstance(node, Leaf):
-            e = instance.edges[node.edge]
-            base = _PSet(eid=node.edge)
-            if e.faulty:
-                costs = [e.w] + [None] * (width - 1)
-                sets = [base] + [None] * (width - 1)
-            else:
-                costs = [e.w] * width
-                sets = [base] * width
-            results[id(node)] = (costs, sets)
-            continue
-        if not expanded:
-            stack.append((node, True))
-            stack.append((node.right, False))
-            stack.append((node.left, False))
-            continue
-        c1, s1 = results.pop(id(node.left))
-        c2, s2 = results.pop(id(node.right))
-        costs: list = [None] * width
-        sets: list = [None] * width
-        if isinstance(node, Series):
-            for i in range(width):
-                if c1[i] is not None and c2[i] is not None:
-                    costs[i] = c1[i] + c2[i]
-                    sets[i] = _union(s1[i], s2[i])
-        else:
-            m1 = max(i for i in range(width) if c1[i] is not None)
-            m2 = max(i for i in range(width) if c2[i] is not None)
-            for i in range(width):
-                if i > m1 + m2 + 1:
-                    continue
-                best_cost, best_j = None, None
-                for j in range(-1, i + 1):
-                    w1 = 0 if j == -1 else c1[j]
-                    jr = i - j - 1
-                    w2 = 0 if jr == -1 else c2[jr]
-                    if w1 is None or w2 is None:
-                        continue
-                    if best_cost is None or w1 + w2 < best_cost:
-                        best_cost, best_j = w1 + w2, j
-                costs[i] = best_cost
-                left_set = _EMPTY if best_j == -1 else s1[best_j]
-                right_set = _EMPTY if i - best_j - 1 == -1 else s2[i - best_j - 1]
-                sets[i] = _union(left_set, right_set)
-        results[id(node)] = (costs, sets)
-    costs, sets = results[id(tree)]
-    entries = tuple(None if costs[i] is None else (_flatten(sets[i]), costs[i])
-                    for i in range(width))
-    return SolutionTable(entries)
+    if not isinstance(tree, _Flat):
+        tree = _flatten_tree(instance, tree)
+    return _table(instance, tree)
 
 
 def solve_srp(instance: Instance,
-              tree: DecompositionNode | None = None) -> Solution:
-    """Decompose (unless a tree is given) and solve at the full budget."""
+              tree: DecompositionNode | _Flat | None = None) -> Solution:
+    """Reduce (unless a tree or flat form is given) and solve at the full budget."""
     if tree is None:
-        tree = decompose_srp(instance)
+        tree = _reduce(instance)
     solution = solve_ftp_srp(instance, tree).solution(instance.k)
     if not is_feasible(instance, solution.edges):
         raise SolverCheckFailed("srp returned an infeasible edge set")

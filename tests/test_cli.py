@@ -164,13 +164,13 @@ def test_auto_srp_decomposes_once(tmp_path, capsys, monkeypatch):
     path.write_text(serialize_instance(gap_family(4, 2)))
     expected = run_main(["solve", str(path), "--algorithm", "srp"], capsys)
     calls = []
-    real = srp.decompose_srp
+    real = srp._reduce
 
     def counting(instance):
         calls.append(instance)
         return real(instance)
 
-    monkeypatch.setattr(srp, "decompose_srp", counting)
+    monkeypatch.setattr(srp, "_reduce", counting)
     assert run_main(["solve", str(path)], capsys) == expected
     assert len(calls) == 1
 

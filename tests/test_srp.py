@@ -6,6 +6,7 @@ from ftpath.core import build_instance, is_feasible
 from ftpath.frac import gap_family
 from ftpath.oracle import brute_force_opt
 from ftpath.shortest import shortest_path_solution
+from ftpath import srp
 from ftpath.srp import (Leaf, NotSeriesParallel, Parallel, Series,
                         TreeMismatch, decompose_srp, format_decomposition,
                         parse_decomposition, solve_ftp_srp, solve_srp,
@@ -43,6 +44,40 @@ def test_k4_is_not_series_parallel():
     with pytest.raises(NotSeriesParallel) as err:
         decompose_srp(inst)
     assert err.value.remainder  # the irreducible graph is reported
+
+
+# The reduction merges parallel pairs first (smallest pair, two smallest
+# keys), then contracts the smallest contractible vertex.  The tree fixes
+# the table's tie-breaks, so these outputs are pinned.
+@pytest.mark.parametrize("n, s, t, ends, expected", [
+    # Contracting vertex 0 before merging 2-1 gives P(S(e2,e0),P(e1,e3)).
+    (3, 2, 1, [(1, 0), (1, 2), (0, 2), (2, 1)], "P(P(e1,e3),S(e2,e0))"),
+    # Contracting vertex 3 before vertex 0 gives S(S(e0,e1),e2).
+    (4, 1, 2, [(1, 3), (0, 3), (2, 0)], "S(e0,S(e1,e2))"),
+    (7, 5, 3, [(6, 0), (5, 3), (1, 3), (5, 6), (4, 6), (0, 1), (4, 5),
+               (2, 5), (2, 3), (3, 1)],
+     "P(P(e1,S(e7,e8)),S(P(e3,S(e6,e4)),S(S(e0,e5),P(e2,e9))))"),
+])
+def test_reduction_order_pins_the_tree(n, s, t, ends, expected):
+    inst = build_instance(False, n, s, t, 1, [(u, v, 1, False) for u, v in ends])
+    assert format_decomposition(decompose_srp(inst)) == expected
+
+
+@pytest.mark.parametrize("n, s, t, ends, remainder", [
+    (4, 0, 3, [(u, v) for u in range(4) for v in range(u + 1, 4)],
+     ((0, 1, (0,)), (0, 2, (1,)), (0, 3, (2,)), (1, 2, (3,)), (1, 3, (4,)),
+      (2, 3, (5,)))),
+    # The path 1-2-3 dangles off the terminal edge.
+    (4, 0, 1, [(0, 1), (1, 2), (2, 3)], ((0, 1, (0,)), (1, 3, (1, 2)))),
+    # Pairs merge smallest first, so the 0-1 merge takes the smaller key.
+    (4, 0, 3, [(0, 1), (0, 1), (0, 2), (2, 0)],
+     ((0, 1, (0, 1)), (0, 2, (2, 3)))),
+], ids=["k4", "dangling", "two-pairs"])
+def test_not_series_parallel_remainder_is_pinned(n, s, t, ends, remainder):
+    inst = build_instance(False, n, s, t, 1, [(u, v, 1, False) for u, v in ends])
+    with pytest.raises(NotSeriesParallel) as err:
+        decompose_srp(inst)
+    assert err.value.remainder == remainder
 
 
 def test_wrong_terminals_rejected():
@@ -175,6 +210,62 @@ def test_tree_mismatch_against_foreign_instance():
     tree = decompose_srp(inst)
     with pytest.raises(TreeMismatch):
         solve_ftp_srp(other, tree)
+
+
+_APART = build_instance(False, 4, 0, 3, 1, [(0, 1, 1, False), (2, 3, 1, False)])
+_PATH = build_instance(False, 3, 0, 2, 1, [(0, 1, 1, False), (1, 2, 1, False)])
+
+
+@pytest.mark.parametrize("inst, tree", [
+    # Two disjoint edges glued in series at no common vertex.
+    (_APART, Series(Leaf(0, 0, 1), Leaf(1, 2, 3), 0, 3)),
+    # Leaves claiming 0-2 for the path edges 0-1 and 1-2.
+    (_PATH, Parallel(Leaf(0, 0, 2), Leaf(1, 0, 2), 0, 2)),
+    (_PATH, Series(Leaf(0, 0, 1), Leaf(1, 2, 1), 0, 2)),
+    (_PATH, Series(Leaf(0, 0, 1), Leaf(1, 1, 2), 0, 1)),
+    (gap_family(2, 1), Parallel(Leaf(0, 0, 1), Leaf(1, 1, 0), 0, 1)),
+], ids=["series-apart", "parallel-leaves", "series-gap", "series-ends",
+        "parallel-reversed"])
+def test_inconsistent_tree_is_a_mismatch(inst, tree):
+    with pytest.raises(TreeMismatch):
+        solve_ftp_srp(inst, tree)
+    with pytest.raises(TreeMismatch):
+        solve_srp(inst, tree)
+
+
+def test_entry_points_give_equal_tables():
+    # The auto path solves over the flat reduction; a tree from
+    # decompose_srp or from its text form must give the same table.
+    rng = random.Random(101)
+    for _ in range(150):
+        k = rng.randint(0, 3)
+        inst = random_srp_instance(rng, leaves=rng.randint(1, 30), k=k,
+                                   max_w=rng.choice([0, 2, 10]))
+        tree = decompose_srp(inst)
+        table = solve_ftp_srp(inst, srp._reduce(inst))
+        assert solve_ftp_srp(inst, tree) == table
+        parsed = parse_decomposition(format_decomposition(tree), inst)
+        assert solve_ftp_srp(inst, parsed) == table
+        if table.entries[k] is not None:
+            assert solve_srp(inst, srp._reduce(inst)) == table.solution(k)
+
+
+@pytest.mark.parametrize("shape", ["chain", "bundle"])
+def test_large_chain_and_bundle(shape):
+    m = 2 ** 15
+    if shape == "chain":
+        inst = build_instance(False, m + 1, 0, m, 1,
+                              [(i, i + 1, 1, i % 2 == 0) for i in range(m)])
+    else:
+        inst = build_instance(False, 2, 0, 1, 1, [(i % 2, 1 - i % 2, 1, True) for i in range(m)])
+    tree = decompose_srp(inst)
+    assert sorted(leaf.edge for leaf in tree_leaves(tree)) == list(range(m))
+    table = solve_ftp_srp(inst, tree)
+    assert solve_ftp_srp(inst, srp._reduce(inst)) == table
+    if shape == "chain":
+        assert table.cost(0) == m and table.entries[1] is None
+    else:
+        assert table.cost(1) == 2 and len(table.entries[1][0]) == 2
 
 
 def test_parse_handles_deep_nesting():
