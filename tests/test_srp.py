@@ -166,6 +166,20 @@ def test_costs_monotone_and_bottom_threshold():
             previous = entry[1]
 
 
+# Weights 0-1 give many equal-cost choices; the first minimal split of
+# each parallel node wins, and these edge sets are what the CLI prints.
+@pytest.mark.parametrize("seed, entries", [
+    (1, [((3, 5), 0), ((3, 4, 5), 0), ((3, 4, 5), 0)]),
+    (13, [((1, 2, 6), 0), ((0, 1, 2, 3, 6), 0), ((0, 1, 2, 3, 5, 6), 1)]),
+    (28, [((0,), 0), ((0, 1, 2), 1), ((0, 1, 2, 5, 6), 3)]),
+    (39, [((0, 1, 2), 1), ((0, 1, 2, 6), 1), ((0, 1, 2, 3, 4, 6), 2)]),
+])
+def test_table_ties_are_pinned(seed, entries):
+    inst = random_srp_instance(random.Random(seed), leaves=7, k=2, max_w=1)
+    table = solve_ftp_srp(inst, decompose_srp(inst))
+    assert [(tuple(sorted(e[0])), e[1]) for e in table.entries] == entries
+
+
 def test_parse_and_format_decomposition():
     # Both parallel edges faulty, so surviving one failure needs both.
     inst = build_instance(False, 3, 0, 2, 1,
@@ -222,7 +236,10 @@ _PATH = build_instance(False, 3, 0, 2, 1, [(0, 1, 1, False), (1, 2, 1, False)])
     # Leaves claiming 0-2 for the path edges 0-1 and 1-2.
     (_PATH, Parallel(Leaf(0, 0, 2), Leaf(1, 0, 2), 0, 2)),
     (_PATH, Series(Leaf(0, 0, 1), Leaf(1, 2, 1), 0, 2)),
-    (_PATH, Series(Leaf(0, 0, 1), Leaf(1, 1, 2), 0, 1)),
+    # An inner series node claiming 0-5 for the path 0-1-2.
+    (build_instance(False, 6, 0, 3, 1,
+                    [(0, 1, 1, False), (1, 2, 1, False), (5, 3, 1, False)]),
+     Series(Series(Leaf(0, 0, 1), Leaf(1, 1, 2), 0, 5), Leaf(2, 5, 3), 0, 3)),
     (gap_family(2, 1), Parallel(Leaf(0, 0, 1), Leaf(1, 1, 0), 0, 1)),
 ], ids=["series-apart", "parallel-leaves", "series-gap", "series-ends",
         "parallel-reversed"])
@@ -257,7 +274,8 @@ def test_large_chain_and_bundle(shape):
         inst = build_instance(False, m + 1, 0, m, 1,
                               [(i, i + 1, 1, i % 2 == 0) for i in range(m)])
     else:
-        inst = build_instance(False, 2, 0, 1, 1, [(i % 2, 1 - i % 2, 1, True) for i in range(m)])
+        inst = build_instance(False, 2, 0, 1, 1,
+                              [(i % 2, 1 - i % 2, 1, True) for i in range(m)])
     tree = decompose_srp(inst)
     assert sorted(leaf.edge for leaf in tree_leaves(tree)) == list(range(m))
     table = solve_ftp_srp(inst, tree)
