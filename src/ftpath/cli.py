@@ -6,7 +6,8 @@ deterministic: the same input and flags produce byte-identical stdout.
 Wall-clock times go only to the append-only run log (FTP_LOG_DIR).
 
 Exit codes: 0 success, 1 nothing to do, 2 infeasible instance,
-3 parse/validation error, 4 a size cap was exceeded, 5 internal error
+3 parse/validation error or a file that cannot be read or written
+(including the run log), 4 a size cap was exceeded, 5 internal error
 (a solver failed its own output check, or any other unexpected
 exception).
 """
@@ -20,9 +21,10 @@ import os
 import random
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
-from . import approx, bipath, dag, frac, oracle, srp
+from . import __version__, approx, bipath, dag, frac, oracle, srp
 from .core import (FTPError, Infeasible, Instance, ScenarioSpaceTooLarge,
                    Solution, ValidationError, build_instance,
                    infeasibility_witness, reachable)
@@ -168,12 +170,18 @@ def parse_dimacs(text: str) -> Instance:
     return build_instance(directed, vertices, s, t, k, edges)
 
 
-def load_instance(path: str, fmt: str) -> Instance:
+@contextmanager
+def _file_errors(action: str, path: str):
+    """Report an OSError while ``action``-ing ``path`` as a ParseError (exit 3)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        yield
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot {action} {path}: {exc}") from exc
+
+
+def load_instance(path: str, fmt: str) -> Instance:
+    with _file_errors("read", path), open(path, "r", encoding="utf-8") as handle:
+        text = handle.read()
     return parse_dimacs(text) if fmt == "dimacs" else parse_instance(text)
 
 
@@ -221,32 +229,26 @@ def parse_solution(text: str) -> frozenset[int]:
 # ---------------------------------------------------------------------------
 # Run log
 
-def _digest(instance: Instance) -> str:
-    return hashlib.sha256(serialize_instance(instance).encode()).hexdigest()
-
-
-def _log_record(record: dict) -> None:
+def _log_record(instance: Instance, solver: str, elapsed: float, fields: dict,
+                default: str | None = None) -> None:
+    """Append a record to ``$FTP_LOG_DIR/runs.jsonl``, else to ``default``, if any."""
     log_dir = os.environ.get("FTP_LOG_DIR")
-    if not log_dir:
+    path = os.path.join(log_dir, "runs.jsonl") if log_dir else default
+    if path is None:
         return
-    os.makedirs(log_dir, exist_ok=True)
-    path = os.path.join(log_dir, "runs.jsonl")
-    with open(path, "a", encoding="utf-8") as handle:
-        handle.write(json.dumps(record, sort_keys=True) + "\n")
+    digest = hashlib.sha256(serialize_instance(instance).encode()).hexdigest()
+    record = {"instance_digest": digest, "solver": solver,
+              "wall_time_s": round(elapsed, 6), **fields}
+    with _file_errors("write", path):
+        if log_dir:
+            os.makedirs(log_dir, exist_ok=True)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _record(instance: Instance, algorithm: str, solution: Solution,
-            elapsed: float) -> dict:
-    from . import __version__
-    return {
-        "instance_digest": _digest(instance),
-        "solver": algorithm,
-        "edges": sorted(solution.edges),
-        "cost": solution.cost,
-        "status": solution.status,
-        "wall_time_s": round(elapsed, 6),
-        "version": __version__,
-    }
+def _solution_fields(solution: Solution) -> dict:
+    return {"edges": sorted(solution.edges), "cost": solution.cost,
+            "status": solution.status, "version": __version__}
 
 
 # ---------------------------------------------------------------------------
@@ -301,34 +303,31 @@ def cmd_solve(args) -> int:
     algorithm, built = args.algorithm, None
     if algorithm == "auto":
         algorithm, built = _auto_algorithm(instance, args.cap_configs)
+    started = time.perf_counter()
     if algorithm == "frac":
-        started = time.perf_counter()
         vector = frac.solve_frac(instance)
         elapsed = time.perf_counter() - started
+        fields = {"value": str(vector.value)}
         lines = ["ftp-fractional v1", "algorithm: frac", f"value: {vector.value}"]
-        for e in instance.edges:
-            lines.append(f"x {e.id} {vector.x[e.id]}")
-        sys.stdout.write("\n".join(lines) + "\n")
-        _log_record({"instance_digest": _digest(instance), "solver": "frac",
-                     "value": str(vector.value),
-                     "wall_time_s": round(elapsed, 6)})
-        return EXIT_OK
-    started = time.perf_counter()
-    solution = _run_solver(instance, algorithm, args.cap_scenarios, args.cap_configs,
-                           built)
-    elapsed = time.perf_counter() - started
-    sys.stdout.write(serialize_solution(solution, algorithm))
-    _log_record(_record(instance, algorithm, solution, elapsed))
+        lines += [f"x {e.id} {vector.x[e.id]}" for e in instance.edges]
+        out = "\n".join(lines) + "\n"
+    else:
+        solution = _run_solver(instance, algorithm, args.cap_scenarios,
+                               args.cap_configs, built)
+        elapsed = time.perf_counter() - started
+        fields = _solution_fields(solution)
+        out = serialize_solution(solution, algorithm)
+    # Logged first, so a failed log write leaves stdout empty.
+    _log_record(instance, algorithm, elapsed, fields)
+    sys.stdout.write(out)
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     instance = load_instance(args.path, args.format)
-    try:
-        with open(args.solution, "r", encoding="utf-8") as handle:
-            candidate = parse_solution(handle.read())
-    except OSError as exc:
-        raise ParseError(f"cannot read {args.solution}: {exc}") from exc
+    with (_file_errors("read", args.solution),
+          open(args.solution, "r", encoding="utf-8") as handle):
+        candidate = parse_solution(handle.read())
     scenario = infeasibility_witness(instance, candidate)
     if scenario is None:
         sys.stdout.write("feasible\n")
@@ -383,16 +382,6 @@ def cmd_bench(args) -> int:
     if not files:
         sys.stderr.write("no instances\n")
         return EXIT_EMPTY
-    log_dir = os.environ.get("FTP_LOG_DIR")
-    log_path = (os.path.join(log_dir, "runs.jsonl") if log_dir
-                else args.out + ".runs.jsonl")
-    if log_dir:
-        os.makedirs(log_dir, exist_ok=True)
-
-    def append_log(record: dict) -> None:
-        with open(log_path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-
     rows = []
     any_success = False
     for name in files:
@@ -408,21 +397,19 @@ def cmd_bench(args) -> int:
             try:
                 if algorithm == "frac":
                     vector = frac.solve_frac(instance)
-                    elapsed = time.perf_counter() - started
-                    rows.append((name, algorithm, "ok", str(vector.value),
-                                 _ratio_str(vector.value, oracle_cost),
-                                 f"{elapsed:.4f}"))
-                    any_success = True
-                    continue
-                solution = _run_solver(instance, algorithm,
-                                       args.cap_scenarios, args.cap_configs)
+                    status, cost = "ok", vector.value
+                else:
+                    solution = _run_solver(instance, algorithm,
+                                           args.cap_scenarios, args.cap_configs)
+                    status, cost = solution.status, solution.cost
                 elapsed = time.perf_counter() - started
                 if algorithm == "oracle":
-                    oracle_cost = solution.cost
-                rows.append((name, algorithm, solution.status, str(solution.cost),
-                             _ratio_str(solution.cost, oracle_cost),
-                             f"{elapsed:.4f}"))
-                append_log(_record(instance, algorithm, solution, elapsed))
+                    oracle_cost = cost
+                rows.append((name, algorithm, status, str(cost),
+                             _ratio_str(cost, oracle_cost), f"{elapsed:.4f}"))
+                if algorithm != "frac":
+                    _log_record(instance, algorithm, elapsed, _solution_fields(solution),
+                                default=args.out + ".runs.jsonl")
                 any_success = True
             except _CAP_ERRORS as exc:
                 rows.append((name, algorithm, f"SKIPPED(caps: {exc})", "", "", ""))
@@ -441,7 +428,7 @@ def cmd_bench(args) -> int:
                                    for i, c in enumerate(row[:columns])))
         return "\n".join(lines) + "\n"
 
-    with open(args.out, "w", encoding="utf-8") as handle:
+    with _file_errors("write", args.out), open(args.out, "w", encoding="utf-8") as handle:
         handle.write(render(6))
     # Stdout stays byte-identical across reruns, so no timing column.
     sys.stdout.write(render(5))
@@ -507,13 +494,16 @@ def _gen_srp(rng: random.Random, leaves: int, k: int, faulty_prob: float,
 def cmd_gen(args) -> int:
     if args.n < 2:
         raise ParseError("gen needs --n of at least 2")
-    os.makedirs(args.out, exist_ok=True)
+    if args.kind == "srp" and args.edges < 1:
+        raise ParseError("gen --kind srp needs --edges of at least 1")
     rng = random.Random(args.seed)
     written = 0
+    with _file_errors("write", args.out):
+        os.makedirs(args.out, exist_ok=True)
     for i in range(args.count):
         instance = _gen_instance(args.kind, rng, args)
-        name = f"{args.kind}_{i:03d}.ftp"
-        with open(os.path.join(args.out, name), "w", encoding="utf-8") as handle:
+        path = os.path.join(args.out, f"{args.kind}_{i:03d}.ftp")
+        with _file_errors("write", path), open(path, "w", encoding="utf-8") as handle:
             handle.write(serialize_instance(instance))
         written += 1
     sys.stdout.write(f"wrote {written} instances to {args.out}\n")

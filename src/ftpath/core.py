@@ -94,17 +94,13 @@ class ScenarioSpaceTooLarge(FTPError):
 class Infeasible(FTPError):
     """No edge set can keep the terminals connected under every failure.
 
-    Solvers raise this; optional attributes carry a witness when one is
-    cheap to produce (a failure scenario and the cut it disconnects).
+    Solvers raise this.  ``max_achievable`` is set when a flow of a
+    given amount does not fit and carries the true maximum.
     """
 
     def __init__(self, message: str = "instance is infeasible", *,
-                 scenario: frozenset[int] | None = None,
-                 cut_side: frozenset[int] | None = None,
                  max_achievable: int | None = None):
         super().__init__(message)
-        self.scenario = scenario
-        self.cut_side = cut_side
         self.max_achievable = max_achievable
 
 

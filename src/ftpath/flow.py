@@ -1,11 +1,11 @@
-"""Exact integral max-flow / min-cut and min-cost flow primitives.
+"""Exact max-flow / min-cut and integral min-cost flow primitives.
 
 Networks are tiny in this package (flow amounts never exceed the failure
 budget plus one), so the implementations favor exactness and determinism
 over asymptotics: shortest augmenting paths for max-flow, successive
-shortest paths for min-cost flow.  All arithmetic is integer arithmetic;
-the min-cost routine is fully deterministic, returning the
-lexicographically smallest per-arc flow vector among the optimal flows.
+shortest paths for min-cost flow.  Max-flow is exact on integer and
+``Fraction`` capacities; min-cost flow is integral and deterministic,
+returning the lexicographically smallest optimal per-arc flow vector.
 
 Min-cost flow searches are Dijkstra searches on reduced costs (Johnson
 potentials; Edmonds & Karp 1972, Tomizawa 1971).  A network memoizes,
@@ -127,6 +127,10 @@ def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
     below ``cap_at`` the flow is maximum and ``min_cut`` lists the
     saturated forward arcs of a minimum cut (whose capacities sum to the
     flow value); otherwise ``min_cut`` is ``None``.
+
+    Capacities and ``cap_at`` may be ``Fraction``s: the result is exact,
+    and shortest augmenting paths (Edmonds & Karp 1972) terminate
+    whatever the capacities.
     """
     if s == t:
         raise ValueError("max_flow requires distinct terminals")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import oracle, simplex
+from . import flow, oracle, simplex
 from .core import (BadParameters, FTPError, Infeasible, Instance,
                    SolverCheckFailed, build_instance, is_feasible)
 
@@ -175,57 +175,25 @@ def rounding_vector(x: CapacityVector, instance: Instance) -> tuple[Fraction, ..
 
 
 def fractional_max_flow(instance: Instance, capacities, banned=frozenset()) -> Fraction:
-    """Max s-t flow under rational per-edge capacities (failed edges banned).
+    """Exact max s-t flow under rational edge capacities, ``banned`` edges failed.
 
-    Plain augmenting paths; exact Fractions throughout.  Used to verify
-    fractional solutions scenario by scenario.
+    Used to verify fractional solutions scenario by scenario.
     """
     if instance.s == instance.t:
         raise ValueError("terminals must differ")
-    arcs: list[list] = []  # [tail, head, cap, flow]
+    arcs = []
     for e in instance.edges:
         if e.id in banned or e.u == e.v:
             continue
         cap = Fraction(capacities[e.id])
         if cap <= 0:
             continue
-        arcs.append([e.u, e.v, cap, Fraction(0)])
+        arcs.append(flow.Arc(e.u, e.v, cap))
         if not instance.directed:
-            arcs.append([e.v, e.u, cap, Fraction(0)])
-    adj: list[list[tuple[int, bool]]] = [[] for _ in range(instance.vertex_count)]
-    for i, a in enumerate(arcs):
-        adj[a[0]].append((i, True))
-        adj[a[1]].append((i, False))
-    total = Fraction(0)
-    while True:
-        parent: dict[int, tuple[int, bool]] = {instance.s: (-1, True)}
-        queue = [instance.s]
-        qi = 0
-        while qi < len(queue) and instance.t not in parent:
-            u = queue[qi]
-            qi += 1
-            for idx, fwd in adj[u]:
-                a = arcs[idx]
-                v, residual = (a[1], a[2] - a[3]) if fwd else (a[0], a[3])
-                if v not in parent and residual > 0:
-                    parent[v] = (idx, fwd)
-                    queue.append(v)
-        if instance.t not in parent:
-            return total
-        push = None
-        v = instance.t
-        while v != instance.s:
-            idx, fwd = parent[v]
-            a = arcs[idx]
-            residual = a[2] - a[3] if fwd else a[3]
-            push = residual if push is None else min(push, residual)
-            v = a[0] if fwd else a[1]
-        v = instance.t
-        while v != instance.s:
-            idx, fwd = parent[v]
-            arcs[idx][3] += push if fwd else -push
-            v = arcs[idx][0] if fwd else arcs[idx][1]
-        total += push
+            arcs.append(flow.Arc(e.v, e.u, cap))
+    total = sum(a.capacity for a in arcs)
+    net = flow.FlowNetwork(instance.vertex_count, tuple(arcs))
+    return Fraction(flow.max_flow(net, instance.s, instance.t, total).value)
 
 
 def gap_report(D: int, k: int, var_cap: int = DEFAULT_VAR_CAP) -> GapReport:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import subprocess
@@ -433,17 +434,84 @@ def test_gen_deterministic(tmp_path, capsys):
     parse_instance((out1 / "srp_000.ftp").read_text())
 
 
+SOLUTION_RECORD_KEYS = {"instance_digest", "solver", "wall_time_s", "edges",
+                        "cost", "status", "version"}
+FRAC_RECORD_KEYS = {"instance_digest", "solver", "wall_time_s", "value"}
+
+
+def _records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def test_run_log_appends(tmp_path, gap_file, capsys, monkeypatch):
+    # Without a log nothing is serialized or hashed.
+    monkeypatch.delenv("FTP_LOG_DIR", raising=False)
+    calls = []
+    serialize = cli.serialize_instance
+    monkeypatch.setattr(cli, "serialize_instance",
+                        lambda instance: calls.append(1) or serialize(instance))
+    code, _, _ = run_main(["solve", gap_file], capsys)
+    assert code == EXIT_OK and calls == []
+
     log_dir = tmp_path / "logs"
     monkeypatch.setenv("FTP_LOG_DIR", str(log_dir))
-    run_main(["solve", gap_file, "--algorithm", "bipath"], capsys)
-    run_main(["solve", gap_file, "--algorithm", "approx-k1"], capsys)
-    records = [json.loads(line)
-               for line in (log_dir / "runs.jsonl").read_text().splitlines()]
-    assert len(records) == 2
-    assert records[0]["solver"] == "bipath"
-    assert records[1]["solver"] == "approx-k1"
-    assert records[0]["instance_digest"] == records[1]["instance_digest"]
+    outs = []
+    for algorithm in ("bipath", "approx-k1", "frac"):
+        code, out, _ = run_main(["solve", gap_file, "--algorithm", algorithm], capsys)
+        assert code == EXIT_OK
+        outs.append(out)
+    records = _records(log_dir / "runs.jsonl")
+    assert [r["solver"] for r in records] == ["bipath", "approx-k1", "frac"]
+    assert set(records[0]) == set(records[1]) == SOLUTION_RECORD_KEYS
+    assert set(records[2]) == FRAC_RECORD_KEYS
+    with open(gap_file, encoding="utf-8") as handle:
+        digest = hashlib.sha256(handle.read().encode()).hexdigest()
+    assert {r["instance_digest"] for r in records} == {digest}
+    assert records[0]["edges"] == sorted(parse_solution(outs[0]))
+    assert f"cost: {records[0]['cost']}\n" in outs[0]
+    assert f"value: {records[2]['value']}\n" in outs[2]
+
+    # Without FTP_LOG_DIR the bench log lands next to its table.
+    monkeypatch.delenv("FTP_LOG_DIR")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "gap.ftp").write_text(serialize(gap_family(4, 1)))
+    code, _, _ = run_main(["bench", str(corpus), str(tmp_path / "t.txt")], capsys)
+    assert code == EXIT_OK
+    bench = _records(tmp_path / "t.txt.runs.jsonl")
+    assert [r["solver"] for r in bench] == ["oracle", "bipath", "srp", "approx-k1",
+                                            "approx-k"]
+    assert all(set(r) == SOLUTION_RECORD_KEYS and r["instance_digest"] == digest
+               for r in bench)
+
+
+@pytest.mark.parametrize("case", ["bench", "gen", "log"])
+def test_unwritable_output_paths_exit_3(tmp_path, gap_file, capsys, monkeypatch,
+                                        case):
+    monkeypatch.delenv("FTP_LOG_DIR", raising=False)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    if case == "bench":
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "gap.ftp").write_text(serialize_instance(gap_family(4, 1)))
+        argv = ["bench", str(corpus), str(tmp_path / "missing" / "t.txt")]
+    elif case == "gen":
+        argv = ["gen", "--out", str(a_file)]
+    else:
+        monkeypatch.setenv("FTP_LOG_DIR", str(a_file))
+        argv = ["solve", gap_file]
+    code, out, err = run_main(argv, capsys)
+    assert code == EXIT_INVALID
+    assert out == ""
+    assert err.startswith("invalid input: cannot write ")
+
+
+def test_gen_srp_needs_edges(tmp_path, capsys):
+    code, _, err = run_main(["gen", "--kind", "srp", "--edges", "0",
+                             "--out", str(tmp_path / "g")], capsys)
+    assert code == EXIT_INVALID
+    assert err == "invalid input: gen --kind srp needs --edges of at least 1\n"
 
 
 def test_module_entry_point(gap_file):

@@ -14,7 +14,7 @@ from ftpath.shortest import shortest_path_solution
 from ftpath.simplex import (EQUAL, GREATER_EQUAL, LESS_EQUAL, LPInfeasible,
                             LPUnbounded, solve_lp)
 
-from conftest import random_instance
+from conftest import min_cut_by_bipartition, random_instance
 
 
 def test_simplex_basic():
@@ -183,6 +183,39 @@ def test_solution_feasible_per_scenario():
             continue
         for scenario in enumerate_scenarios(inst):
             assert fractional_max_flow(inst, cv.x, scenario.failed) >= 1
+
+
+def test_fractional_max_flow_equals_bipartition_min_cut():
+    # Non-positive capacities, banned edges and self-loops carry nothing;
+    # the reference sees them as zero-capacity arcs.
+    rng = random.Random(227)
+    checked = 0
+    for _ in range(300):
+        inst = random_instance(rng, n_max=6, m_max=10)
+        m = len(inst.edges)
+        caps = [Fraction(rng.randint(-2, 6), rng.randint(1, 4)) for _ in range(m)]
+        banned = frozenset(e for e in range(m) if rng.random() < 0.2)
+        arcs = []
+        for e in inst.edges:
+            cap = 0 if e.id in banned else max(caps[e.id], 0)
+            arcs.append((e.u, e.v, cap))
+            if not inst.directed:
+                arcs.append((e.v, e.u, cap))
+        expected = min_cut_by_bipartition(inst.vertex_count, arcs, inst.s, inst.t, 0)
+        value = fractional_max_flow(inst, caps, banned)
+        assert isinstance(value, Fraction)
+        assert value == expected
+        checked += value > 0
+    assert checked > 100
+    # Parallel edges and a self-loop at a terminal, undirected.
+    inst = build_instance(False, 3, 0, 2, 1, [(0, 1, 1, True), (0, 1, 1, False),
+                                              (1, 2, 1, True), (0, 0, 1, False)])
+    caps = [Fraction(1, 3), Fraction(1, 2), Fraction(2), Fraction(5)]
+    assert fractional_max_flow(inst, caps) == Fraction(5, 6)
+    assert fractional_max_flow(inst, caps, frozenset({1})) == Fraction(1, 3)
+    with pytest.raises(ValueError, match="terminals must differ"):
+        fractional_max_flow(build_instance(False, 2, 0, 0, 0, [(0, 1, 1, False)]),
+                            [1])
 
 
 def test_sandwich_against_integral_optimum():
