@@ -7,7 +7,8 @@ the guarantee to k times the optimum.  The second is the link graph of
 the exact k=1 solver (``bipath``) with three parameters changed: the
 safe-edge capacity is k (not 2 or 1), each link carries k+1 flow units
 (not 2), and a link weighs its flow's support, each edge counted once
-(not the flow's cost).
+(not the flow's cost).  As there, a link is computed only when the meta
+shortest path first reads it.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flow
-from .bipath import WrongBudget, _link_graph, _support
+from .bipath import WrongBudget, _Links, _support
 from .core import (FTPError, Infeasible, Instance, Solution, RATIO_BOUNDED,
                    SolverCheckFailed, is_feasible)
-from .shortest import INF, dijkstra_tree, meta_shortest_path, safe_subgraph_distances
+# safe_subgraph_distances is not called here; perfbench's tracer wraps it.
+from .shortest import (INF, dijkstra_tree, meta_shortest_path,
+                       safe_subgraph_distances)
 
 __all__ = ["NotFeasible", "InducedFlow", "SegmentDecomposition",
            "approx_kplus1", "approx_k", "induced_flow",
@@ -61,10 +64,11 @@ def approx_kplus1(instance: Instance) -> Solution:
 def approx_k(instance: Instance) -> Solution:
     """Solution of cost at most k times the optimum (k >= 1).
 
-    Works like the exact k=1 solver: for every vertex pair the link
-    length is the cheaper of the safe-subgraph distance and the support
-    weight of a min-cost (k+1)-flow whose safe edges carry at most k
-    units; the final solution expands a shortest path over those links.
+    Works like the exact k=1 solver: a pair's link length is the cheaper
+    of the safe-subgraph distance and the support weight of a min-cost
+    (k+1)-flow whose safe edges carry at most k units; the final
+    solution expands a shortest path over those links, computing each
+    link only when that path's search first reads it.
 
     Raises:
         WrongBudget: k is zero.
@@ -80,16 +84,14 @@ def approx_k(instance: Instance) -> Solution:
     def support_weight(net, res):
         return sum(instance.edges[eid].w for eid in _support(net, res))
 
-    links = _link_graph(instance, safe_subgraph_distances(instance),
-                        safe_cap=k, units=k + 1, weight=support_weight)
-    total, seq = meta_shortest_path(
-        instance.vertex_count, lambda u, v: links.dist[u][v],
-        instance.s, instance.t)
+    links = _Links(instance, safe_cap=k, units=k + 1, weight=support_weight)
+    total, seq = meta_shortest_path(instance.vertex_count, links.length,
+                                    instance.s, instance.t)
     if total == INF:
         raise Infeasible("no link decomposition connects the terminals")
     chosen: set[int] = set()
     for u, v in zip(seq, seq[1:]):
-        segment = links.witness[(u, v)][1]
+        segment = links.witness(u, v)[1]
         if not is_feasible(instance.with_terminals(u, v), segment):
             raise SolverCheckFailed(
                 f"approx-k link {u}->{v} is not a feasible segment")

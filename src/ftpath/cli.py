@@ -492,8 +492,8 @@ def _gen_srp(rng: random.Random, leaves: int, k: int, faulty_prob: float,
 
 
 def cmd_gen(args) -> int:
-    if args.n < 2:
-        raise ParseError("gen needs --n of at least 2")
+    if args.kind in ("random", "dag") and args.n < 2:
+        raise ParseError(f"gen --kind {args.kind} needs --n of at least 2")
     if args.kind == "srp" and args.edges < 1:
         raise ParseError("gen --kind srp needs --edges of at least 1")
     rng = random.Random(args.seed)

@@ -10,8 +10,8 @@ returning the lexicographically smallest optimal per-arc flow vector.
 Min-cost flow searches are Dijkstra searches on reduced costs (Johnson
 potentials; Edmonds & Karp 1972, Tomizawa 1971).  A network memoizes,
 per flow amount, its packed arc weights and the first shortest-path tree
-of every source queried, so the n² pair queries of the link-graph
-solvers run that first search once per source.
+of every source queried, so the pair queries that the link-graph
+solvers make from one source run that first search once.
 """
 
 from __future__ import annotations

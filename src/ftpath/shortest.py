@@ -99,6 +99,10 @@ def meta_shortest_path(n: int, length: Callable[[int, int], object],
     ``length`` may return ``math.inf`` for missing links.  Returns
     ``(distance, vertex sequence)``; an infinite distance comes with an
     empty sequence.  Ties prefer fewer hops, then smaller predecessors.
+
+    Callers may compute lengths on demand: each ``(u, v)`` is read at
+    most once, only after ``u`` is settled, never for a settled ``v``
+    and never once ``t`` is settled.
     """
     if s == t:
         return 0, [s]
@@ -119,7 +123,7 @@ def meta_shortest_path(n: int, length: Callable[[int, int], object],
         if u == t:
             break
         for v in range(n):
-            if done[v] or v == u:
+            if done[v]:
                 continue
             ell = length(u, v)
             if ell == INF:

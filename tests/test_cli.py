@@ -357,6 +357,21 @@ def test_more_invalid_inputs(tmp_path, gap_file, capsys):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("kind", ["srp", "gap"])
+def test_gen_n_is_checked_only_where_read(kind, tmp_path, capsys):
+    # srp and gap instances do not depend on --n, so --n 1 is harmless.
+    out = tmp_path / kind
+    code, stdout, _ = run_main(["gen", "--kind", kind, "--n", "1", "--count", "2",
+                                "--out", str(out)], capsys)
+    assert code == EXIT_OK
+    assert stdout == f"wrote 2 instances to {out}\n"
+    assert sorted(p.name for p in out.iterdir()) == [f"{kind}_000.ftp", f"{kind}_001.ftp"]
+    code, _, err = run_main(["gen", "--kind", "dag", "--n", "1",
+                             "--out", str(tmp_path / "dag")], capsys)
+    assert code == EXIT_INVALID
+    assert "--n of at least 2" in err
+
+
 def test_gap_command(capsys):
     code, out, _ = run_main(["gap", "4", "1"], capsys)
     assert code == EXIT_OK
