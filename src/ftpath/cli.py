@@ -246,50 +246,54 @@ def _log_record(instance: Instance, solver: str, elapsed: float, fields: dict,
             handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _solution_fields(solution: Solution) -> dict:
-    return {"edges": sorted(solution.edges), "cost": solution.cost,
-            "status": solution.status, "version": __version__}
+def _record_fields(result: Solution | frac.CapacityVector) -> dict:
+    if isinstance(result, frac.CapacityVector):
+        return {"value": str(result.value)}
+    return {"edges": sorted(result.edges), "cost": result.cost,
+            "status": result.status, "version": __version__}
 
 
 # ---------------------------------------------------------------------------
 # Solvers
 
-def _auto_algorithm(instance: Instance, cap_configs: int
-                    ) -> tuple[str, srp._Flat | dag.LayeredInstance | None]:
-    """The solver ``auto`` picks, with the flat srp reduction or layered DAG it built."""
-    if instance.k == 0:
-        return "shortest", None
-    if instance.k == 1:
-        return "bipath", None
-    if instance.directed:
-        try:
-            layered = dag.layerize(instance)
-            if dag.configuration_count(layered, instance.k) <= cap_configs:
-                return "dag", layered
-        except dag.NotADag:
-            pass
-    else:
-        try:
-            return "srp", srp._reduce(instance)
-        except srp.NotSeriesParallel:
-            pass
-    return "approx-k", None
-
-
 def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
-                cap_configs: int, built=None) -> Solution:
+                cap_configs: int) -> tuple[str, Solution | frac.CapacityVector]:
+    """Run ``algorithm``; return the name of the solver that ran and its result.
+
+    ``auto`` runs ``shortest`` at k = 0 and ``bipath`` at k = 1.  Above
+    that it runs ``dag`` (directed) or ``srp`` (undirected), and
+    ``approx-k`` where that solver finds that it does not apply.
+    """
+    if algorithm == "auto":
+        if instance.k <= 1:
+            algorithm = "bipath" if instance.k else "shortest"
+        else:
+            exact = "dag" if instance.directed else "srp"
+            try:
+                return exact, _solve(instance, exact, cap_scenarios, cap_configs)
+            except (dag.NotADag, dag.ConfigurationSpaceTooLarge,
+                    srp.NotSeriesParallel):
+                pass
+            algorithm = "approx-k"
+    return algorithm, _solve(instance, algorithm, cap_scenarios, cap_configs)
+
+
+def _solve(instance: Instance, algorithm: str, cap_scenarios: int,
+           cap_configs: int) -> Solution | frac.CapacityVector:
     if algorithm == "shortest":
         return shortest_path_solution(instance)
     if algorithm == "bipath":
         return bipath.solve_1ftp(instance)
     if algorithm == "dag":
-        return dag.solve_kftp_dag(instance, cap_configs, built)
+        return dag.solve_kftp_dag(instance, cap_configs)
     if algorithm == "srp":
-        return srp.solve_srp(instance, built)
+        return srp.solve_srp(instance)
     if algorithm == "approx-k":
         return approx.approx_k(instance)
     if algorithm == "approx-k1":
         return approx.approx_kplus1(instance)
+    if algorithm == "frac":
+        return frac.solve_frac(instance)
     if algorithm == "oracle":
         result = oracle.brute_force_opt(instance, scenario_cap=cap_scenarios)
         if result.best is None:
@@ -300,25 +304,18 @@ def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.path, args.format)
-    algorithm, built = args.algorithm, None
-    if algorithm == "auto":
-        algorithm, built = _auto_algorithm(instance, args.cap_configs)
     started = time.perf_counter()
+    algorithm, result = _run_solver(instance, args.algorithm, args.cap_scenarios,
+                                    args.cap_configs)
+    elapsed = time.perf_counter() - started
     if algorithm == "frac":
-        vector = frac.solve_frac(instance)
-        elapsed = time.perf_counter() - started
-        fields = {"value": str(vector.value)}
-        lines = ["ftp-fractional v1", "algorithm: frac", f"value: {vector.value}"]
-        lines += [f"x {e.id} {vector.x[e.id]}" for e in instance.edges]
+        lines = ["ftp-fractional v1", "algorithm: frac", f"value: {result.value}"]
+        lines += [f"x {e.id} {result.x[e.id]}" for e in instance.edges]
         out = "\n".join(lines) + "\n"
     else:
-        solution = _run_solver(instance, algorithm, args.cap_scenarios,
-                               args.cap_configs, built)
-        elapsed = time.perf_counter() - started
-        fields = _solution_fields(solution)
-        out = serialize_solution(solution, algorithm)
+        out = serialize_solution(result, algorithm)
     # Logged first, so a failed log write leaves stdout empty.
-    _log_record(instance, algorithm, elapsed, fields)
+    _log_record(instance, algorithm, elapsed, _record_fields(result))
     sys.stdout.write(out)
     return EXIT_OK
 
@@ -395,21 +392,17 @@ def cmd_bench(args) -> int:
         for algorithm in _bench_solvers(instance):
             started = time.perf_counter()
             try:
-                if algorithm == "frac":
-                    vector = frac.solve_frac(instance)
-                    status, cost = "ok", vector.value
-                else:
-                    solution = _run_solver(instance, algorithm,
-                                           args.cap_scenarios, args.cap_configs)
-                    status, cost = solution.status, solution.cost
+                _, result = _run_solver(instance, algorithm, args.cap_scenarios,
+                                        args.cap_configs)
                 elapsed = time.perf_counter() - started
+                status, cost = (("ok", result.value) if algorithm == "frac"
+                                else (result.status, result.cost))
                 if algorithm == "oracle":
                     oracle_cost = cost
                 rows.append((name, algorithm, status, str(cost),
                              _ratio_str(cost, oracle_cost), f"{elapsed:.4f}"))
-                if algorithm != "frac":
-                    _log_record(instance, algorithm, elapsed, _solution_fields(solution),
-                                default=args.out + ".runs.jsonl")
+                _log_record(instance, algorithm, elapsed, _record_fields(result),
+                            default=args.out + ".runs.jsonl")
                 any_success = True
             except _CAP_ERRORS as exc:
                 rows.append((name, algorithm, f"SKIPPED(caps: {exc})", "", "", ""))
@@ -468,26 +461,24 @@ def _gen_instance(kind: str, rng: random.Random, args) -> Instance:
 
 def _gen_srp(rng: random.Random, leaves: int, k: int, faulty_prob: float,
              max_w: int) -> Instance:
-    # Random series/parallel composition over `leaves` edges.
+    # Random series/parallel composition over `leaves` edges.  A task
+    # (u, v, edge budget) pushes its second part first, so the parts are
+    # grown depth-first and left to right, as recursion would.
     edges: list[tuple[int, int, int, bool]] = []
     next_vertex = 2
-
-    def grow(u: int, v: int, budget: int) -> None:
-        nonlocal next_vertex
+    tasks = [(0, 1, leaves)]
+    while tasks:
+        u, v, budget = tasks.pop()
         if budget == 1:
             edges.append((u, v, rng.randint(0, max_w), rng.random() < faulty_prob))
-            return
+            continue
         left = rng.randint(1, budget - 1)
         if rng.random() < 0.5:
             mid = next_vertex
             next_vertex += 1
-            grow(u, mid, left)
-            grow(mid, v, budget - left)
+            tasks += ((mid, v, budget - left), (u, mid, left))
         else:
-            grow(u, v, left)
-            grow(u, v, budget - left)
-
-    grow(0, 1, leaves)
+            tasks += ((u, v, budget - left), (u, v, left))
     return build_instance(False, next_vertex, 0, 1, k, edges)
 
 

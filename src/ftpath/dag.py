@@ -356,29 +356,28 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
     return Link(d1, d2, best, frozenset(chosen))
 
 
-def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP,
-                   layered: LayeredInstance | None = None) -> Solution:
+def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solution:
     """Optimal solution on a directed acyclic instance.
 
     Runs a forward dynamic program over layer configurations, each
     split over its layer's per-pair cost table into the configurations
-    it links to.  ``layered`` is ``layerize(instance)``, if already built.
+    it links to.  It layerizes and checks the cap first, so the first
+    two errors below mean that the solver does not apply.
 
     Raises:
         NotADag: not a DAG.
         ConfigurationSpaceTooLarge: configuration cap exceeded.
         Infeasible: the terminals cannot be connected robustly.
     """
-    if instance.s == instance.t:
-        return Solution(frozenset(), 0, OPTIMAL)
-    if layered is None:
-        layered = layerize(instance)
+    layered = layerize(instance)
     k = instance.k
-    if not layered.edges:
-        raise Infeasible("terminals are disconnected")
     total_configs = configuration_count(layered, k)
     if total_configs > cap:
         raise ConfigurationSpaceTooLarge(total_configs, cap)
+    if instance.s == instance.t:
+        return Solution(frozenset(), 0, OPTIMAL)
+    if not layered.edges:
+        raise Infeasible("terminals are disconnected")
     # best[i]: spread over layer i -> (cost, parent spread over layer i-1).
     # Tails run in descending demand order and only a strictly cheaper
     # route replaces a parent, so ties keep the first tail.

@@ -496,25 +496,20 @@ def _edge_set(nested: object) -> frozenset[int]:
     return frozenset(ids)
 
 
-def solve_ftp_srp(instance: Instance, tree: DecompositionNode | _Flat) -> SolutionTable:
+def solve_ftp_srp(instance: Instance, tree: DecompositionNode) -> SolutionTable:
     """Run the bottom-up table pass over a decomposition tree.
-
-    ``tree`` may also be the flat form that the reduction builds.
 
     Raises:
         TreeMismatch: the tree does not describe the instance.
     """
-    if not isinstance(tree, _Flat):
-        tree = _flatten_tree(instance, tree)
-    return _table(instance, tree)
+    return _table(instance, _flatten_tree(instance, tree))
 
 
-def solve_srp(instance: Instance,
-              tree: DecompositionNode | _Flat | None = None) -> Solution:
-    """Reduce (unless a tree or flat form is given) and solve at the full budget."""
-    if tree is None:
-        tree = _reduce(instance)
-    solution = solve_ftp_srp(instance, tree).solution(instance.k)
+def solve_srp(instance: Instance, tree: DecompositionNode | None = None) -> Solution:
+    """Solve at the full budget over ``tree``, else over the reduction (which
+    raises :class:`NotSeriesParallel` when the graph does not reduce)."""
+    flat = _reduce(instance) if tree is None else _flatten_tree(instance, tree)
+    solution = _table(instance, flat).solution(instance.k)
     if not is_feasible(instance, solution.edges):
         raise SolverCheckFailed("srp returned an infeasible edge set")
     return solution

@@ -233,6 +233,87 @@ def test_solve_srp_on_k4_exit_code(tmp_path, capsys):
     assert "invalid input" in err
 
 
+def _write(tmp_path, inst):
+    path = tmp_path / "inst.ftp"
+    path.write_text(serialize_instance(inst))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["k4", "directed cycle", "capped dag"])
+def test_auto_falls_back_to_approx_k(tmp_path, capsys, case):
+    # Each exact solver auto tries at k >= 2 refuses these inputs.
+    caps = []
+    if case == "k4":
+        inst = build_instance(False, 4, 0, 3, 2, [(u, v, 1, False) for u in range(4)
+                                                  for v in range(u + 1, 4)])
+    elif case == "directed cycle":
+        inst = build_instance(True, 3, 0, 2, 2, [(0, 1, 1, False), (1, 2, 1, False),
+                                                 (2, 0, 1, False)])
+    else:
+        inst = build_instance(True, 3, 0, 2, 2,
+                              [(0, 1, 1, True)] * 21 + [(1, 2, 1, False)])
+        caps = ["--cap-configs", "2"]
+    path = _write(tmp_path, inst)
+    expected = run_main(["solve", path, "--algorithm", "approx-k", *caps], capsys)
+    assert expected[0] == EXIT_OK and "algorithm: approx-k\n" in expected[1]
+    assert run_main(["solve", path, *caps], capsys) == expected
+
+
+EDGE_SHAPES = {
+    "cyclic s=t": build_instance(True, 2, 0, 0, 2, [(0, 1, 1, True), (1, 0, 1, True)]),
+    "acyclic s=t": build_instance(True, 2, 0, 0, 2, [(0, 1, 1, True)]),
+    "undirected s=t": build_instance(False, 2, 0, 0, 2, [(0, 1, 1, True)]),
+    "disconnected dag": build_instance(True, 3, 0, 2, 2, [(0, 1, 1, False)]),
+    "small dag": build_instance(True, 3, 0, 2, 2,
+                                [(0, 1, 1, True), (0, 1, 2, True), (0, 1, 3, True),
+                                 (1, 2, 4, False), (0, 2, 9, True)]),
+}
+_EMPTY_DAG = (EXIT_OK, "ftp-solution v1\nalgorithm: dag\nstatus: optimal\ncost: 0\n"
+              "edges: \n", "")
+_EMPTY_APPROX = (EXIT_OK, "ftp-solution v1\nalgorithm: approx-k\nstatus: ratio-bounded\n"
+                 "cost: 0\nedges: \nratio-bound: 2/1\n", "")
+_DISCONNECTED = (EXIT_INFEASIBLE, "", "infeasible: terminals are disconnected\n")
+_NO_EDGE_SET = (EXIT_INFEASIBLE, "",
+                "infeasible: instance is infeasible even with every edge bought\n")
+_SMALL_DAG = (EXIT_OK, "ftp-solution v1\nalgorithm: dag\nstatus: optimal\ncost: 10\n"
+              "edges: 0 1 2 3\n", "")
+_SMALL_APPROX = (EXIT_OK, "ftp-solution v1\nalgorithm: approx-k\nstatus: ratio-bounded\n"
+                 "cost: 10\nedges: 0 1 2 3\nratio-bound: 2/1\n", "")
+# auto at --cap-configs 10**6, 2, 1 and 0.  The DAG solver checks its cap
+# before its s == t and no-edge answers, so each DAG shape falls back to
+# approx-k from the first cap below its configuration count on.
+AUTO_ON_EDGE_SHAPES = {
+    "cyclic s=t": [_EMPTY_APPROX] * 4,
+    "acyclic s=t": [_EMPTY_DAG] * 3 + [_EMPTY_APPROX],
+    "undirected s=t": [_EMPTY_APPROX] * 4,
+    "disconnected dag": [_DISCONNECTED] * 2 + [_NO_EDGE_SET] * 2,
+    "small dag": [_SMALL_DAG] + [_SMALL_APPROX] * 3,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(AUTO_ON_EDGE_SHAPES))
+def test_auto_on_edge_shapes(tmp_path, capsys, shape):
+    path = _write(tmp_path, EDGE_SHAPES[shape])
+    for cap, expected in zip(("1000000", "2", "1", "0"), AUTO_ON_EDGE_SHAPES[shape]):
+        assert run_main(["solve", path, "--cap-configs", cap], capsys) == expected
+
+
+@pytest.mark.parametrize("shape, cap, code, err", [
+    ("undirected s=t", "1000000", EXIT_INVALID, "invalid input: instance is undirected\n"),
+    ("cyclic s=t", "1000000", EXIT_INVALID,
+     "invalid input: graph contains a directed cycle\n"),
+    ("disconnected dag", "1", EXIT_CAPS,
+     "caps exceeded: about 2 configurations, cap is 1\n"),
+    ("acyclic s=t", "0", EXIT_CAPS, "caps exceeded: about 1 configurations, cap is 0\n"),
+], ids=["undirected s=t", "cyclic s=t", "disconnected under cap", "s=t under cap"])
+def test_dag_checks_domain_and_cap_before_shortcuts(tmp_path, capsys, shape, cap,
+                                                    code, err):
+    # Layerizing and the cap come before the s == t and no-edge answers.
+    path = _write(tmp_path, EDGE_SHAPES[shape])
+    assert run_main(["solve", path, "--algorithm", "dag", "--cap-configs", cap],
+                    capsys) == (code, "", err)
+
+
 def test_solve_oracle_cap_exit_code(tmp_path, capsys):
     p = tmp_path / "wide.ftp"
     p.write_text(serialize_instance(gap_family(25, 1)))
@@ -357,6 +438,55 @@ def test_more_invalid_inputs(tmp_path, gap_file, capsys):
     assert code == EXIT_INVALID
 
 
+_HEAD = "ftp-instance v1\ndirected: false\nvertices: 2\ns: 0\nt: 1\nk: 1\n"
+_P = "p ftp 2 1 0 1\n"
+_NST = _P + "n s 1\nn t 2\n"
+MALFORMED = [
+    ("native", "\n# comment first\n" + _HEAD + "edge 0 0 1 1\n",
+     "bad edge line: 'edge 0 0 1 1'"),
+    ("native", _HEAD + "edge 0 0 1 1 broken\n",
+     "edge flag must be 'faulty' or 'safe': 'edge 0 0 1 1 broken'"),
+    ("native", _HEAD + "edge 0 0 1 x safe\n", "bad edge numbers: 'edge 0 0 1 x safe'"),
+    ("native", _HEAD + "edge 1 0 1 1 safe\n",
+     "edge ids must be dense and ordered; got 1, expected 0"),
+    ("native", _HEAD + "stray\n", "unrecognized line: 'stray'"),
+    ("native", _HEAD + "color: blue\n", "unknown field 'color'"),
+    ("native", _HEAD + "k: 2\n", "field 'k' given twice"),
+    ("native", "nonsense\n" + _HEAD, "missing 'ftp-instance v1' header"),
+    ("native", _HEAD.replace("k: 1\n", "").replace("s: 0\n", ""), "missing fields: k, s"),
+    ("native", _HEAD.replace("false", "maybe"), "field 'directed' must be true or false"),
+    ("native", _HEAD.replace("2", "two"), "invalid literal for int() with base 10: 'two'"),
+    ("dimacs", "p ftp 2 1 0\n", "bad problem line: 'p ftp 2 1 0'"),
+    ("dimacs", "p ftp 2 1 2 1\n", "directed flag must be 0 or 1"),
+    ("dimacs", _P + "n x 1\n", "bad terminal line: 'n x 1'"),
+    ("dimacs", _NST + "a 1 2 1\n", "bad arc line: 'a 1 2 1'"),
+    ("dimacs", _NST + "a 1 2 1 2\n", "faulty column must be 0 or 1"),
+    ("dimacs", _NST + "q 1\n", "unrecognized line: 'q 1'"),
+    ("dimacs", _NST + "a one 2 1 1\n", "bad number in line: 'a one 2 1 1'"),
+    ("dimacs", _P + "n s 1\na 1 2 1 1\n", "missing p/n lines"),
+    ("dimacs", _NST.replace(" 1 0 ", " 2 0 ") + "a 1 2 1 1\n",
+     "problem line promises 2 edges, got 1"),
+    ("solution", "edges: 0\n", "missing 'ftp-solution v1' header"),
+    ("solution", "ftp-solution v1\ncolor: red\nedges: 0\n", "unknown field 'color'"),
+    ("solution", "ftp-solution v1\nedges: 0\nedges: 1\n", "field 'edges' given twice"),
+    ("solution", "ftp-solution v1\nedges: 0 x\n", "bad edge list: '0 x'"),
+    ("solution", "# comment\n\nftp-solution v1\nstatus: optimal\n",
+     "solution document has no 'edges' field"),
+]
+
+
+@pytest.mark.parametrize("kind, text, message", MALFORMED,
+                         ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(MALFORMED)])
+def test_malformed_documents_exit_3(tmp_path, gap_file, capsys, kind, text, message):
+    path = tmp_path / "malformed"
+    path.write_text(text)
+    if kind == "solution":
+        argv = ["check", gap_file, str(path)]
+    else:
+        argv = ["solve", str(path), "--format", kind]
+    assert run_main(argv, capsys) == (EXIT_INVALID, "", f"invalid input: {message}\n")
+
+
 @pytest.mark.parametrize("kind", ["srp", "gap"])
 def test_gen_n_is_checked_only_where_read(kind, tmp_path, capsys):
     # srp and gap instances do not depend on --n, so --n 1 is harmless.
@@ -449,6 +579,28 @@ def test_gen_deterministic(tmp_path, capsys):
     parse_instance((out1 / "srp_000.ftp").read_text())
 
 
+def test_gen_random_and_dag_documents(tmp_path, capsys):
+    for kind in ("random", "dag"):
+        dirs = [tmp_path / f"{kind}{i}" for i in range(2)]
+        for out in dirs:
+            assert run_main(["gen", "--kind", kind, "--out", str(out), "--count", "5",
+                             "--seed", "1", "--k", "2", "--faulty-prob", "0.3"],
+                            capsys)[0] == EXIT_OK
+        names = sorted(p.name for p in dirs[0].iterdir())
+        assert names == [f"{kind}_{i:03d}.ftp" for i in range(5)]
+        for name in names:
+            text = (dirs[0] / name).read_text()
+            assert (dirs[1] / name).read_bytes() == text.encode()
+            inst = parse_instance(text)
+            assert inst.directed == (kind == "dag")
+            if kind == "random":
+                assert all(e.u != e.v for e in inst.edges)
+                continue
+            assert all(e.u < e.v for e in inst.edges)
+            code, out, _ = run_main(["solve", str(dirs[0] / name)], capsys)
+            assert code == EXIT_OK and "algorithm: dag\n" in out
+
+
 SOLUTION_RECORD_KEYS = {"instance_digest", "solver", "wall_time_s", "edges",
                         "cost", "status", "version"}
 FRAC_RECORD_KEYS = {"instance_digest", "solver", "wall_time_s", "value"}
@@ -495,9 +647,10 @@ def test_run_log_appends(tmp_path, gap_file, capsys, monkeypatch):
     assert code == EXIT_OK
     bench = _records(tmp_path / "t.txt.runs.jsonl")
     assert [r["solver"] for r in bench] == ["oracle", "bipath", "srp", "approx-k1",
-                                            "approx-k"]
-    assert all(set(r) == SOLUTION_RECORD_KEYS and r["instance_digest"] == digest
-               for r in bench)
+                                            "approx-k", "frac"]
+    assert all(set(r) == SOLUTION_RECORD_KEYS for r in bench[:-1])
+    assert set(bench[-1]) == FRAC_RECORD_KEYS
+    assert {r["instance_digest"] for r in bench} == {digest}
 
 
 @pytest.mark.parametrize("case", ["bench", "gen", "log"])

@@ -251,20 +251,20 @@ def test_inconsistent_tree_is_a_mismatch(inst, tree):
 
 
 def test_entry_points_give_equal_tables():
-    # The auto path solves over the flat reduction; a tree from
-    # decompose_srp or from its text form must give the same table.
+    # solve_srp without a tree solves over the flat reduction; a tree
+    # from decompose_srp or from its text form must give the same table.
     rng = random.Random(101)
     for _ in range(150):
         k = rng.randint(0, 3)
         inst = random_srp_instance(rng, leaves=rng.randint(1, 30), k=k,
                                    max_w=rng.choice([0, 2, 10]))
         tree = decompose_srp(inst)
-        table = solve_ftp_srp(inst, srp._reduce(inst))
+        table = srp._table(inst, srp._reduce(inst))
         assert solve_ftp_srp(inst, tree) == table
         parsed = parse_decomposition(format_decomposition(tree), inst)
         assert solve_ftp_srp(inst, parsed) == table
         if table.entries[k] is not None:
-            assert solve_srp(inst, srp._reduce(inst)) == table.solution(k)
+            assert solve_srp(inst) == table.solution(k)
 
 
 @pytest.mark.parametrize("shape", ["chain", "bundle"])
@@ -279,7 +279,7 @@ def test_large_chain_and_bundle(shape):
     tree = decompose_srp(inst)
     assert sorted(leaf.edge for leaf in tree_leaves(tree)) == list(range(m))
     table = solve_ftp_srp(inst, tree)
-    assert solve_ftp_srp(inst, srp._reduce(inst)) == table
+    assert srp._table(inst, srp._reduce(inst)) == table
     if shape == "chain":
         assert table.cost(0) == m and table.entries[1] is None
     else:
