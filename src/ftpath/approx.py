@@ -8,7 +8,11 @@ the exact k=1 solver (``bipath``) with three parameters changed: the
 safe-edge capacity is k (not 2 or 1), each link carries k+1 flow units
 (not 2), and a link weighs its flow's support, each edge counted once
 (not the flow's cost).  As there, a link is computed only when the meta
-shortest path first reads it.
+shortest path first reads it, and its flow only when a lower bound
+cannot decide it: k+1 units cost at least (k+1) times the distance d1
+over all edges, and no support edge carries more than k of them, so the
+support weighs at least ceil((k+1) * d1 / k).  A safe path no longer
+than that wins without a flow.
 """
 
 from __future__ import annotations

@@ -9,6 +9,12 @@ shortest s-t path in the complete "link" graph over those lengths and
 expands each chosen link back into concrete edges.  Link lengths are
 computed on first read, so only the links leaving vertices that the
 meta shortest path settles before ``t`` are ever computed.
+
+Most of those reads need no flow.  Two units from u to v cost at least
+twice ``d1``, the u-v distance over every edge, so a safe path no
+longer than that wins without one; and a link whose cheaper bound
+already exceeds the slack the meta path offers cannot relax anything.
+Both bounds are exact, so every answer is the one the full table gives.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from . import flow
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
                    SolverCheckFailed, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
-from .shortest import (INF, dijkstra_tree, meta_shortest_path, path_edges,
-                       safe_subgraph_distances)
+from .shortest import (INF, _adjacency, _shortest_tree, meta_shortest_path,
+                       path_edges, safe_subgraph_distances)
 
 __all__ = ["WrongBudget", "LinkLengths", "link_lengths", "solve_1ftp"]
 
@@ -63,25 +69,51 @@ def _support(net: flow.FlowNetwork, result: flow.FlowResult) -> tuple[int, ...]:
 class _Links:
     """Link lengths computed on first read, see :class:`LinkLengths`.
 
-    ``weight(net, result)`` gives the length of a pair's flow link.  A
-    pair's flow, and the safe shortest-path tree of its source, are
-    computed when the pair is first read; a safe path wins ties.
+    ``weight(net, result)`` gives the length of a pair's flow link; a
+    safe path wins ties.  The safe shortest-path tree of a source, and
+    its tree ``d1`` over all edges, are built when a pair from it is
+    first read; a pair's flow only when a bound cannot settle the pair.
+
+    The bound: a flow link weighs at least ``lb = ceil(units * d1 /
+    (units - 1))``.  The flow sends ``units`` units along u-v paths of
+    length at least ``d1`` each, so it costs ``units * d1`` or more; the
+    weight is either that cost (``units`` = 2) or the support's weight,
+    where no edge carries more than ``units - 1`` units (the safe
+    capacity; an undirected edge is never loaded both ways), so the
+    support weighs at least cost / (units - 1).  Weights are integers,
+    hence the ceiling.  A safe distance of at most ``lb`` therefore wins
+    without a flow, and ``length`` skips the flow of a pair whose bound
+    exceeds the caller's ``limit``.
     """
 
     def __init__(self, instance: Instance, safe_cap: int, units: int, weight):
         self.instance, self.units, self.weight = instance, units, weight
         self.net = flow.edge_network(instance, safe_cap)
-        self.safe_edges = [e.id for e in instance.edges if not e.faulty]
-        self.trees: dict[int, tuple[list, list]] = {}  # u -> (dist, via)
+        self.safe_adj = _adjacency(instance, [e.id for e in instance.edges
+                                              if not e.faulty])
+        self.all_adj = _adjacency(instance, range(len(instance.edges)))
+        self.trees: dict[int, tuple[list, list, list]] = {}  # u -> (dist, via, d1)
         self.entries: dict[tuple[int, int], tuple] = {}
+
+    def _tree(self, u: int) -> tuple[list, list, list]:
+        tree = self.trees.get(u)
+        if tree is None:
+            dist, via = _shortest_tree(self.safe_adj, u)
+            tree = self.trees[u] = (dist, via, _shortest_tree(self.all_adj, u)[0])
+        return tree
+
+    def _bounds(self, u: int, v: int) -> tuple:
+        """``(safe distance, lower bound on the flow link's weight)``."""
+        dist, _, d1 = self._tree(u)
+        d = d1[v]
+        if d == INF:
+            return dist[v], INF
+        return dist[v], -(-self.units * d // (self.units - 1))
 
     def entry(self, u: int, v: int) -> tuple:
         """``(safe distance, pair distance, flow or None)`` of link u -> v."""
         entry = self.entries.get((u, v))
         if entry is None:
-            tree = self.trees.get(u)
-            if tree is None:
-                tree = self.trees[u] = dijkstra_tree(self.instance, u, self.safe_edges)
             res, pair_d = None, 0
             if u != v:
                 try:
@@ -89,19 +121,27 @@ class _Links:
                     pair_d = self.weight(self.net, res)
                 except Infeasible:
                     pair_d = INF
-            entry = self.entries[(u, v)] = (tree[0][v], pair_d, res)
+            entry = self.entries[(u, v)] = (self._tree(u)[0][v], pair_d, res)
         return entry
 
-    def length(self, u: int, v: int):
-        safe_d, pair_d, _ = self.entry(u, v)
+    def length(self, u: int, v: int, limit=INF):
+        """The link's length, or ``INF`` if a bound puts it above ``limit``."""
+        safe_d, lb = self._bounds(u, v)
+        if safe_d <= lb:
+            return safe_d
+        if lb > limit:
+            return INF
+        _, pair_d, _ = self.entry(u, v)
         return safe_d if safe_d <= pair_d else pair_d
 
     def witness(self, u: int, v: int) -> tuple[str, tuple[int, ...]]:
         """Which case realizes a finite link, and its edge ids."""
-        safe_d, pair_d, res = self.entry(u, v)
-        if safe_d <= pair_d:
-            return SAFE_PATH, path_edges(self.instance, self.trees[u][1], u, v)
-        return TWO_ROUTE, _support(self.net, res)
+        safe_d, lb = self._bounds(u, v)
+        if safe_d > lb:
+            _, pair_d, res = self.entry(u, v)
+            if pair_d < safe_d:
+                return TWO_ROUTE, _support(self.net, res)
+        return SAFE_PATH, path_edges(self.instance, self.trees[u][1], u, v)
 
 
 def _one_failure_links(instance: Instance) -> _Links:

@@ -81,7 +81,8 @@ def parse_instance(text: str) -> Instance:
             continue
         if not header:
             if line != INSTANCE_HEADER:
-                break
+                raise ParseError(f"expected '{INSTANCE_HEADER}' header first, "
+                                 f"got {line!r}")
             header = True
             continue
         if line.startswith("edge "):

@@ -28,8 +28,12 @@ def dijkstra_tree(instance: Instance, source: int, edge_ids) -> tuple[list, list
     ``v`` on the reconstructed path (``None`` at the source and for
     unreachable vertices).
     """
-    n = instance.vertex_count
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (v, w, eid)
+    return _shortest_tree(_adjacency(instance, edge_ids), source)
+
+
+def _adjacency(instance: Instance, edge_ids) -> list[list[tuple[int, int, int]]]:
+    # (v, w, eid) per vertex, in edge-id order; self-loops skipped.
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(instance.vertex_count)]
     for eid in sorted(edge_ids):
         e = instance.edges[eid]
         if e.u == e.v:
@@ -37,6 +41,12 @@ def dijkstra_tree(instance: Instance, source: int, edge_ids) -> tuple[list, list
         adj[e.u].append((e.v, e.w, e.id))
         if not instance.directed:
             adj[e.v].append((e.u, e.w, e.id))
+    return adj
+
+
+def _shortest_tree(adj: list, source: int) -> tuple[list, list]:
+    # dijkstra_tree on a prebuilt adjacency, which a caller may reuse.
+    n = len(adj)
     dist: list = [INF] * n
     hops: list = [INF] * n
     via: list = [None] * n
@@ -79,12 +89,12 @@ def safe_subgraph_distances(instance: Instance) -> tuple[list[list], dict]:
     safe edges only and ``witness[(u, v)]`` the realizing edge-id tuple
     for each finite pair.
     """
-    safe = [e.id for e in instance.edges if not e.faulty]
+    adj = _adjacency(instance, [e.id for e in instance.edges if not e.faulty])
     n = instance.vertex_count
     dist: list[list] = []
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
     for u in range(n):
-        du, via = dijkstra_tree(instance, u, safe)
+        du, via = _shortest_tree(adj, u)
         dist.append(du)
         for v in range(n):
             if du[v] != INF:
@@ -92,9 +102,9 @@ def safe_subgraph_distances(instance: Instance) -> tuple[list[list], dict]:
     return dist, witness
 
 
-def meta_shortest_path(n: int, length: Callable[[int, int], object],
+def meta_shortest_path(n: int, length: Callable[[int, int, object], object],
                        s: int, t: int) -> tuple[object, list[int]]:
-    """Shortest s-t path in the complete graph with lengths ``length(u, v)``.
+    """Shortest s-t path in the complete graph with lengths ``length(u, v, limit)``.
 
     ``length`` may return ``math.inf`` for missing links.  Returns
     ``(distance, vertex sequence)``; an infinite distance comes with an
@@ -102,7 +112,12 @@ def meta_shortest_path(n: int, length: Callable[[int, int], object],
 
     Callers may compute lengths on demand: each ``(u, v)`` is read at
     most once, only after ``u`` is settled, never for a settled ``v``
-    and never once ``t`` is settled.
+    and never once ``t`` is settled.  ``limit`` is the largest length
+    that could still relax ``v`` (``math.inf`` while ``v`` is
+    unreached): ``length`` must return the exact length when it is at
+    most ``limit``, and may return any larger value otherwise, so a
+    caller can skip computing a link that a lower bound already rules
+    out.  The result is the same as with exact lengths.
     """
     if s == t:
         return 0, [s]
@@ -125,7 +140,7 @@ def meta_shortest_path(n: int, length: Callable[[int, int], object],
         for v in range(n):
             if done[v]:
                 continue
-            ell = length(u, v)
+            ell = length(u, v, dist[v] - dist[u])
             if ell == INF:
                 continue
             old_pred = pred[v] if pred[v] is not None else INF

@@ -452,7 +452,8 @@ MALFORMED = [
     ("native", _HEAD + "stray\n", "unrecognized line: 'stray'"),
     ("native", _HEAD + "color: blue\n", "unknown field 'color'"),
     ("native", _HEAD + "k: 2\n", "field 'k' given twice"),
-    ("native", "nonsense\n" + _HEAD, "missing 'ftp-instance v1' header"),
+    ("native", "nonsense\n" + _HEAD,
+     "expected 'ftp-instance v1' header first, got 'nonsense'"),
     ("native", _HEAD.replace("k: 1\n", "").replace("s: 0\n", ""), "missing fields: k, s"),
     ("native", _HEAD.replace("false", "maybe"), "field 'directed' must be true or false"),
     ("native", _HEAD.replace("2", "two"), "invalid literal for int() with base 10: 'two'"),
@@ -472,6 +473,7 @@ MALFORMED = [
     ("solution", "ftp-solution v1\nedges: 0 x\n", "bad edge list: '0 x'"),
     ("solution", "# comment\n\nftp-solution v1\nstatus: optimal\n",
      "solution document has no 'edges' field"),
+    ("native", "\n# only comments\n  # and blanks\n\n", "missing 'ftp-instance v1' header"),
 ]
 
 

@@ -4,9 +4,10 @@
 shortest path reads it.  These tests pin that this changes nothing: an
 eager reference that fills every pair first, then runs the same meta
 shortest path, must give the same edge sets, costs and ``Infeasible``
-messages.  They also pin the reading contract of ``meta_shortest_path``
-that makes the lazy table possible, and that the solvers really skip
-the links they never read.
+messages.  They also pin the reading and ``limit`` contracts of
+``meta_shortest_path`` that make the lazy table possible, the lower
+bound on a flow link's weight, and that the solvers really skip the
+links they never read and the flows that bound decides.
 """
 
 import math
@@ -18,7 +19,7 @@ from ftpath import flow
 from ftpath.approx import approx_k
 from ftpath.bipath import link_lengths, solve_1ftp
 from ftpath.core import Infeasible, build_instance, is_feasible
-from ftpath.shortest import meta_shortest_path, safe_subgraph_distances
+from ftpath.shortest import dijkstra_tree, meta_shortest_path, safe_subgraph_distances
 
 from conftest import random_instance
 
@@ -62,7 +63,7 @@ def _eager_table(instance, safe_cap, units, weight):
 def _eager_route(instance, dist, witness, infeasible_message):
     # (edge set, cost) of the meta shortest path over a full table, or
     # the message of the Infeasible the solver raises.
-    total, seq = meta_shortest_path(instance.vertex_count, lambda u, v: dist[u][v],
+    total, seq = meta_shortest_path(instance.vertex_count, lambda u, v, limit: dist[u][v],
                                     instance.s, instance.t)
     if total == INF:
         return infeasible_message
@@ -103,14 +104,43 @@ def _has_parallel_edges(instance):
     return len(set(ends)) < len(ends)
 
 
+def _general_sized_instance(rng, directed):
+    # The shape of the benchmark's general workload, n = 14..16 and
+    # m = 3n, with weights from 0 to 3.
+    n = rng.randint(14, 16)
+    edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3), rng.random() < 0.5)
+             for _ in range(3 * n)]
+    return build_instance(directed, n, 0, n - 1, 1, edges)
+
+
+def _bound_boundary_instances():
+    # Undirected k=1 instances on the edges of the bounds that skip flows.
+    # At k=2, from 0 to 1, d1 = 2 and the safe path costs 6, which is not
+    # above 3*d1 but is above the bound ceil(3*d1/2) = 3; the flow's
+    # support {0, 1, 2, 3} weighs 5 and wins.
+    wide = build_instance(False, 4, 0, 1, 1, [
+        (0, 2, 1, True), (0, 2, 1, True), (2, 1, 1, False), (0, 1, 2, True),
+        (0, 3, 3, False), (3, 1, 3, False)])
+    # t = 1 is reached through 3 at distance 4 before 2 settles, and the
+    # link 2 -> 1 equals both its bound and the limit 2, so it ties and
+    # relaxes to the smaller predecessor 2: edges {1, 4, 5}.
+    tie = build_instance(False, 4, 0, 1, 1, [
+        (0, 3, 1, False), (0, 2, 2, False), (3, 1, 1, True), (3, 1, 2, True),
+        (2, 1, 1, True), (2, 1, 1, True)])
+    return [wide, tie]
+
+
 @pytest.mark.parametrize("directed", [False, True])
 def test_lazy_solvers_match_eager_reference(directed):
     rng = random.Random(61 if directed else 67)
+    # Weights from 0 to 3, so equal link lengths and ties are common.
+    instances = [random_instance(rng, n_max=7, m_max=14, directed=directed, k=1,
+                                 max_w=3) for _ in range(120)]
+    instances += [_general_sized_instance(rng, directed) for _ in range(6)]
+    if not directed:
+        instances += _bound_boundary_instances()
     routes = parallel = 0
-    for _ in range(120):
-        # Weights from 0 to 3, so equal link lengths and ties are common.
-        inst = random_instance(rng, n_max=7, m_max=14, directed=directed, k=1,
-                               max_w=3)
+    for inst in instances:
         parallel += _has_parallel_edges(inst)
         expected = _eager_bipath(inst)
         assert _outcome(solve_1ftp, inst) == expected
@@ -179,7 +209,7 @@ def test_meta_shortest_path_reading_contract():
         table = [[rng.choice((0, 1, 1, 2, 3, INF)) for _ in range(n)] for _ in range(n)]
         reads = []
 
-        def length(u, v):
+        def length(u, v, limit):
             reads.append((u, v))
             return table[u][v]
 
@@ -208,3 +238,110 @@ def test_meta_shortest_path_reading_contract():
         assert {v for v in range(n) if true[v] < true[t]} <= set(settled)
         if total != INF:
             assert sum(table[u][v] for u, v in zip(seq, seq[1:])) == total
+
+
+def test_meta_shortest_path_limit_contract():
+    # A length that is exact up to ``limit`` and anything above it
+    # otherwise gives the same route as exact lengths.
+    rng = random.Random(17)
+    skipped = 0
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        s, t = rng.sample(range(n), 2)
+        table = [[rng.choice((0, 1, 1, 2, 3, INF)) for _ in range(n)] for _ in range(n)]
+
+        def exact(u, v, limit):
+            return table[u][v]
+
+        def bounded(u, v, limit):
+            nonlocal skipped
+            if table[u][v] <= limit:
+                return table[u][v]
+            skipped += 1
+            return rng.choice((INF, limit + rng.randint(1, 3)))
+
+        assert meta_shortest_path(n, bounded, s, t) == meta_shortest_path(n, exact, s, t)
+    assert skipped >= 300
+
+
+def _lower_bound(units, d1):
+    # ceil(units * d1 / (units - 1)), the least weight of a flow link.
+    return -(-units * d1 // (units - 1))
+
+
+def _flow_link_weights(instance, safe_cap, units, weight):
+    # (flow link weight, d1) for every pair with a feasible flow.
+    net = flow.edge_network(instance, safe_cap)
+    out = []
+    for u in range(instance.vertex_count):
+        d1 = dijkstra_tree(instance, u, range(len(instance.edges)))[0]
+        for v in range(instance.vertex_count):
+            if u == v:
+                continue
+            try:
+                res = flow.min_cost_flow(net, u, v, units)
+            except Infeasible:
+                continue
+            out.append((weight(net, res), d1[v]))
+    return out
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_flow_link_weight_lower_bound(directed):
+    # Every flow link weighs at least ceil(units * d1 / (units - 1)),
+    # where d1 is the distance over all edges: the bound that lets the
+    # link table skip flows.
+    rng = random.Random(83 if directed else 89)
+    parallel = tight = pairs = 0
+    for _ in range(60):
+        inst = random_instance(rng, n_max=7, m_max=14, directed=directed, k=1,
+                               max_w=3)
+        parallel += _has_parallel_edges(inst)
+
+        def support_weight(net, res):
+            return sum(inst.edges[e].w for e in _support(net, res))
+
+        cases = [(2 if directed else 1, 2, lambda net, res: res.total_cost)]
+        cases += [(k, k + 1, support_weight) for k in (1, 2, 3)]
+        for safe_cap, units, weight in cases:
+            for w, d1 in _flow_link_weights(inst, safe_cap, units, weight):
+                lb = _lower_bound(units, d1)
+                assert w >= lb
+                pairs += 1
+                tight += w == lb and d1 > 0
+    assert parallel >= 15 and pairs >= 500 and tight >= 20
+
+
+@pytest.mark.parametrize("solver,k", [(solve_1ftp, 1), (approx_k, 1), (approx_k, 2),
+                                      (approx_k, 3)])
+def test_no_flow_for_links_the_bound_decides(solver, k, monkeypatch):
+    # A pair whose safe distance is at most the flow link's lower bound
+    # is settled without min_cost_flow.
+    rng = random.Random(97 + k)
+    original = flow.min_cost_flow
+    calls = []
+
+    def recording(net, s, t, amount):
+        calls.append((s, t))
+        return original(net, s, t, amount)
+
+    monkeypatch.setattr(flow, "min_cost_flow", recording)
+    decided = 0
+    for _ in range(40):
+        inst = _general_sized_instance(rng, directed=rng.random() < 0.5).with_budget(k)
+        calls.clear()
+        try:
+            solver(inst)
+        except Infeasible:
+            pass
+        safe = [e.id for e in inst.edges if not e.faulty]
+        for u in {s for s, _ in calls}:
+            safe_d = dijkstra_tree(inst, u, safe)[0]
+            d1 = dijkstra_tree(inst, u, range(len(inst.edges)))[0]
+            for s, v in calls:
+                if s == u:
+                    assert safe_d[v] > _lower_bound(k + 1, d1[v])
+            decided += sum(safe_d[v] <= _lower_bound(k + 1, d1[v])
+                           for v in range(inst.vertex_count) if v != u)
+    # The bound decides many pairs from these sources: the pin has teeth.
+    assert decided >= 100
