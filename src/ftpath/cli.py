@@ -55,6 +55,7 @@ class ParseError(FTPError):
 # Instance documents
 
 INSTANCE_HEADER = "ftp-instance v1"
+_EDGE_CHUNK = 4096
 
 
 def serialize_instance(instance: Instance) -> str:
@@ -74,11 +75,20 @@ def parse_instance(text: str) -> Instance:
     """Parse the native document; unknown or repeated fields are errors."""
     fields: dict[str, str] = {}
     edges: list[tuple[int, int, int, bool]] = []
+    block: list[str] = []
     header = False
     for line in text.splitlines():
+        # Unindented edge lines wait in a block, parsed before the next
+        # line that could raise and at the end, so errors keep their order.
+        if header and line.startswith("edge "):
+            block.append(line)
+            continue
         line = line.strip()
         if not line or line[0] == "#":
             continue
+        if block:
+            _parse_edges(block, edges)
+            block.clear()
         if not header:
             if line != INSTANCE_HEADER:
                 raise ParseError(f"expected '{INSTANCE_HEADER}' header first, "
@@ -86,6 +96,60 @@ def parse_instance(text: str) -> Instance:
             header = True
             continue
         if line.startswith("edge "):
+            _parse_edges([line], edges)
+            continue
+        if ":" not in line:
+            raise ParseError(f"unrecognized line: {line!r}")
+        key, _, value = line.partition(":")
+        key, value = key.strip(), value.strip()
+        if key not in ("directed", "vertices", "s", "t", "k"):
+            raise ParseError(f"unknown field {key!r}")
+        if key in fields:
+            raise ParseError(f"field {key!r} given twice")
+        fields[key] = value
+    if block:
+        _parse_edges(block, edges)
+        block.clear()
+    if not header:
+        raise ParseError(f"missing '{INSTANCE_HEADER}' header")
+    missing = {"directed", "vertices", "s", "t", "k"} - set(fields)
+    if missing:
+        raise ParseError(f"missing fields: {', '.join(sorted(missing))}")
+    if fields["directed"] not in ("true", "false"):
+        raise ParseError("field 'directed' must be true or false")
+    try:
+        return build_instance(fields["directed"] == "true", int(fields["vertices"]),
+                              int(fields["s"]), int(fields["t"]), int(fields["k"]),
+                              edges)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def _parse_edges(lines: list[str], edges: list[tuple[int, int, int, bool]]) -> None:
+    """Append the ``(u, v, w, faulty)`` of lines that each begin ``edge ``."""
+    # A chunk at a time when every line has six words, ``edge``, four ints
+    # and a flag.  Each line's first word is ``edge``, which is neither an
+    # int nor a flag, so the checks hold only when each line starts a new
+    # six.  Chunks bound the words held at once.
+    for start in range(0, len(lines), _EDGE_CHUNK):
+        chunk = lines[start:start + _EDGE_CHUNK]
+        words = " ".join(chunk).split()
+        first = len(edges)
+        if (len(words) == 6 * len(chunk) and words[::6].count("edge") == len(chunk)
+                and set(words[5::6]) <= {"faulty", "safe"}):
+            try:
+                ids, us, vs, ws = (list(map(int, words[i::6])) for i in range(1, 5))
+            except ValueError:
+                pass
+            else:
+                if ids == list(range(first, first + len(chunk))):
+                    edges += zip(us, vs, ws, map("faulty".__eq__, words[5::6]))
+                    continue
+        # Otherwise line by line, which raises at the first bad one.
+        for line in chunk:
+            line = line.strip()
+            if not line.startswith("edge "):
+                raise ParseError(f"unrecognized line: {line!r}")
             parts = line.split()
             if len(parts) != 6:
                 raise ParseError(f"bad edge line: {line!r}")
@@ -100,29 +164,6 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError(f"edge ids must be dense and ordered; got {eid}, "
                                  f"expected {len(edges)}")
             edges.append((u, v, w, flag == "faulty"))
-            continue
-        if ":" not in line:
-            raise ParseError(f"unrecognized line: {line!r}")
-        key, _, value = line.partition(":")
-        key, value = key.strip(), value.strip()
-        if key not in ("directed", "vertices", "s", "t", "k"):
-            raise ParseError(f"unknown field {key!r}")
-        if key in fields:
-            raise ParseError(f"field {key!r} given twice")
-        fields[key] = value
-    if not header:
-        raise ParseError(f"missing '{INSTANCE_HEADER}' header")
-    missing = {"directed", "vertices", "s", "t", "k"} - set(fields)
-    if missing:
-        raise ParseError(f"missing fields: {', '.join(sorted(missing))}")
-    if fields["directed"] not in ("true", "false"):
-        raise ParseError("field 'directed' must be true or false")
-    try:
-        return build_instance(fields["directed"] == "true", int(fields["vertices"]),
-                              int(fields["s"]), int(fields["t"]), int(fields["k"]),
-                              edges)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
 
 
 def parse_dimacs(text: str) -> Instance:
@@ -206,8 +247,10 @@ def serialize_solution(solution: Solution, algorithm: str) -> str:
 def parse_solution(text: str) -> frozenset[int]:
     lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line and not line.startswith("#")]
-    if not lines or lines[0] != SOLUTION_HEADER:
+    if not lines:
         raise ParseError(f"missing '{SOLUTION_HEADER}' header")
+    if lines[0] != SOLUTION_HEADER:
+        raise ParseError(f"expected '{SOLUTION_HEADER}' header first, got {lines[0]!r}")
     edges = None
     for line in lines[1:]:
         key, _, value = line.partition(":")

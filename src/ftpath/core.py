@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -187,11 +188,28 @@ def build_instance(directed: bool, vertex_count: int, s: int, t: int, k: int,
     """Build and validate an instance from ``(u, v, w, faulty)`` tuples.
 
     Edge ids are assigned by position.  Raises a :class:`ValidationError`
-    subclass if the result is malformed.
+    subclass if the result is malformed.  Each :class:`Edge` is made by
+    setting its fields directly, which skips the dataclass ``__init__``
+    but gives an equal object.  When every row is a tuple, whole-column
+    checks of the plain-int case stand in for the per-edge loop of
+    :func:`validate`.
     """
-    built = tuple(Edge(i, u, v, w, bool(f)) for i, (u, v, w, f) in enumerate(edges))
-    inst = Instance(bool(directed), vertex_count, built, s, t, k)
-    validate(inst)
+    rows = edges if type(edges) in (list, tuple) else list(edges)
+    new, put = object.__new__, object.__setattr__
+    built = []
+    for i, (u, v, w, f) in enumerate(rows):
+        e = new(Edge)
+        put(e, "id", i)
+        put(e, "u", u)
+        put(e, "v", v)
+        put(e, "w", w)
+        put(e, "faulty", bool(f))
+        built.append(e)
+    inst = Instance(bool(directed), vertex_count, tuple(built), s, t, k)
+    if rows and set(map(type, rows)) == {tuple}:
+        _validate(inst, [list(map(itemgetter(i), rows)) for i in range(3)])
+    else:
+        validate(inst)
     return inst
 
 
@@ -205,6 +223,13 @@ def validate(instance: Instance) -> None:
         OverflowRisk: a cost or the total cost does not fit in 63 bits.
         BadParameters: ``vertex_count < 1`` or ``k < 0``.
     """
+    _validate(instance, None)
+
+
+def _validate(instance: Instance, columns: list | None) -> None:
+    # ``columns`` holds the u, v and w columns of edges whose ids are
+    # their positions.  If every value there is a plain int in range, the
+    # edges are valid; otherwise the loop finds the first violation.
     if instance.vertex_count < 1:
         raise BadParameters("vertex_count must be at least 1")
     if instance.k < 0:
@@ -212,6 +237,13 @@ def validate(instance: Instance) -> None:
     for name, v in (("s", instance.s), ("t", instance.t)):
         if not isinstance(v, int) or not 0 <= v < instance.vertex_count:
             raise BadEndpoint(f"terminal {name}={v} is not a vertex id")
+    if columns is not None:
+        us, vs, ws = columns
+        if (set(map(type, us)) | set(map(type, vs)) | set(map(type, ws)) == {int}
+                and 0 <= min(us) and 0 <= min(vs) and 0 <= min(ws)
+                and max(max(us), max(vs)) < instance.vertex_count
+                and sum(ws) <= MAX_COST):
+            return
     total = 0
     for pos, e in enumerate(instance.edges):
         if e.id != pos:

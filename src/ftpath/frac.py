@@ -23,6 +23,9 @@ __all__ = ["TooLargeForExactLP", "CapacityVector", "GapReport", "solve_frac",
            "fractional_max_flow", "enumerate_cut_edge_sets"]
 
 DEFAULT_VAR_CAP = 50_000
+# Entries of the dense simplex tableau, each at least a pointer; the
+# largest LP of the tests and the benchmark has about 41,000.
+TABLEAU_CAP = 1_000_000
 MAX_CUT_ENUMERATION = 2**18
 MINIMALITY_FILTER_LIMIT = 4000
 
@@ -102,12 +105,28 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
     cuts = enumerate_cut_edge_sets(instance)
     k = instance.k
     faulty = instance.faulty_ids
+    faulty_of = [[eid for eid in cut if eid in faulty] for cut in cuts]
 
-    num_vars = m
+    # Both caps are checked before any row is built.  A cut with more
+    # than k faulty edges adds a threshold and one overshoot per faulty
+    # edge, each with its row.  Each row is a >= row with a non-negative
+    # right-hand side, so the simplex gives it a slack and an artificial
+    # column; the rhs is last.
+    extra = [len(f) for f in faulty_of if len(f) > k]
+    num_vars = m + len(extra) + sum(extra)
+    if num_vars > var_cap:
+        raise TooLargeForExactLP(f"{num_vars} LP variables exceed the cap of {var_cap}")
+    num_rows = len(cuts) + sum(extra)
+    columns = num_vars + 2 * num_rows + 1
+    if num_rows * columns > TABLEAU_CAP:
+        raise TooLargeForExactLP(
+            f"LP tableau of {num_rows} rows x {columns} columns exceeds "
+            f"the cap of {TABLEAU_CAP} entries")
+
+    next_var = m
     rows: list[tuple[dict[int, Fraction], str, int]] = []
     one = Fraction(1)
-    for cut in cuts:
-        cut_faulty = [eid for eid in cut if eid in faulty]
+    for cut, cut_faulty in zip(cuts, faulty_of):
         if len(cut_faulty) <= k:
             # Every faulty edge of this cut can fail at once.
             survivors = [eid for eid in cut if eid not in faulty]
@@ -115,9 +134,9 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
         else:
             # sum(x over cut) - (k largest faulty x) >= 1, linearized with
             # a threshold theta and overshoot variables z >= x - theta.
-            theta = num_vars
-            z_of = {eid: num_vars + 1 + i for i, eid in enumerate(cut_faulty)}
-            num_vars += 1 + len(cut_faulty)
+            theta = next_var
+            z_of = {eid: next_var + 1 + i for i, eid in enumerate(cut_faulty)}
+            next_var += 1 + len(cut_faulty)
             main: dict[int, Fraction] = {eid: one for eid in cut}
             main[theta] = Fraction(-k)
             for eid in cut_faulty:
@@ -126,8 +145,6 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
             for eid in cut_faulty:
                 rows.append(({z_of[eid]: one, theta: one, eid: -one},
                              simplex.GREATER_EQUAL, 0))
-    if num_vars > var_cap:
-        raise TooLargeForExactLP(f"{num_vars} LP variables exceed the cap of {var_cap}")
 
     objective = {e.id: Fraction(e.w) for e in instance.edges}
     solution, value = simplex.solve_lp(objective, rows, num_vars)

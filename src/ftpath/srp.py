@@ -10,12 +10,11 @@ tree produces, at every node, optimal solutions for *all* budgets
 The reduction writes the tree as flat post-order arrays: leaves are the
 nodes ``0..m-1`` (the edge ids), merged nodes follow in creation order,
 and a child reference is ``index * 2 + flip``.  Parsed expressions and
-given trees become the same arrays.  The table is one loop over them and
-reads no flips: a series combine is symmetric, and a parallel node keeps
-its children in creation order.  Edge sets are nested pairs, flattened
-once at the root, so each combine costs O(k^2) regardless of subtree
-size.  The ``Leaf``/``Series``/``Parallel`` dataclasses are built, in one
-bottom-up pass, only for callers that ask for a tree.
+given trees become the same arrays.  The table is one loop over them that
+reads no flips and keeps cost rows only, plus each parallel node's
+splits, so a combine costs O(k^2); one top-down walk rebuilds the edge
+set of a budget.  The ``Leaf``/``Series``/``Parallel`` dataclasses are
+built only for callers that ask for a tree.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from __future__ import annotations
 import heapq
 import re
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from operator import add
+from typing import NamedTuple, Union
 
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
                    SolverCheckFailed, is_feasible)
@@ -76,18 +76,6 @@ class Parallel:
 DecompositionNode = Union[Leaf, Series, Parallel]
 
 
-def tree_leaves(node: DecompositionNode) -> Iterator[Leaf]:
-    """All leaves, left to right, without recursion."""
-    stack = [node]
-    while stack:
-        cur = stack.pop()
-        if isinstance(cur, Leaf):
-            yield cur
-        else:
-            stack.append(cur.right)
-            stack.append(cur.left)
-
-
 # ---------------------------------------------------------------------------
 # Recognition
 
@@ -119,52 +107,50 @@ def _reduce(instance: Instance) -> _Flat:
     kind, left, right = [_LEAF] * m, [0] * m, [0] * m
     nu = [e.u for e in instance.edges]
     nv = [e.v for e in instance.edges]
-    # Live non-loop nodes by pair key min*n+max and by endpoint.
-    by_pair: dict[int, set[int]] = {}
+    # The live node of each vertex pair (key min*n+max), the edge groups
+    # that share a pair, and the live non-loop nodes at each vertex.
+    by_pair: dict[int, int] = {}
+    groups: dict[int, list[int]] = {}
     incident: list[set[int]] = [set() for _ in range(n)]
     for i, (u, v) in enumerate(zip(nu, nv)):
         if u != v:
-            by_pair.setdefault(u * n + v if u < v else v * n + u, set()).add(i)
+            p = u * n + v if u < v else v * n + u
+            if p in by_pair:
+                groups.setdefault(p, [by_pair[p]]).append(i)
+            by_pair[p] = i
             incident[u].add(i)
             incident[v].add(i)
-    pair_heap = [p for p, group in by_pair.items() if len(group) >= 2]
-    heapq.heapify(pair_heap)
-    # Every contractible vertex has an entry (the list is ascending, so
-    # already a heap); stale entries are skipped.
+    # Parallel edges merge first, smallest pair first.  Merged nodes take
+    # the largest keys, so a group drains in sorted order: merge the two
+    # smallest, append the result.
+    for p in sorted(groups):
+        a, b = divmod(p, n)
+        queue = groups[p]
+        for j in range(0, 2 * len(queue) - 2, 2):
+            c1, c2 = queue[j], queue[j + 1]
+            queue.append(len(kind))
+            kind.append(_PARALLEL)
+            left.append(c1 * 2 + (nu[c1] != a))
+            right.append(c2 * 2 + (nu[c2] != a))
+            nu.append(a)
+            nv.append(b)
+        by_pair[p] = queue[-1]
+        for x in (a, b):
+            incident[x].difference_update(queue)
+            incident[x].add(queue[-1])
+    # Then the smallest contractible vertex, again and again; stale heap
+    # entries are skipped.  A series node that meets a live node of its
+    # pair merges with it at once, so no pair holds two live nodes.
     vert_heap = [x for x in range(n) if len(incident[x]) == 2 and x != s and x != t]
-
-    while True:
-        while pair_heap:
-            p = heapq.heappop(pair_heap)
-            if len(by_pair[p]) < 2:
-                continue
-            # Merged nodes take the largest keys, so the group drains in
-            # sorted order: merge the two smallest, append the result.
-            a, b = divmod(p, n)
-            queue = sorted(by_pair[p])
-            for j in range(0, 2 * len(queue) - 2, 2):
-                c1, c2 = queue[j], queue[j + 1]
-                queue.append(len(kind))
-                kind.append(_PARALLEL)
-                left.append(c1 * 2 + (nu[c1] != a))
-                right.append(c2 * 2 + (nu[c2] != a))
-                nu.append(a)
-                nv.append(b)
-            by_pair[p] = {queue[-1]}
-            for x in (a, b):
-                incident[x].difference_update(queue)
-                incident[x].add(queue[-1])
-                if len(incident[x]) == 2 and x != s and x != t:
-                    heapq.heappush(vert_heap, x)
-        while vert_heap:
-            x = heapq.heappop(vert_heap)
-            if len(incident[x]) == 2:
-                break
-        else:
-            break
+    while vert_heap:
+        x = heapq.heappop(vert_heap)
+        if len(incident[x]) != 2:
+            continue
         # No later node joins x, so its two pairs need no update; the
         # cleared set turns its stale heap entries away.
-        c1, c2 = sorted(incident[x])
+        c1, c2 = incident[x]
+        if c1 > c2:
+            c1, c2 = c2, c1
         incident[x].clear()
         a = nv[c1] if nu[c1] == x else nu[c1]
         b = nv[c2] if nu[c2] == x else nu[c2]
@@ -175,25 +161,30 @@ def _reduce(instance: Instance) -> _Flat:
         nu.append(a)
         nv.append(b)
         # a != b: two nodes joining x to one vertex would have merged.
-        # The sizes at a and b do not change, so neither needs a push.
-        incident[a].discard(c1)
-        incident[a].add(node)
-        incident[b].discard(c2)
-        incident[b].add(node)
         p = a * n + b if a < b else b * n + a
-        group = by_pair.setdefault(p, set())
-        group.add(node)
-        if len(group) >= 2:
-            heapq.heappush(pair_heap, p)
+        other = by_pair.get(p)
+        if other is not None:
+            low = p // n
+            kind.append(_PARALLEL)
+            left.append(other * 2 + (nu[other] != low))
+            right.append(node * 2 + (a != low))
+            nu.append(low)
+            nv.append(p - low * n)
+        by_pair[p] = top = len(kind) - 1
+        for y, c in ((a, c1), (b, c2)):
+            at = incident[y]
+            at.discard(c)
+            at.discard(other)
+            at.add(top)
+            # Only a merge changes the sizes at a and b.
+            if other is not None and len(at) == 2 and y != s and y != t:
+                heapq.heappush(vert_heap, y)
 
-    if len(kind) != 2 * m - 1:
-        raise NotSeriesParallel(
-            f"reduction stuck with {2 * m - len(kind)} edges left",
-            _remainder(m, left, right, nu, nv))
     u, v = nu[-1], nv[-1]
-    if {u, v} != {s, t}:
+    if len(kind) != 2 * m - 1 or {u, v} != {s, t}:
         raise NotSeriesParallel(
-            f"graph reduces to a single {u}-{v} edge, not to the terminals",
+            f"reduction stuck with {2 * m - len(kind)} edges left" if len(kind) != 2 * m - 1
+            else f"graph reduces to a single {u}-{v} edge, not to the terminals",
             _remainder(m, left, right, nu, nv))
     return _Flat(kind, left, right, int(u != s))
 
@@ -288,43 +279,31 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
 
     # Post-order arrays as in the reduction, with unflipped children.
     # Open compositions are [kind, left-or-None] frames, so expressions
-    # may nest arbitrarily deep without recursion.
+    # may nest arbitrarily deep without recursion.  ``done`` is the last
+    # finished value, or None while a value is expected.
     m = len(instance.edges)
     kind, left, right = [_LEAF] * m, [0] * m, [0] * m
     leaf_ids: list[int] = []
     frames: list[list] = []
     done: int | None = None
-    expect_value = True
     for tok in tokens:
-        if expect_value:
-            if tok.startswith("e"):
-                value = int(tok[1:])
-                leaf_ids.append(value)
-            elif tok in ("S(", "P("):
-                frames.append([_SERIES if tok == "S(" else _PARALLEL, None])
-                continue
-            else:
-                raise TreeMismatch(f"unexpected token {tok!r}")
-        elif tok == ",":
-            if not frames or frames[-1][1] is not None or done is None:
-                raise TreeMismatch("unexpected ','")
-            frames[-1][1] = done
-            done = None
-            expect_value = True
-            continue
-        elif tok == ")":
-            if not frames or frames[-1][1] is None or done is None:
-                raise TreeMismatch("unexpected ')'")
+        if done is None and tok[0] == "e":
+            done = int(tok[1:])
+            leaf_ids.append(done)
+        elif done is None and tok in ("S(", "P("):
+            frames.append([_SERIES if tok == "S(" else _PARALLEL, None])
+        elif done is not None and tok == "," and frames and frames[-1][1] is None:
+            frames[-1][1], done = done, None
+        elif done is not None and tok == ")" and frames and frames[-1][1] is not None:
             node_kind, first = frames.pop()
             kind.append(node_kind)
             left.append(first * 2)
             right.append(done * 2)
-            value = len(kind) - 1
+            done = len(kind) - 1
         else:
-            raise TreeMismatch(f"unexpected token {tok!r}")
-        done = value
-        expect_value = False
-    if frames or done is None or expect_value:
+            raise TreeMismatch(f"unexpected {tok!r}" if done is not None and tok in ",)"
+                               else f"unexpected token {tok!r}")
+    if frames or done is None:
         raise TreeMismatch("unterminated decomposition expression")
     for eid in leaf_ids:
         if eid >= m:
@@ -362,20 +341,16 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
 def format_decomposition(node: DecompositionNode) -> str:
     """Inverse of :func:`parse_decomposition` (modulo whitespace)."""
     parts: list[str] = []
-    stack: list = [(node, False)]
+    stack: list = [node]
     while stack:
-        item, emitted = stack.pop()
+        item = stack.pop()
         if isinstance(item, str):
             parts.append(item)
-            continue
-        if isinstance(item, Leaf):
+        elif isinstance(item, Leaf):
             parts.append(f"e{item.edge}")
         else:
             parts.append("S(" if isinstance(item, Series) else "P(")
-            stack.append((")", False))
-            stack.append((item.right, False))
-            stack.append((",", False))
-            stack.append((item.left, False))
+            stack += (")", item.right, ",", item.left)
     return "".join(parts)
 
 
@@ -449,51 +424,73 @@ def _flatten_tree(instance: Instance, tree: DecompositionNode) -> _Flat:
 _INF = float("inf")
 
 
-def _table(instance: Instance, flat: _Flat) -> SolutionTable:
+def _costs(instance: Instance, flat: _Flat) -> tuple[list, list]:
     # Entry j of a node is budget j-1; entry 0 is the empty choice (cost
     # 0) a parallel side may take, so a parallel node is the min-plus
-    # convolution of its children (first split wins ties) and a series
-    # node their sum.  _INF marks an infeasible entry.
+    # convolution of its children and a series node their sum; _INF marks
+    # an infeasible entry.  Returns the root's costs and each parallel
+    # node's splits: per entry, the first left-child entry that attains it.
     width = instance.k + 2
-    costs: list = []
-    sets: list = []
-    for e in instance.edges:
-        costs.append([0, e.w] + [_INF if e.faulty else e.w] * (width - 2))
-        sets.append([None] + [e.id] * (width - 1))
+    # Leaves of one weight and kind share a row, as no row is changed; a
+    # faulty leaf's key is ~w.
+    keys = [~e.w if e.faulty else e.w for e in instance.edges]
+    rows = {key: [0, ~key] + [_INF] * (width - 2) if key < 0 else [0] + [key] * (width - 1)
+            for key in set(keys)}
+    costs: list = list(map(rows.__getitem__, keys))
     kind, left, right = flat.kind, flat.left, flat.right
+    splits: list = [None] * len(kind)
     budgets = range(1, width)
     for i in range(len(costs), len(kind)):
         a, b = left[i] >> 1, right[i] >> 1
-        ca, cb, sa, sb = costs[a], costs[b], sets[a], sets[b]
-        costs[a] = costs[b] = sets[a] = sets[b] = None
+        ca, cb = costs[a], costs[b]
+        costs[a] = costs[b] = None
         if kind[i] == _SERIES:
-            costs.append([x + y for x, y in zip(ca, cb)])
-            sets.append([None] + [(sa[j], sb[j]) for j in budgets])
+            costs.append(list(map(add, ca, cb)))
             continue
-        cost, chosen = [0], [None]
+        cost, split = [0], [0]
         for j in budgets:
-            best, split = _INF, 0
-            for x in range(j + 1):
-                if ca[x] + cb[j - x] < best:
-                    best, split = ca[x] + cb[j - x], x
+            best, x = cb[j], 0
+            for y in range(1, j + 1):
+                c = ca[y] + cb[j - y]
+                if c < best:
+                    best, x = c, y
             cost.append(best)
-            chosen.append((sa[split], sb[j - split]))
+            split.append(x)
         costs.append(cost)
-        sets.append(chosen)
-    cost, chosen = costs[-1], sets[-1]
-    return SolutionTable(tuple(None if cost[j] == _INF
-                               else (_edge_set(chosen[j]), cost[j]) for j in budgets))
+        splits[i] = split
+    return costs[-1], splits
 
 
-def _edge_set(nested: object) -> frozenset[int]:
-    ids, stack = [], [nested]
+def _entry(instance: Instance, flat: _Flat, cost: list, splits: list,
+           j: int) -> tuple[frozenset[int], int] | None:
+    # The root's entry j, its edge set found top-down: a series node
+    # passes its entry to both children, a parallel node splits it.
+    if cost[j] == _INF:
+        return None
+    edges, left, right = instance.edges, flat.left, flat.right
+    ids, total = [], 0
+    stack = [(len(flat.kind) - 1, j)]
     while stack:
-        item = stack.pop()
-        if type(item) is tuple:
-            stack += item
-        elif item is not None:
-            ids.append(item)
-    return frozenset(ids)
+        i, b = stack.pop()
+        if i < len(edges):
+            ids.append(i)
+            total += edges[i].w
+            continue
+        split = splits[i]
+        x, y = (b, b) if split is None else (split[b], b - split[b])
+        if x:
+            stack.append((left[i] >> 1, x))
+        if y:
+            stack.append((right[i] >> 1, y))
+    if total != cost[j]:
+        raise SolverCheckFailed(f"srp edge set weighs {total}, its table entry {cost[j]}")
+    return frozenset(ids), total
+
+
+def _table(instance: Instance, flat: _Flat) -> SolutionTable:
+    cost, splits = _costs(instance, flat)
+    return SolutionTable(tuple(_entry(instance, flat, cost, splits, j)
+                               for j in range(1, len(cost))))
 
 
 def solve_ftp_srp(instance: Instance, tree: DecompositionNode) -> SolutionTable:
@@ -509,7 +506,10 @@ def solve_srp(instance: Instance, tree: DecompositionNode | None = None) -> Solu
     """Solve at the full budget over ``tree``, else over the reduction (which
     raises :class:`NotSeriesParallel` when the graph does not reduce)."""
     flat = _reduce(instance) if tree is None else _flatten_tree(instance, tree)
-    solution = _table(instance, flat).solution(instance.k)
+    entry = _entry(instance, flat, *_costs(instance, flat), instance.k + 1)
+    if entry is None:
+        raise Infeasible(f"no solution survives {instance.k} failures")
+    solution = Solution(entry[0], entry[1], OPTIMAL)
     if not is_feasible(instance, solution.edges):
         raise SolverCheckFailed("srp returned an infeasible edge set")
     return solution

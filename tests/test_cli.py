@@ -467,14 +467,57 @@ MALFORMED = [
     ("dimacs", _P + "n s 1\na 1 2 1 1\n", "missing p/n lines"),
     ("dimacs", _NST.replace(" 1 0 ", " 2 0 ") + "a 1 2 1 1\n",
      "problem line promises 2 edges, got 1"),
-    ("solution", "edges: 0\n", "missing 'ftp-solution v1' header"),
+    ("solution", "edges: 0\n", "expected 'ftp-solution v1' header first, got 'edges: 0'"),
     ("solution", "ftp-solution v1\ncolor: red\nedges: 0\n", "unknown field 'color'"),
     ("solution", "ftp-solution v1\nedges: 0\nedges: 1\n", "field 'edges' given twice"),
     ("solution", "ftp-solution v1\nedges: 0 x\n", "bad edge list: '0 x'"),
     ("solution", "# comment\n\nftp-solution v1\nstatus: optimal\n",
      "solution document has no 'edges' field"),
     ("native", "\n# only comments\n  # and blanks\n\n", "missing 'ftp-instance v1' header"),
+    ("solution", "# comment\n  edges: 0\nftp-solution v1\nedges: 0\n",
+     "expected 'ftp-solution v1' header first, got 'edges: 0'"),
+    ("solution", "\n# only comments\n  # and blanks\n\n", "missing 'ftp-solution v1' header"),
+    ("native", _HEAD + "edge 0 0 1 1 safe\nedge \nedge 1 0 1 1 safe\n",
+     "unrecognized line: 'edge'"),
+    ("native", _HEAD + "edge 0 0 1 1 safe\nedge\t1 0 1 1 safe\n",
+     "unrecognized line: 'edge\\t1 0 1 1 safe'"),
+    ("native", _HEAD + "edge 0 0 1 1 safe\nedge 1 0 1 x safe\nstray\n",
+     "bad edge numbers: 'edge 1 0 1 x safe'"),
+    ("native", _HEAD + "edge 0 0 1 1 safe\nstray\nedge 1 0 1 x safe\n",
+     "unrecognized line: 'stray'"),
+    ("native", _HEAD + "edge 0 0 1 1 safe\nedge 1 0 1 1 safe extra  \n",
+     "bad edge line: 'edge 1 0 1 1 safe extra'"),
+    ("native", _HEAD + "edge 0 0 1 1 safe\n edge 2 0 1 1 safe\n",
+     "edge ids must be dense and ordered; got 2, expected 1"),
 ]
+
+
+def test_edge_lines_parse_alike_in_any_layout():
+    inst = build_instance(False, 3, 0, 2, 1,
+                          [(0, 1, 1, True), (1, 2, 0, False), (0, 2, 5, True)])
+    text = serialize_instance(inst)
+    head, _, rest = text.partition("edge 0")
+    rest = "edge 0" + rest
+    layouts = [
+        head.replace("k: 1\n", "") + rest + "k: 1\n",
+        head + "".join(f"  {line} \t\n" for line in rest.splitlines()),
+        head + rest.replace(" ", "  "),
+        head + rest.replace("\n", "\n# note\n\n", 1),
+        head + rest.replace("edge 1 1 2 0", "edge +1 1 2 00"),
+    ]
+    for layout in layouts:
+        assert parse_instance(layout) == inst
+
+
+def test_edge_runs_parse_in_chunks(monkeypatch):
+    monkeypatch.setattr(cli, "_EDGE_CHUNK", 2)
+    inst = build_instance(False, 3, 0, 2, 1, [(0, 1, 1, True), (1, 2, 0, False),
+                                              (0, 2, 5, True), (0, 1, 2, False),
+                                              (1, 2, 3, True)])
+    text = serialize_instance(inst)
+    assert parse_instance(text) == inst
+    with pytest.raises(ParseError, match="^edge ids must be dense and ordered; got 5, expected 4$"):
+        parse_instance(text.replace("edge 4 ", "edge 5 ") + "stray\n")
 
 
 @pytest.mark.parametrize("kind, text, message", MALFORMED,

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import pathlib
 import random
 
@@ -48,6 +49,53 @@ def test_validate_bad_terminals_and_budget():
         build_instance(False, 2, 0, 5, 0, [(0, 1, 1, False)])
     with pytest.raises(BadParameters):
         build_instance(False, 2, 0, 1, -1, [(0, 1, 1, False)])
+
+
+def test_built_edges_are_frozen_dataclasses():
+    inst = build_instance(False, 3, 0, 2, 1, [(0, 1, 2, 1), (1, 2, 0, 0)])
+    edge = inst.edges[0]
+    assert type(edge) is Edge
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        edge.w = 5
+    assert [(f.name, f.type) for f in dataclasses.fields(edge)] == [
+        ("id", "int"), ("u", "int"), ("v", "int"), ("w", "int"), ("faulty", "bool")]
+    assert edge != (0, 0, 1, 2, True)
+    assert edge == Edge(0, 0, 1, 2, True)
+    assert hash(edge) == hash(Edge(0, 0, 1, 2, True))
+    assert vars(edge) == vars(Edge(0, 0, 1, 2, True))
+    assert inst.edges[1] == Edge(1, 1, 2, 0, False) and inst.edges[1].faulty is False
+
+
+# Rows whose first violation the whole-column check must leave to the
+# per-edge loop, in order.
+BAD_ROWS = [
+    ([(0, 1, 1, False), (0, 3, -1, False)], BadEndpoint, "edge 1 endpoint 3 is not a vertex id"),
+    ([(0, 1, -1, False), (0, 3, 1, False)], NegativeWeight, "edge 0 has cost -1"),
+    ([(0, 1, 2**62, False), (0, 1, 2**62, False), (0, 1, -1, False)], OverflowRisk,
+     "running cost total overflows 63 bits at edge 1"),
+    ([(0, 1, 1, False), (0, 1, True, False)], NegativeWeight, "edge 1 has cost True"),
+    ([(0, 1, 1, False), (0, 1, 1.0, False)], NegativeWeight, "edge 1 has cost 1.0"),
+    ([(0, 1, 1, False), ("0", 1, 1, False)], BadEndpoint, "edge 1 endpoint 0 is not a vertex id"),
+    ([(0, -1, 1, False)], BadEndpoint, "edge 0 endpoint -1 is not a vertex id"),
+    ([(0, 1, 2**63, False)], OverflowRisk, "edge 0 cost 9223372036854775808 exceeds 63 bits"),
+]
+
+
+@pytest.mark.parametrize("rows, error, message", BAD_ROWS)
+def test_build_reports_the_first_violation(rows, error, message):
+    for given in (rows, [list(row) for row in rows]):
+        with pytest.raises(error) as caught:
+            build_instance(False, 3, 0, 2, 1, given)
+        assert str(caught.value) == message
+
+
+def test_build_accepts_what_validate_accepts():
+    # Bool endpoints are ints to validate; the column check passes them on.
+    inst = build_instance(False, 3, 0, 2, 1, [(False, True, 0, 1), (1, 2, 2**62, 0)])
+    assert inst.edges[0] == Edge(0, 0, 1, 0, True)
+    assert build_instance(False, 1, 0, 0, 0, []).edges == ()
+    with pytest.raises(BadParameters):
+        build_instance(False, 0, 0, 0, 0, [(0, 5, 1, False)])
 
 
 def test_is_feasible_gap_family_pairs():

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from ftpath import frac
 from ftpath.core import BadParameters, Infeasible, build_instance, enumerate_scenarios
 from ftpath.frac import (TooLargeForExactLP, fractional_max_flow, gap_family,
                          gap_report, rounding_vector, solve_frac,
@@ -366,3 +367,28 @@ def test_infeasible_instance():
 def test_var_cap():
     with pytest.raises(TooLargeForExactLP):
         solve_frac(gap_family(30, 2), var_cap=20)
+
+
+def test_tableau_cap_names_the_size(monkeypatch):
+    # gap_family(30, 2): one cut of 30 faulty edges, so 31 rows and 61
+    # variables, and 31 x (61 + 62 + 1) tableau entries.
+    monkeypatch.setattr(frac, "TABLEAU_CAP", 3843)
+    with pytest.raises(TooLargeForExactLP,
+                       match=r"^LP tableau of 31 rows x 124 columns exceeds the cap of 3843 "):
+        solve_frac(gap_family(30, 2))
+    monkeypatch.setattr(frac, "TABLEAU_CAP", 3844)
+    assert solve_frac(gap_family(30, 2)).value == Fraction(15, 14)
+
+
+def test_tableau_cap_stops_a_valid_document_before_the_simplex(tmp_path, capsys):
+    # Under the variable cap, this document's LP would need a dense
+    # tableau of 3.6e9 entries, which exhausted memory.
+    from ftpath.cli import main
+    out = tmp_path / "gen"
+    assert main(["gen", "--kind", "srp", "--seed", "4", "--edges", "30", "--k", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    code = main(["solve", str(out / "srp_003.ftp"), "--algorithm", "frac"])
+    assert (code, capsys.readouterr().err) == (
+        4, "caps exceeded: LP tableau of 34736 rows x 104199 columns exceeds "
+           "the cap of 1000000 entries\n")

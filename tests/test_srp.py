@@ -2,17 +2,28 @@ import random
 
 import pytest
 
-from ftpath.core import build_instance, is_feasible
+from ftpath.core import (Infeasible, Solution, SolverCheckFailed, build_instance,
+                         is_feasible)
 from ftpath.frac import gap_family
 from ftpath.oracle import brute_force_opt
 from ftpath.shortest import shortest_path_solution
 from ftpath import srp
 from ftpath.srp import (Leaf, NotSeriesParallel, Parallel, Series,
                         TreeMismatch, decompose_srp, format_decomposition,
-                        parse_decomposition, solve_ftp_srp, solve_srp,
-                        tree_leaves)
+                        parse_decomposition, solve_ftp_srp, solve_srp)
 
 from conftest import random_srp_instance
+
+
+def tree_leaves(node):
+    """All leaves, left to right, without recursion."""
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if isinstance(cur, Leaf):
+            yield cur
+        else:
+            stack += (cur.right, cur.left)
 
 
 def test_single_edge_is_leaf():
@@ -305,3 +316,83 @@ def test_deep_chain_is_iterative_safe():
     table = solve_ftp_srp(inst, tree)
     assert table.cost(1) == n
     assert len(table.entries[1][0]) == n
+
+
+def _nested_pair_table(instance, flat):
+    # The table as it was first written: every entry carries its edge set
+    # as nested pairs, flattened at the root.  A reference for the table
+    # of costs and splits.
+    width = instance.k + 2
+    inf = float("inf")
+    costs, sets = [], []
+    for e in instance.edges:
+        costs.append([0, e.w] + [inf if e.faulty else e.w] * (width - 2))
+        sets.append([None] + [e.id] * (width - 1))
+    for i in range(len(costs), len(flat.kind)):
+        ca, cb = costs[flat.left[i] >> 1], costs[flat.right[i] >> 1]
+        sa, sb = sets[flat.left[i] >> 1], sets[flat.right[i] >> 1]
+        if flat.kind[i] == srp._SERIES:
+            costs.append([x + y for x, y in zip(ca, cb)])
+            sets.append([None] + [(sa[j], sb[j]) for j in range(1, width)])
+            continue
+        cost, chosen = [0], [None]
+        for j in range(1, width):
+            best, split = inf, 0
+            for x in range(j + 1):
+                if ca[x] + cb[j - x] < best:
+                    best, split = ca[x] + cb[j - x], x
+            cost.append(best)
+            chosen.append((sa[split], sb[j - split]))
+        costs.append(cost)
+        sets.append(chosen)
+    entries = []
+    for j in range(1, width):
+        if costs[-1][j] == inf:
+            entries.append(None)
+            continue
+        ids, stack = [], [sets[-1][j]]
+        while stack:
+            item = stack.pop()
+            if type(item) is tuple:
+                stack += item
+            elif item is not None:
+                ids.append(item)
+        entries.append((frozenset(ids), costs[-1][j]))
+    return tuple(entries)
+
+
+def test_split_table_matches_nested_pairs():
+    rng = random.Random(211)
+    for _ in range(300):
+        k = rng.randint(0, 3)
+        inst = random_srp_instance(rng, leaves=rng.randint(1, 40), k=k,
+                                   max_w=rng.choice([0, 1, 2, 10]),
+                                   faulty_prob=rng.choice([0.2, 0.55, 0.9]))
+        flat = srp._reduce(inst)
+        reference = _nested_pair_table(inst, flat)
+        assert srp._table(inst, flat).entries == reference
+        assert solve_ftp_srp(inst, decompose_srp(inst)).entries == reference
+        if reference[k] is None:
+            with pytest.raises(Infeasible, match=f"no solution survives {k} failures"):
+                solve_srp(inst)
+        else:
+            assert solve_srp(inst) == Solution(*reference[k])
+
+
+def test_corrupted_split_fails_the_check(monkeypatch):
+    # P(e0, e1) at k = 0: the left child, e0 of weight 1, carries the unit.
+    inst = build_instance(False, 2, 0, 1, 0, [(0, 1, 1, False), (0, 1, 5, False)])
+    real = srp._costs
+
+    def corrupted(instance, flat):
+        cost, splits = real(instance, flat)
+        assert splits[-1][1] == 1
+        splits[-1][1] = 0
+        return cost, splits
+
+    assert solve_srp(inst).edges == {0}
+    monkeypatch.setattr(srp, "_costs", corrupted)
+    with pytest.raises(SolverCheckFailed, match="weighs 5, its table entry 1"):
+        solve_srp(inst)
+    with pytest.raises(SolverCheckFailed):
+        solve_ftp_srp(inst, decompose_srp(inst))
