@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from . import flow
 from .bipath import WrongBudget, _Links, _support
 from .core import (FTPError, Infeasible, Instance, Solution, RATIO_BOUNDED,
-                   SolverCheckFailed, is_feasible)
+                   SolverCheckFailed, adjacency, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
 from .shortest import (INF, dijkstra_tree, meta_shortest_path,
                        safe_subgraph_distances)
@@ -185,17 +185,15 @@ def segment_decomposition(instance: Instance, solution) -> SegmentDecomposition:
     position = {v: i for i, v in enumerate(ordered)}
     # Blocks: expand from each cut vertex, stopping at cut vertices;
     # interior vertices of a block all sit between the same pair.
-    touch: dict[int, list[tuple[int, int]]] = {}
-    for eid in sorted(ids):
-        e = instance.edges[eid]
-        touch.setdefault(e.u, []).append((e.v, eid))
-        touch.setdefault(e.v, []).append((e.u, eid))
+    touch = adjacency(instance, ids)
+    if instance.directed:  # an arc touches both its ends
+        touch = [a + b for a, b in zip(touch, adjacency(instance, ids, reverse=True))]
     block: dict[int, int] = {}
     for i, a in enumerate(ordered[:-1]):
         stack = [a]
         while stack:
             u = stack.pop()
-            for v, _eid in touch.get(u, ()):
+            for v, _, _ in touch[u]:
                 if v not in cuts and v not in block:
                     block[v] = i
                     stack.append(v)

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from . import flow
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
-                   SolverCheckFailed, is_feasible)
+                   SolverCheckFailed, adjacency, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
-from .shortest import (INF, _adjacency, _shortest_tree, meta_shortest_path,
-                       path_edges, safe_subgraph_distances)
+from .shortest import (INF, _shortest_tree, meta_shortest_path, path_edges,
+                       safe_subgraph_distances)
 
 __all__ = ["WrongBudget", "LinkLengths", "link_lengths", "solve_1ftp"]
 
@@ -89,9 +89,8 @@ class _Links:
     def __init__(self, instance: Instance, safe_cap: int, units: int, weight):
         self.instance, self.units, self.weight = instance, units, weight
         self.net = flow.edge_network(instance, safe_cap)
-        self.safe_adj = _adjacency(instance, [e.id for e in instance.edges
-                                              if not e.faulty])
-        self.all_adj = _adjacency(instance, range(len(instance.edges)))
+        self.safe_adj = adjacency(instance, [e.id for e in instance.edges if not e.faulty])
+        self.all_adj = adjacency(instance)
         self.trees: dict[int, tuple[list, list, list]] = {}  # u -> (dist, via, d1)
         self.entries: dict[tuple[int, int], tuple] = {}
 

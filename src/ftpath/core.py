@@ -330,25 +330,23 @@ def enumerate_scenarios(instance: Instance,
 
 
 def adjacency(instance: Instance, edge_ids: Iterable[int] | None = None,
-              reverse: bool = False) -> list[list[tuple[int, Edge]]]:
-    """Adjacency lists ``vertex -> [(neighbor, edge), ...]`` in edge-id order.
+              reverse: bool = False) -> list[list[tuple[int, int, int]]]:
+    """Neighbour lists ``vertex -> [(neighbour, weight, edge id), ...]``.
 
-    Undirected edges appear from both endpoints.  ``reverse`` flips
-    directed arcs (useful for backward searches); self-loops are kept.
+    Lists follow edge-id order and skip self-loops.  An undirected edge
+    appears from both ends; ``reverse`` flips directed arcs (for backward
+    searches).
     """
-    ids = sorted(edge_ids) if edge_ids is not None else range(len(instance.edges))
-    adj: list[list[tuple[int, Edge]]] = [[] for _ in range(instance.vertex_count)]
+    edges, directed = instance.edges, instance.directed
+    ids = range(len(edges)) if edge_ids is None else sorted(edge_ids)
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(instance.vertex_count)]
     for eid in ids:
-        e = instance.edges[eid]
-        if instance.directed:
-            if reverse:
-                adj[e.v].append((e.u, e))
-            else:
-                adj[e.u].append((e.v, e))
-        else:
-            adj[e.u].append((e.v, e))
-            if e.u != e.v:
-                adj[e.v].append((e.u, e))
+        e = edges[eid]
+        u, v = (e.v, e.u) if reverse and directed else (e.u, e.v)
+        if u != v:
+            adj[u].append((v, e.w, eid))
+            if not directed:
+                adj[v].append((u, e.w, eid))
     return adj
 
 
@@ -361,7 +359,7 @@ def reachable(instance: Instance, source: int,
     stack = [source]
     while stack:
         u = stack.pop()
-        for v, _ in adj[u]:
+        for v, _, _ in adj[u]:
             if v not in seen:
                 seen.add(v)
                 stack.append(v)

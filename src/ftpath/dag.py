@@ -13,13 +13,15 @@ set (:func:`link_cost`), mapped back through edge origins.
 
 from __future__ import annotations
 
+import heapq
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, groupby
 
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
-                   SolverCheckFailed, build_instance, is_feasible, reachable)
+                   SolverCheckFailed, adjacency, build_instance, is_feasible, reachable)
 
 __all__ = ["NotADag", "ConfigurationSpaceTooLarge", "LayeredEdge",
            "LayeredInstance", "Configuration", "Link", "layerize",
@@ -118,23 +120,20 @@ class Link:
     realizing: frozenset[int]  # layered edge ids
 
 
-def _find_cycle(instance: Instance, order_pos: dict[int, int]) -> tuple[int, ...]:
-    # DFS over vertices that could not be topologically ordered.
-    adj: dict[int, list[int]] = {}
-    for e in instance.edges:
-        if e.u not in order_pos and e.v not in order_pos and e.u != e.v:
-            adj.setdefault(e.u, []).append(e.v)
-    for lst in adj.values():
-        lst.sort()
+def _find_cycle(adj: list, ordered: set[int]) -> tuple[int, ...]:
+    # DFS over the vertices Kahn's algorithm could not order (their heads
+    # are unordered too), neighbours ascending, repeated for parallel arcs.
+    heads = {u: sorted(v for v, _, _ in adj[u])
+             for u in range(len(adj)) if u not in ordered and adj[u]}
     # Explicit stack: the path holds the open vertices (state 1), and
     # each keeps an iterator over its remaining neighbours.
     state: dict[int, int] = {}
-    for root in sorted(adj):
+    for root in heads:
         if state.get(root, 0):
             continue
         state[root] = 1
         path = [root]
-        pending = [iter(adj[root])]
+        pending = [iter(heads[root])]
         while pending:
             for v in pending[-1]:
                 seen = state.get(v, 0)
@@ -143,7 +142,7 @@ def _find_cycle(instance: Instance, order_pos: dict[int, int]) -> tuple[int, ...
                 if not seen:
                     state[v] = 1
                     path.append(v)
-                    pending.append(iter(adj.get(v, ())))
+                    pending.append(iter(heads.get(v, ())))
                     break
             else:
                 state[path.pop()] = 2
@@ -151,32 +150,25 @@ def _find_cycle(instance: Instance, order_pos: dict[int, int]) -> tuple[int, ...
     raise AssertionError("no cycle found in a non-sortable graph")
 
 
-def _topological_order(instance: Instance) -> list[int]:
-    # Self-loops are skipped: they carry no s-t connectivity and never
-    # appear in minimal solutions, so they do not disqualify a DAG.
-    n = instance.vertex_count
-    indeg = [0] * n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e in instance.edges:
-        if e.u == e.v:
-            continue
-        indeg[e.v] += 1
-        adj[e.u].append(e.v)
-    import heapq
-    ready = [v for v in range(n) if indeg[v] == 0]
+def _topological_order(adj: list) -> list[int]:
+    # Kahn's algorithm, smallest ready vertex first, over core.adjacency
+    # lists.  Those skip self-loops: they carry no s-t connectivity and
+    # never appear in minimal solutions, so they do not disqualify a DAG.
+    n = len(adj)
+    indeg = Counter(v for out in adj for v, _, _ in out)
+    ready = [v for v in range(n) if not indeg[v]]
     heapq.heapify(ready)
     order = []
     while ready:
         u = heapq.heappop(ready)
         order.append(u)
-        for v in adj[u]:
+        for v, _, _ in adj[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 heapq.heappush(ready, v)
     if len(order) < n:
-        pos = {v: i for i, v in enumerate(order)}
-        cycle = _find_cycle(instance, pos)
-        raise NotADag("graph contains a directed cycle", cycle=cycle)
+        raise NotADag("graph contains a directed cycle",
+                      cycle=_find_cycle(adj, set(order)))
     return order
 
 
@@ -195,33 +187,32 @@ def layerize(instance: Instance) -> LayeredInstance:
     """
     if not instance.directed:
         raise NotADag("instance is undirected")
-    order = _topological_order(instance)
-    if instance.s == instance.t:
+    adj = adjacency(instance)
+    order = _topological_order(adj)
+    s, t = instance.s, instance.t
+    if s == t:
         return LayeredInstance(instance, ((0,),), ())
-    forward = reachable(instance, instance.s)
-    backward = reachable(instance, instance.t, reverse=True)
-    relevant = forward & backward
-    if instance.t not in relevant or instance.s not in relevant:
+    # Longest-path depths from s in linear time.  The predecessors that s
+    # reaches of a vertex on an s-t path lie on one too, so its depth is
+    # the same over the relevant vertices alone.
+    depth = {s: 0}
+    for v in order:
+        if v in depth:
+            for w, _, _ in adj[v]:
+                depth[w] = max(depth.get(w, 0), depth[v] + 1)
+    relevant = depth.keys() & reachable(instance, t, reverse=True)
+    if t not in relevant:
         # No s-t path at all; a two-layer shell with no edges.
         return LayeredInstance(instance, ((0,), (1,)), ())
     kept = [v for v in order if v in relevant]
     kept_edges = [e for e in instance.edges
                   if e.u in relevant and e.v in relevant and e.u != e.v]
-    heads: dict[int, list[int]] = {v: [] for v in kept}
-    for e in kept_edges:
-        heads[e.u].append(e.v)
-    depth: dict[int, int] = dict.fromkeys(kept, 0)
-    for v in kept:  # topological order: longest-path depths, in linear time
-        for w in heads[v]:
-            depth[w] = max(depth[w], depth[v] + 1)
-    r = depth[instance.t] + 1
-    next_vertex = 0
+    r = depth[t] + 1
     layer_members: list[list[int]] = [[] for _ in range(r)]
-    vertex_of: dict[int, int] = {}
+    vertex_of = {v: i for i, v in enumerate(kept)}
     for v in kept:
-        vertex_of[v] = next_vertex
-        layer_members[depth[v]].append(next_vertex)
-        next_vertex += 1
+        layer_members[depth[v]].append(vertex_of[v])
+    next_vertex = len(kept)
     edges: list[LayeredEdge] = []
     for e in kept_edges:
         i, j = depth[e.u], depth[e.v]
@@ -235,8 +226,7 @@ def layerize(instance: Instance) -> LayeredInstance:
             edges.append(LayeredEdge(
                 id=len(edges), layer=i + step, tail=a, head=b,
                 w=e.w if step == 0 else 0, faulty=e.faulty, origin=e.id))
-    if (layer_members[0] != [vertex_of[instance.s]]
-            or layer_members[r - 1] != [vertex_of[instance.t]]):
+    if layer_members[0] != [vertex_of[s]] or layer_members[r - 1] != [vertex_of[t]]:
         raise SolverCheckFailed("layerize did not put s alone in the first "
                                 "layer and t alone in the last")
     return LayeredInstance(instance,
@@ -371,9 +361,12 @@ def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solutio
     """
     layered = layerize(instance)
     k = instance.k
+    # Splitting one tail's k + 1 units builds about (k + 1)(k + 2) / 2 spread
+    # entries; past the default cap (or a larger given one) they refuse k.
     total_configs = configuration_count(layered, k)
-    if total_configs > cap:
-        raise ConfigurationSpaceTooLarge(total_configs, cap)
+    entries = (k + 1) * (k + 2) // 2
+    if total_configs > cap or entries > max(cap, DEFAULT_CONFIG_CAP):
+        raise ConfigurationSpaceTooLarge(total_configs if total_configs > cap else entries, cap)
     if instance.s == instance.t:
         return Solution(frozenset(), 0, OPTIMAL)
     if not layered.edges:

@@ -268,12 +268,13 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
     ``B`` compare flow vectors exactly like a lexicographic comparison.
     That optimum being unique, any exact method finds the same flow.
 
-    The method is successive shortest paths, one unit per augmentation.
-    Packed weights are positive, so every search is a Dijkstra search
-    on reduced costs kept non-negative by potentials.  The packed
-    weights, the residual adjacency and the first search from each
-    source, which is the same for every target, are memoized on ``net``
-    per ``amount``; a target that first tree does not reach is
+    The method is successive shortest paths; each augmentation pushes
+    the path's bottleneck, its least residual capacity or the units still
+    missing if fewer.  Packed weights are positive, so every search is a
+    Dijkstra search on reduced costs kept non-negative by potentials.
+    The packed weights, the residual adjacency and the first search from
+    each source, which is the same for every target, are memoized on
+    ``net`` per ``amount``; a target that first tree does not reach is
     infeasible without another search.
 
     Raises:
@@ -295,33 +296,37 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
         tree = plan.trees[s] = (dist, parent)
     dist, parent = tree
     pot = [0 if d is None else d for d in dist]
-    total = 0
-    for pushed in range(amount):
-        if pushed:
-            dist, parent, done = _dijkstra(plan, flows, pot, s, t)
+    caps = plan.caps
+    total = pushed = 0
+    done = None  # None while dist is the first tree
+    while True:
         if dist[t] is None:
             raise Infeasible(
                 f"only {pushed} of {amount} flow units fit",
                 max_achievable=pushed)
-        v = t
+        push, path, v = amount - pushed, [], t
         while v != s:
-            idx, fwd = parent[v]
-            a = arcs[idx]
-            if fwd:
-                flows[idx] += 1
-                total += a.cost
-                v = a.tail
-            else:
-                flows[idx] -= 1
-                total -= a.cost
-                v = a.head
-        if pushed and pushed + 1 < amount:
+            idx, fwd = step = parent[v]
+            path.append(step)
+            room = caps[idx] - flows[idx] if fwd else flows[idx]
+            if room < push:
+                push = room
+            v = arcs[idx].tail if fwd else arcs[idx].head
+        for idx, fwd in path:
+            change = push if fwd else -push
+            flows[idx] += change
+            total += change * arcs[idx].cost
+        pushed += push
+        if pushed == amount:
+            break
+        if done is not None:
             # The search stopped at t: vertices it did not settle are at
             # least dist[t] away, so capping at dist[t] keeps every
             # reduced cost non-negative.
             reach = dist[t]
             pot = [p + (d if ok else reach)
                    for p, d, ok in zip(pot, dist, done)]
+        dist, parent, done = _dijkstra(plan, flows, pot, s, t)
     return FlowResult(value=amount, flows=tuple(flows), total_cost=total)
 
 

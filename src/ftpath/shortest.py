@@ -13,7 +13,7 @@ import math
 from typing import Callable, Sequence
 
 from .core import (Infeasible, Instance, Solution, OPTIMAL, SolverCheckFailed,
-                   is_feasible)
+                   adjacency, is_feasible)
 
 __all__ = ["dijkstra_tree", "path_edges", "safe_subgraph_distances",
            "meta_shortest_path", "shortest_path_solution"]
@@ -28,24 +28,11 @@ def dijkstra_tree(instance: Instance, source: int, edge_ids) -> tuple[list, list
     ``v`` on the reconstructed path (``None`` at the source and for
     unreachable vertices).
     """
-    return _shortest_tree(_adjacency(instance, edge_ids), source)
-
-
-def _adjacency(instance: Instance, edge_ids) -> list[list[tuple[int, int, int]]]:
-    # (v, w, eid) per vertex, in edge-id order; self-loops skipped.
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(instance.vertex_count)]
-    for eid in sorted(edge_ids):
-        e = instance.edges[eid]
-        if e.u == e.v:
-            continue
-        adj[e.u].append((e.v, e.w, e.id))
-        if not instance.directed:
-            adj[e.v].append((e.u, e.w, e.id))
-    return adj
+    return _shortest_tree(adjacency(instance, edge_ids), source)
 
 
 def _shortest_tree(adj: list, source: int) -> tuple[list, list]:
-    # dijkstra_tree on a prebuilt adjacency, which a caller may reuse.
+    # dijkstra_tree on prebuilt core.adjacency lists, which a caller may reuse.
     n = len(adj)
     dist: list = [INF] * n
     hops: list = [INF] * n
@@ -89,7 +76,7 @@ def safe_subgraph_distances(instance: Instance) -> tuple[list[list], dict]:
     safe edges only and ``witness[(u, v)]`` the realizing edge-id tuple
     for each finite pair.
     """
-    adj = _adjacency(instance, [e.id for e in instance.edges if not e.faulty])
+    adj = adjacency(instance, [e.id for e in instance.edges if not e.faulty])
     n = instance.vertex_count
     dist: list[list] = []
     witness: dict[tuple[int, int], tuple[int, ...]] = {}

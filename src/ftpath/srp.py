@@ -430,10 +430,11 @@ def _costs(instance: Instance, flat: _Flat) -> tuple[list, list]:
     # convolution of its children and a series node their sum; _INF marks
     # an infeasible entry.  Returns the root's costs and each parallel
     # node's splits: per entry, the first left-child entry that attains it.
-    width = instance.k + 2
     # Leaves of one weight and kind share a row, as no row is changed; a
-    # faulty leaf's key is ~w.
+    # faulty leaf's key is ~w.  A node with f faulty leaves costs the same
+    # at every budget from f on, so rows stop at budget min(k, |M|).
     keys = [~e.w if e.faulty else e.w for e in instance.edges]
+    width = min(instance.k, sum(key < 0 for key in keys)) + 2
     rows = {key: [0, ~key] + [_INF] * (width - 2) if key < 0 else [0] + [key] * (width - 1)
             for key in set(keys)}
     costs: list = list(map(rows.__getitem__, keys))
@@ -488,9 +489,10 @@ def _entry(instance: Instance, flat: _Flat, cost: list, splits: list,
 
 
 def _table(instance: Instance, flat: _Flat) -> SolutionTable:
+    # Budgets past the last entry repeat it.
     cost, splits = _costs(instance, flat)
-    return SolutionTable(tuple(_entry(instance, flat, cost, splits, j)
-                               for j in range(1, len(cost))))
+    entries = [_entry(instance, flat, cost, splits, j) for j in range(1, len(cost))]
+    return SolutionTable(tuple(entries + entries[-1:] * (instance.k + 2 - len(cost))))
 
 
 def solve_ftp_srp(instance: Instance, tree: DecompositionNode) -> SolutionTable:
@@ -506,7 +508,8 @@ def solve_srp(instance: Instance, tree: DecompositionNode | None = None) -> Solu
     """Solve at the full budget over ``tree``, else over the reduction (which
     raises :class:`NotSeriesParallel` when the graph does not reduce)."""
     flat = _reduce(instance) if tree is None else _flatten_tree(instance, tree)
-    entry = _entry(instance, flat, *_costs(instance, flat), instance.k + 1)
+    cost, splits = _costs(instance, flat)
+    entry = _entry(instance, flat, cost, splits, len(cost) - 1)
     if entry is None:
         raise Infeasible(f"no solution survives {instance.k} failures")
     solution = Solution(entry[0], entry[1], OPTIMAL)

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -733,3 +734,35 @@ def test_module_entry_point(gap_file):
                           capture_output=True, text=True)
     assert proc.returncode == EXIT_OK
     assert "cost: 2" in proc.stdout
+
+
+HUGE_BUDGET = 10**11
+# Exit codes at k = 10**11: the exact solvers for k = 1 and undirected
+# DAGs refuse (3), the DAG solver's cap refuses (4), the rest answer.
+HUGE_BUDGET_EXITS = {
+    False: {"auto": EXIT_OK, "bipath": EXIT_INVALID, "dag": EXIT_INVALID, "srp": EXIT_OK,
+            "approx-k": EXIT_OK, "approx-k1": EXIT_OK, "oracle": EXIT_OK, "frac": EXIT_OK},
+    True: {"auto": EXIT_OK, "bipath": EXIT_INVALID, "dag": EXIT_CAPS, "srp": EXIT_INVALID,
+           "approx-k": EXIT_OK, "approx-k1": EXIT_OK, "oracle": EXIT_OK, "frac": EXIT_OK},
+}
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1, 1, False)],
+    [(0, 1, 2, False), (0, 1, 1, True), (0, 2, 0, True), (2, 1, 0, False)],
+], ids=["one-safe-edge", "two-faulty"])
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+def test_huge_budget_answers_at_once(tmp_path, capsys, edges, directed, algorithm):
+    # Budgets far above the number of faulty edges must neither allocate
+    # budget-sized rows nor push one flow unit at a time.
+    inst = build_instance(directed, 3, 0, 1, HUGE_BUDGET, edges)
+    path = tmp_path / "huge.ftp"
+    path.write_text(serialize_instance(inst))
+    started = time.perf_counter()
+    code, out, err = run_main(["solve", str(path), "--algorithm", algorithm], capsys)
+    assert time.perf_counter() - started < 5
+    assert code == HUGE_BUDGET_EXITS[directed][algorithm], err
+    if algorithm == "srp" and code == EXIT_OK:
+        path.write_text(serialize_instance(inst.with_budget(len(inst.faulty_ids))))
+        assert run_main(["solve", str(path), "--algorithm", "srp"], capsys)[1] == out

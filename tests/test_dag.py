@@ -107,6 +107,20 @@ def _transport_feasible_reference(edges, have, need, k):
     return False
 
 
+def test_budget_cap_counts_spread_entries():
+    # A tail's k + 1 units split into about (k + 1)(k + 2) / 2 spread
+    # entries: k = 1412 stays under the default cap, k = 1413 passes it
+    # although each layer has one configuration, and 10**11 returns at once.
+    edges = [(0, 1, 3, False), (0, 1, 1, True)]
+    assert solve_kftp_dag(build_instance(True, 2, 0, 1, 1412, edges)).edges == {0}
+    for k in (1413, 10**11):
+        with pytest.raises(ConfigurationSpaceTooLarge) as err:
+            solve_kftp_dag(build_instance(True, 2, 0, 1, k, edges))
+        assert err.value.estimate == (k + 1) * (k + 2) // 2
+    assert solve_kftp_dag(build_instance(True, 2, 0, 1, 1413, edges),
+                          cap=10**7).edges == {0}
+
+
 def test_link_cost_single_edges():
     inst = build_instance(True, 2, 0, 1, 2, [(0, 1, 4, False)])
     layered = layerize(inst)
@@ -456,3 +470,151 @@ def test_route_ties_keep_the_first_configuration_in_descending_order():
     safe_path = build_instance(True, 3, 0, 2, 1,
                                [(0, 2, 0, True), (0, 1, 2, False), (1, 2, 2, False)])
     assert solve_kftp_dag(safe_path).edges == frozenset({1, 2})
+
+
+# Reference copies of the cycle search and layering that built their own
+# neighbour maps from the edge list; layerize now reads core.adjacency.
+
+def _reference_cycle(inst):
+    n = inst.vertex_count
+    indeg = [0] * n
+    out: list[list[int]] = [[] for _ in range(n)]
+    for e in inst.edges:
+        if e.u != e.v:
+            indeg[e.v] += 1
+            out[e.u].append(e.v)
+    ready = sorted(v for v in range(n) if indeg[v] == 0)
+    ordered = set()
+    while ready:
+        u = ready.pop(0)
+        ordered.add(u)
+        for v in out[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready = sorted(ready + [v])
+    adj: dict[int, list[int]] = {}
+    for e in inst.edges:
+        if e.u not in ordered and e.v not in ordered and e.u != e.v:
+            adj.setdefault(e.u, []).append(e.v)
+    for lst in adj.values():
+        lst.sort()
+    state: dict[int, int] = {}
+    for root in sorted(adj):
+        if state.get(root, 0):
+            continue
+        state[root] = 1
+        path = [root]
+        pending = [iter(adj[root])]
+        while pending:
+            for v in pending[-1]:
+                seen = state.get(v, 0)
+                if seen == 1:
+                    return tuple(path[path.index(v):]) + (v,)
+                if not seen:
+                    state[v] = 1
+                    path.append(v)
+                    pending.append(iter(adj.get(v, ())))
+                    break
+            else:
+                state[path.pop()] = 2
+                pending.pop()
+    return None
+
+
+def _reference_layers(inst):
+    # (layers, (layer, tail, head, w, faulty, origin) per edge), as the
+    # relevant-vertex filter, topological order and depth pass gave them.
+    n, s, t = inst.vertex_count, inst.s, inst.t
+    if s == t:
+        return ((0,),), ()
+    fwd, back = {s}, {t}
+    for _ in range(n):
+        for e in inst.edges:
+            if e.u in fwd:
+                fwd.add(e.v)
+            if e.v in back:
+                back.add(e.u)
+    relevant = fwd & back
+    if t not in relevant:
+        return ((0,), (1,)), ()
+    kept_edges = [e for e in inst.edges
+                  if e.u in relevant and e.v in relevant and e.u != e.v]
+    indeg = {v: 0 for v in relevant}
+    for e in kept_edges:
+        indeg[e.v] += 1
+    kept = []
+    ready = sorted(v for v in relevant if indeg[v] == 0)
+    while ready:
+        u = ready.pop(0)
+        kept.append(u)
+        for e in kept_edges:
+            if e.u == u:
+                indeg[e.v] -= 1
+                if indeg[e.v] == 0:
+                    ready = sorted(ready + [e.v])
+    depth = dict.fromkeys(kept, 0)
+    for v in kept:
+        for e in kept_edges:
+            if e.u == v:
+                depth[e.v] = max(depth[e.v], depth[v] + 1)
+    members: list[list[int]] = [[] for _ in range(depth[t] + 1)]
+    vertex_of = {}
+    for v in kept:
+        vertex_of[v] = len(vertex_of)
+        members[depth[v]].append(vertex_of[v])
+    fresh = len(vertex_of)
+    edges = []
+    for e in kept_edges:
+        chain = [vertex_of[e.u]]
+        for layer in range(depth[e.u] + 1, depth[e.v]):
+            members[layer].append(fresh)
+            chain.append(fresh)
+            fresh += 1
+        chain.append(vertex_of[e.v])
+        for step, (a, b) in enumerate(zip(chain, chain[1:])):
+            edges.append((depth[e.u] + step, a, b, e.w if step == 0 else 0,
+                          e.faulty, e.id))
+    return tuple(map(tuple, members)), tuple(edges)
+
+
+def _relabelled_dag(rng):
+    # A DAG whose vertex ids are shuffled, so the topological order is not
+    # the id order; parallel arcs and self-loops included.
+    n = rng.randint(2, 9)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    edges = []
+    for _ in range(rng.randint(1, 16)):
+        u = rng.randrange(n - 1)
+        v = rng.randrange(u + 1, n) if rng.random() < 0.9 else u
+        w, f = rng.randint(0, 3), rng.random() < 0.5
+        edges += [(perm[u], perm[v], w, f)] * rng.choice((1, 1, 2))
+    s, t = rng.randrange(n), rng.randrange(n)
+    return build_instance(True, n, perm[min(s, t)], perm[max(s, t)], 1, edges)
+
+
+def test_cycle_witness_matches_reference():
+    # Cyclic digraphs with parallel arcs, self-loops and cycles away from
+    # s and t: the witness is the one the edge-list search found.
+    rng = random.Random(1218)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3),
+                  rng.random() < 0.5) for _ in range(rng.randint(1, 14))]
+        u, v = rng.sample(range(n), 2)
+        edges += [(u, v, 1, False), (v, u, 1, True)] * rng.choice((1, 2))
+        rng.shuffle(edges)
+        inst = build_instance(True, n, rng.randrange(n), rng.randrange(n), 1, edges)
+        with pytest.raises(NotADag) as err:
+            layerize(inst)
+        assert err.value.cycle == _reference_cycle(inst)
+
+
+def test_layerize_matches_reference_on_seeded_dags():
+    rng = random.Random(1219)
+    for _ in range(300):
+        inst = _relabelled_dag(rng)
+        layered = layerize(inst)
+        edges = tuple((e.layer, e.tail, e.head, e.w, e.faulty, e.origin)
+                      for e in layered.edges)
+        assert (layered.layers, edges) == _reference_layers(inst)

@@ -100,6 +100,26 @@ def test_min_cost_flow_infeasible_reports_max():
     assert err.value.max_achievable == 1
 
 
+def test_min_cost_flow_pushes_the_bottleneck(monkeypatch):
+    # A billion units over one arc of that capacity take one search, and
+    # a second arc with room for one unit adds one more.
+    from ftpath import flow
+
+    searches = []
+    real = flow._dijkstra
+    monkeypatch.setattr(flow, "_dijkstra", lambda *a: searches.append(1) or real(*a))
+    result = min_cost_flow(FlowNetwork(2, (Arc(0, 1, 10**9, 2),)), 0, 1, 10**9)
+    assert (result.flows, result.total_cost, len(searches)) == ((10**9,), 2 * 10**9, 1)
+    searches.clear()
+    net = FlowNetwork(2, (Arc(0, 1, 1, 1), Arc(0, 1, 10**9, 2)))
+    result = min_cost_flow(net, 0, 1, 10**9)
+    assert (result.flows, result.total_cost, len(searches)) == (
+        (1, 10**9 - 1), 2 * 10**9 - 1, 2)
+    with pytest.raises(Infeasible) as err:
+        min_cost_flow(net, 0, 1, 10**9 + 2)
+    assert err.value.max_achievable == 10**9 + 1
+
+
 def test_min_cost_flow_matches_exhaustive_search():
     rng = random.Random(11)
     agree = 0

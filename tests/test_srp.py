@@ -122,6 +122,17 @@ def test_safe_leaf_table():
     assert all(entry == (frozenset({0}), 5) for entry in table.entries)
 
 
+def test_budget_above_faulty_count_repeats_the_last_entry():
+    # Rows stop at budget |M| = 2; larger budgets repeat that entry, and a
+    # budget of 10**11 answers as |M| does.
+    edges = [(0, 1, 2, False), (0, 1, 1, True), (0, 2, 0, True), (2, 1, 0, False)]
+    inst = build_instance(False, 3, 0, 1, 6, edges)
+    table = solve_ftp_srp(inst, decompose_srp(inst))
+    at_m = solve_ftp_srp(inst.with_budget(2), decompose_srp(inst))
+    assert table.entries == at_m.entries + at_m.entries[-1:] * 4
+    assert solve_srp(inst.with_budget(10**11)) == solve_srp(inst.with_budget(2))
+
+
 def test_gap_family_table():
     inst = gap_family(4, 1)
     table = solve_ftp_srp(inst, decompose_srp(inst))
