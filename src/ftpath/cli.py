@@ -531,6 +531,8 @@ def cmd_gen(args) -> int:
         raise ParseError(f"gen --kind {args.kind} needs --n of at least 2")
     if args.kind == "srp" and args.edges < 1:
         raise ParseError("gen --kind srp needs --edges of at least 1")
+    if args.max_w < 0:
+        raise ParseError("gen --max-w must be at least 0")
     rng = random.Random(args.seed)
     written = 0
     with _file_errors("write", args.out):
@@ -616,8 +618,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"caps exceeded: {exc}\n")
         return EXIT_CAPS
     except (ParseError, ValidationError, bipath.WrongBudget, dag.NotADag,
-            srp.NotSeriesParallel, srp.TreeMismatch, approx.NotFeasible,
-            ValueError) as exc:
+            srp.NotSeriesParallel, srp.TreeMismatch, approx.NotFeasible) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
     except Exception as exc:

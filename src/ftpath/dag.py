@@ -240,17 +240,24 @@ def configuration_count(layered: LayeredInstance, k: int) -> int:
                for layer in layered.layers)
 
 
+def _check_budget(layered: LayeredInstance, k: int, cap: int) -> None:
+    # Splitting one tail's k + 1 units builds about (k + 1)(k + 2) / 2 spread
+    # entries; past the default cap (or a larger given one) they refuse k.
+    total = configuration_count(layered, k)
+    entries = (k + 1) * (k + 2) // 2
+    if total > cap or entries > max(cap, DEFAULT_CONFIG_CAP):
+        raise ConfigurationSpaceTooLarge(total if total > cap else entries, cap)
+
+
 def enumerate_configurations(layered: LayeredInstance, i: int, k: int,
                              cap: int = DEFAULT_CONFIG_CAP) -> list[Configuration]:
     """All demand vectors over layer ``i`` summing to k+1.
 
     Ordered by decreasing demand tuple, e.g. for two vertices and k=1:
-    (2,0), (1,1), (0,2).  Raises :class:`ConfigurationSpaceTooLarge` when
-    the whole instance's configuration space exceeds ``cap``.
+    (2,0), (1,1), (0,2).  Raises :class:`ConfigurationSpaceTooLarge` past
+    the budget that :func:`solve_kftp_dag` refuses.
     """
-    total = configuration_count(layered, k)
-    if total > cap:
-        raise ConfigurationSpaceTooLarge(total, cap)
+    _check_budget(layered, k, cap)
     # A sorted tuple of k+1 vertex positions (a spread) is one demand
     # vector; ascending spreads are descending demand vectors.
     return [_configuration(layered, i, spread) for spread in
@@ -262,25 +269,21 @@ def _configuration(layered: LayeredInstance, i: int,
     return Configuration(i, tuple(map(spread.count, range(len(layered.layers[i])))))
 
 
-def _pair_rows(edges, k: int, pos: dict[int, int], forced=(), floor: float = -1
+def _pair_rows(edges, k: int, pos: dict[int, int], paid=frozenset()
                ) -> dict[int, list[tuple[int, list[int]]]]:
     # Per tail, (head position, row) pairs: row[f] is the least weight
     # that lets the tail->head edges carry f units (f <= k+1, as far as
-    # they can).  Edges in ``forced`` are paid for: a safe one carries
-    # every unit, a faulty one a unit; other edges count if id > ``floor``.
+    # they can).  Edges in ``paid`` are already bought and weigh 0.
     units = k + 1
-    groups: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
+    groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     for e in edges:
-        free, safe, faulty = groups.setdefault((e.tail, e.head), ([0], [], []))
-        if e.id in forced:
-            free[0] = min(units, free[0] + (1 if e.faulty else units))
-        elif e.id > floor:
-            (faulty if e.faulty else safe).append(e.w)
+        safe, faulty = groups.setdefault((e.tail, e.head), ([], []))
+        (faulty if e.faulty else safe).append(0 if e.id in paid else e.w)
     rows: dict[int, list[tuple[int, list[int]]]] = {}
-    for (tail, head), ([free], safe, faulty) in groups.items():
-        sums = list(accumulate(sorted(faulty)))  # sums[j]: the j+1 cheapest
-        carried = range(units - free) if safe else range(min(units - free, len(sums)))
-        row = [0] * (free + 1) + [min(safe + sums[j:j + 1]) for j in carried]
+    for (tail, head), (safe, faulty) in groups.items():
+        sums = [0, *accumulate(sorted(faulty))]  # sums[f]: the f cheapest
+        carried = range(units + 1) if safe else range(min(units, len(faulty)) + 1)
+        row = [min(safe + sums[f:f + 1]) for f in carried]
         rows.setdefault(tail, []).append((pos[head], row))
     return rows
 
@@ -333,7 +336,8 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
     weight = {e.id: e.w for e in edges}
 
     def cheapest(forced: list[int], floor: float) -> int | None:
-        extra = _reach(_pair_rows(edges, k, pos, forced, floor), have, {}).get(target)
+        pool = [e for e in edges if e.id > floor or e.id in forced]
+        extra = _reach(_pair_rows(pool, k, pos, set(forced)), have, {}).get(target)
         return None if extra is None else extra + sum(weight[i] for i in forced)
 
     best = cheapest([], -1)
@@ -361,12 +365,7 @@ def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solutio
     """
     layered = layerize(instance)
     k = instance.k
-    # Splitting one tail's k + 1 units builds about (k + 1)(k + 2) / 2 spread
-    # entries; past the default cap (or a larger given one) they refuse k.
-    total_configs = configuration_count(layered, k)
-    entries = (k + 1) * (k + 2) // 2
-    if total_configs > cap or entries > max(cap, DEFAULT_CONFIG_CAP):
-        raise ConfigurationSpaceTooLarge(total_configs if total_configs > cap else entries, cap)
+    _check_budget(layered, k, cap)
     if instance.s == instance.t:
         return Solution(frozenset(), 0, OPTIMAL)
     if not layered.edges:

@@ -6,6 +6,9 @@ over asymptotics: shortest augmenting paths for max-flow, successive
 shortest paths for min-cost flow.  Max-flow is exact on integer and
 ``Fraction`` capacities; min-cost flow is integral and deterministic,
 returning the lexicographically smallest optimal per-arc flow vector.
+Both push their paths through one augmenting step, ``_augment``.  The
+min cut is read off max-flow's last breadth-first search, which drains
+its queue exactly over the residual s side.
 
 Min-cost flow searches are Dijkstra searches on reduced costs (Johnson
 potentials; Edmonds & Karp 1972, Tomizawa 1971).  A network memoizes,
@@ -120,6 +123,25 @@ def _adjacency(net: FlowNetwork) -> list[list[tuple[int, int, bool]]]:
     return adj
 
 
+def _augment(arcs, caps, flows, parent, s: int, t: int, push) -> tuple:
+    """Push along the ``(arc, is_forward)`` parents from ``s`` to ``t``.
+
+    ``push`` drops to the least residual capacity on the path; returns
+    the units pushed and the path's steps, from ``t`` back.
+    """
+    path, v = [], t
+    while v != s:
+        idx, fwd = step = parent[v]
+        path.append(step)
+        room = caps[idx] - flows[idx] if fwd else flows[idx]
+        if room < push:
+            push = room
+        v = arcs[idx].tail if fwd else arcs[idx].head
+    for idx, fwd in path:
+        flows[idx] += push if fwd else -push
+    return push, path
+
+
 def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
     """Maximum s-t flow, never pushing more than ``cap_at`` units.
 
@@ -143,6 +165,7 @@ def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
     flows = [0] * len(arcs)
     adj = _adjacency(net)
     value = 0
+    min_cut = None
     while value < cap_at:
         parent: dict[int, tuple[int, bool]] = {s: (-1, True)}
         queue = deque([s])
@@ -154,41 +177,11 @@ def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
                     parent[v] = (idx, fwd)
                     queue.append(v)
         if t not in parent:
+            # The queue drained: ``parent`` holds the residual s side.
+            min_cut = tuple(i for i, a in enumerate(arcs)
+                            if a.tail in parent and a.head not in parent)
             break
-        # Bottleneck along the found path, bounded by the remaining budget.
-        bottleneck = cap_at - value
-        v = t
-        while v != s:
-            idx, fwd = parent[v]
-            if fwd:
-                bottleneck = min(bottleneck, caps[idx] - flows[idx])
-                v = arcs[idx].tail
-            else:
-                bottleneck = min(bottleneck, flows[idx])
-                v = arcs[idx].head
-        v = t
-        while v != s:
-            idx, fwd = parent[v]
-            if fwd:
-                flows[idx] += bottleneck
-                v = arcs[idx].tail
-            else:
-                flows[idx] -= bottleneck
-                v = arcs[idx].head
-        value += bottleneck
-    min_cut = None
-    if value < cap_at:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for idx, v, fwd in adj[u]:
-                residual = caps[idx] - flows[idx] if fwd else flows[idx]
-                if v not in seen and residual > 0:
-                    seen.add(v)
-                    stack.append(v)
-        min_cut = tuple(i for i, a in enumerate(arcs)
-                        if a.tail in seen and a.head not in seen and a.tail != a.head)
+        value += _augment(arcs, caps, flows, parent, s, t, cap_at - value)[0]
     return FlowResult(value=value, flows=tuple(flows), min_cut=min_cut)
 
 
@@ -304,18 +297,9 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
             raise Infeasible(
                 f"only {pushed} of {amount} flow units fit",
                 max_achievable=pushed)
-        push, path, v = amount - pushed, [], t
-        while v != s:
-            idx, fwd = step = parent[v]
-            path.append(step)
-            room = caps[idx] - flows[idx] if fwd else flows[idx]
-            if room < push:
-                push = room
-            v = arcs[idx].tail if fwd else arcs[idx].head
-        for idx, fwd in path:
-            change = push if fwd else -push
-            flows[idx] += change
-            total += change * arcs[idx].cost
+        push, path = _augment(arcs, caps, flows, parent, s, t, amount - pushed)
+        total += push * sum(arcs[idx].cost if fwd else -arcs[idx].cost
+                            for idx, fwd in path)
         pushed += push
         if pushed == amount:
             break

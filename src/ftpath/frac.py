@@ -198,18 +198,12 @@ def fractional_max_flow(instance: Instance, capacities, banned=frozenset()) -> F
     """
     if instance.s == instance.t:
         raise ValueError("terminals must differ")
-    arcs = []
-    for e in instance.edges:
-        if e.id in banned or e.u == e.v:
-            continue
-        cap = Fraction(capacities[e.id])
-        if cap <= 0:
-            continue
-        arcs.append(flow.Arc(e.u, e.v, cap))
-        if not instance.directed:
-            arcs.append(flow.Arc(e.v, e.u, cap))
+    ids = [e.id for e in instance.edges
+           if e.id not in banned and Fraction(capacities[e.id]) > 0]
+    arcs = tuple(a._replace(capacity=Fraction(capacities[a.origin]))
+                 for a in flow.edge_network(instance, 1, ids).arcs)
     total = sum(a.capacity for a in arcs)
-    net = flow.FlowNetwork(instance.vertex_count, tuple(arcs))
+    net = flow.FlowNetwork(instance.vertex_count, arcs)
     return Fraction(flow.max_flow(net, instance.s, instance.t, total).value)
 
 

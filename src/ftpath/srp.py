@@ -97,7 +97,8 @@ class _Flat(NamedTuple):
 def _reduce(instance: Instance) -> _Flat:
     """The reduction behind :func:`decompose_srp`, as flat arrays."""
     if instance.directed:
-        raise ValueError("series-parallel decomposition requires an undirected instance")
+        raise NotSeriesParallel(
+            "series-parallel decomposition requires an undirected instance")
     s, t, n = instance.s, instance.t, instance.vertex_count
     if s == t:
         raise NotSeriesParallel("terminals coincide", ())
@@ -215,10 +216,11 @@ def decompose_srp(instance: Instance) -> DecompositionNode:
 
     Parallel merges are exhausted before each series contraction; both
     pick the smallest available vertices/entries, so the tree shape is
-    deterministic.  Only undirected instances are supported.
+    deterministic.
 
     Raises:
-        NotSeriesParallel: the reduction gets stuck; the exception
+        NotSeriesParallel: the instance is directed (with an empty
+            remainder), or the reduction gets stuck; the exception
             carries the irreducible remainder.
     """
     kind, left, right, flip = _reduce(instance)

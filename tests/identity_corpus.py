@@ -11,8 +11,9 @@ The documents are seeded ``ftp gen`` output (random, dag, srp and gap at
 k = 0..3) plus small hand-made edge shapes.  For each document the corpus
 runs ``solve`` under every algorithm with both caps at the default, at 2
 and at 0; ``check`` on each distinct solution and on that solution less
-each of its edges; and it records the ``gen`` bytes and a few ``gap``
-reports.  Each entry is the sha256 of the exit code, stdout and stderr.
+each of its edges; and it records the ``gen`` bytes, the ``bench`` table
+of each k = 2 corpus and a few ``gap`` reports.  Each entry is the sha256
+of the exit code, stdout and stderr.
 
 Re-record only the entries a declared behaviour change touches, and list
 them with the reason; a difference nobody can explain is a fault, not a
@@ -96,6 +97,10 @@ def _documents(directory: str, digests: dict) -> list[tuple[str, str]]:
                 label = f"gen{number}-k{k}/{name}"
                 digests[f"bytes {label}"] = hashlib.sha256(data).hexdigest()
                 docs.append((label, path))
+            if k == 2:
+                # The out file holds times; stdout and the exit code do not.
+                argv = ["bench", out, os.path.join(directory, f"bench{number}.txt")]
+                digests[f"bench gen{number}-k2"] = _run(argv, directory)[0]
     for label, (directed, n, s, t, k, edges) in SHAPES.items():
         path = os.path.join(directory, f"{label}.ftp")
         with open(path, "w", encoding="utf-8") as handle:

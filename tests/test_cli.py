@@ -728,6 +728,31 @@ def test_gen_srp_needs_edges(tmp_path, capsys):
     assert err == "invalid input: gen --kind srp needs --edges of at least 1\n"
 
 
+
+def test_gen_rejects_negative_max_w(tmp_path, capsys):
+    code, out, err = run_main(["gen", "--max-w", "-1", "--out", str(tmp_path / "g")],
+                              capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == "invalid input: gen --max-w must be at least 0\n"
+
+
+def test_internal_value_error_exits_5(gap_file, capsys, monkeypatch):
+    def broken(instance):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(bipath, "solve_1ftp", broken)
+    code, out, err = run_main(["solve", gap_file, "--algorithm", "bipath"], capsys)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err == "internal error: ValueError('bug')\n"
+
+
+def test_srp_on_directed_document_is_invalid_input(tmp_path, capsys):
+    path = _write(tmp_path, build_instance(True, 2, 0, 1, 1, [(0, 1, 1, False)]))
+    code, out, err = run_main(["solve", path, "--algorithm", "srp"], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err == ("invalid input: series-parallel decomposition requires "
+                   "an undirected instance\n")
+
 def test_module_entry_point(gap_file):
     proc = subprocess.run([sys.executable, "-m", "ftpath", "solve", gap_file,
                            "--algorithm", "bipath"],

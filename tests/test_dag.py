@@ -121,6 +121,18 @@ def test_budget_cap_counts_spread_entries():
                           cap=10**7).edges == {0}
 
 
+
+def test_enumerate_configurations_refuses_huge_budgets():
+    # One configuration per layer, but a spread of 10**11 + 1 entries:
+    # refused at once, by the same rule as solve_kftp_dag.
+    layered = layerize(build_instance(True, 2, 0, 1, 0, [(0, 1, 1, True)]))
+    for k in (1413, 10**11):
+        with pytest.raises(ConfigurationSpaceTooLarge) as err:
+            enumerate_configurations(layered, 0, k)
+        assert err.value.estimate == (k + 1) * (k + 2) // 2
+    assert len(enumerate_configurations(layered, 0, 1412)) == 1
+    assert len(enumerate_configurations(layered, 0, 1413, cap=10**7)) == 1
+
 def test_link_cost_single_edges():
     inst = build_instance(True, 2, 0, 1, 2, [(0, 1, 4, False)])
     layered = layerize(inst)

@@ -1,4 +1,6 @@
 import random
+from collections import deque
+from fractions import Fraction
 
 import pytest
 
@@ -228,3 +230,110 @@ def test_min_cost_flow_five_units_matches_exhaustive_search():
     result = min_cost_flow(net, 0, 4, 5)
     assert (result.total_cost, result.flows) == exhaustive_min_cost_flow(5, arcs, 0, 4, 5)
     assert_valid_flow(net, result, 0, 4, 5)
+
+
+def _reference_max_flow(net: FlowNetwork, s: int, t: int, cap_at):
+    # The augmenting loop of an earlier max_flow, kept as a reference: it
+    # walks each path twice and finds the cut with a separate residual DFS.
+    arcs = net.arcs
+    caps = [cap_at if a.capacity is None else a.capacity for a in arcs]
+    flows = [0] * len(arcs)
+    adj = [[] for _ in range(net.vertex_count)]
+    for i, a in enumerate(arcs):
+        if a.tail != a.head:
+            adj[a.tail].append((i, a.head, True))
+            adj[a.head].append((i, a.tail, False))
+    value = 0
+    while value < cap_at:
+        parent = {s: (-1, True)}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for idx, v, fwd in adj[u]:
+                residual = caps[idx] - flows[idx] if fwd else flows[idx]
+                if v not in parent and residual > 0:
+                    parent[v] = (idx, fwd)
+                    queue.append(v)
+        if t not in parent:
+            break
+        bottleneck = cap_at - value
+        v = t
+        while v != s:
+            idx, fwd = parent[v]
+            if fwd:
+                bottleneck = min(bottleneck, caps[idx] - flows[idx])
+                v = arcs[idx].tail
+            else:
+                bottleneck = min(bottleneck, flows[idx])
+                v = arcs[idx].head
+        v = t
+        while v != s:
+            idx, fwd = parent[v]
+            if fwd:
+                flows[idx] += bottleneck
+                v = arcs[idx].tail
+            else:
+                flows[idx] -= bottleneck
+                v = arcs[idx].head
+        value += bottleneck
+    min_cut = None
+    if value < cap_at:
+        seen = {s}
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for idx, v, fwd in adj[u]:
+                residual = caps[idx] - flows[idx] if fwd else flows[idx]
+                if v not in seen and residual > 0:
+                    seen.add(v)
+                    stack.append(v)
+        min_cut = tuple(i for i, a in enumerate(arcs)
+                        if a.tail in seen and a.head not in seen and a.tail != a.head)
+    return FlowResult(value=value, flows=tuple(flows), min_cut=min_cut)
+
+
+def test_max_flow_matches_reference_on_seeded_networks():
+    # Same value, flow vector and cut as the reference on int, unlimited
+    # and Fraction capacities, with parallel and antiparallel arcs and
+    # self-loops, at cap_at 0, 1, k + 1 and the total capacity.
+    rng = random.Random(1301)
+    cuts = capped = 0
+    for number in range(500):
+        n = rng.randint(2, 5)
+        kind = number % 3
+
+        def capacity():
+            if kind == 1 and rng.random() < 0.25:
+                return None
+            if kind == 2:
+                return Fraction(rng.randint(0, 6), rng.randint(1, 4))
+            return rng.randint(0, 4)
+
+        arcs = []
+        for _ in range(rng.randint(0, 14)):
+            roll = rng.random()
+            if arcs and roll < 0.2:
+                a = rng.choice(arcs)
+                arcs.append(Arc(a.tail, a.head, capacity()))
+            elif arcs and roll < 0.4:
+                a = rng.choice(arcs)
+                arcs.append(Arc(a.head, a.tail, capacity()))
+            else:
+                u = rng.randrange(n)
+                v = u if roll > 0.9 else rng.randrange(n)
+                arcs.append(Arc(u, v, capacity()))
+        net = FlowNetwork(n, tuple(arcs))
+        s, t = rng.sample(range(n), 2)
+        total = sum(a.capacity for a in arcs if a.capacity is not None)
+        for cap_at in (0, 1, rng.randint(0, 3) + 1, total):
+            got = max_flow(net, s, t, cap_at)
+            assert got == _reference_max_flow(net, s, t, cap_at)
+            cuts += got.min_cut is not None and got.value > 0
+            capped += got.min_cut is None and cap_at > 0
+    assert cuts > 200 and capped > 300
+    # The second path cancels the unit on 1 -> 2, which is its bottleneck.
+    net = FlowNetwork(6, (Arc(0, 1, 1), Arc(1, 2, 1), Arc(2, 3, 1), Arc(0, 4, 5),
+                          Arc(4, 2, 5), Arc(1, 5, 5), Arc(5, 3, 5)))
+    got = max_flow(net, 0, 3, 10)
+    assert got == _reference_max_flow(net, 0, 3, 10)
+    assert got.value == 2 and got.flows == (1, 0, 1, 1, 1, 1, 1)

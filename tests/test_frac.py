@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from ftpath import frac
+from ftpath import flow, frac
 from ftpath.core import BadParameters, Infeasible, build_instance, enumerate_scenarios
 from ftpath.frac import (TooLargeForExactLP, fractional_max_flow, gap_family,
                          gap_report, rounding_vector, solve_frac,
@@ -218,6 +218,43 @@ def test_fractional_max_flow_equals_bipartition_min_cut():
         fractional_max_flow(build_instance(False, 2, 0, 0, 0, [(0, 1, 1, False)]),
                             [1])
 
+
+
+def test_fractional_max_flow_network_matches_reference(monkeypatch):
+    # The hand-built arcs of an earlier fractional_max_flow, kept as a
+    # reference: the network handed to max_flow has the same arcs in the
+    # same order, the same cap and the same value.
+    rng = random.Random(1302)
+    real = flow.max_flow
+    seen = []
+
+    def recording(net, s, t, cap_at):
+        seen.append(([(a.tail, a.head, a.capacity) for a in net.arcs], cap_at))
+        return real(net, s, t, cap_at)
+
+    monkeypatch.setattr(flow, "max_flow", recording)
+    for _ in range(300):
+        inst = random_instance(rng, n_max=6, m_max=10)
+        m = len(inst.edges)
+        caps = [Fraction(rng.randint(-2, 6), rng.randint(1, 4)) for _ in range(m)]
+        banned = frozenset(e for e in range(m) if rng.random() < 0.2)
+        arcs = []
+        for e in inst.edges:
+            if e.id in banned or e.u == e.v:
+                continue
+            cap = Fraction(caps[e.id])
+            if cap <= 0:
+                continue
+            arcs.append((e.u, e.v, cap))
+            if not inst.directed:
+                arcs.append((e.v, e.u, cap))
+        total = sum(cap for _, _, cap in arcs)
+        net = flow.FlowNetwork(inst.vertex_count,
+                               tuple(flow.Arc(u, v, cap) for u, v, cap in arcs))
+        expected = real(net, inst.s, inst.t, total).value
+        seen.clear()
+        assert fractional_max_flow(inst, caps, banned) == expected
+        assert seen == [(arcs, total)]
 
 def test_sandwich_against_integral_optimum():
     rng = random.Random(223)

@@ -57,6 +57,13 @@ def test_k4_is_not_series_parallel():
     assert err.value.remainder  # the irreducible graph is reported
 
 
+
+def test_directed_instance_is_not_series_parallel():
+    inst = build_instance(True, 2, 0, 1, 1, [(0, 1, 1, False)])
+    with pytest.raises(NotSeriesParallel, match="requires an undirected instance") as err:
+        decompose_srp(inst)
+    assert err.value.remainder == ()
+
 # The reduction merges parallel pairs first (smallest pair, two smallest
 # keys), then contracts the smallest contractible vertex.  The tree fixes
 # the table's tie-breaks, so these outputs are pinned.
