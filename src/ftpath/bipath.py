@@ -10,11 +10,17 @@ expands each chosen link back into concrete edges.  Link lengths are
 computed on first read, so only the links leaving vertices that the
 meta shortest path settles before ``t`` are ever computed.
 
-Most of those reads need no flow.  Two units from u to v cost at least
-twice ``d1``, the u-v distance over every edge, so a safe path no
-longer than that wins without one; and a link whose cheaper bound
-already exceeds the slack the meta path offers cannot relax anything.
-Both bounds are exact, so every answer is the one the full table gives.
+Most of those reads need no flow.  The two-route cost ``c2`` of every
+target of a source comes from one extra Dijkstra pass over the source's
+shortest-path tree (Suurballe & Tarjan, "A quick method for finding
+shortest pairs of disjoint paths", Networks 14, 1984), and here it is
+the flow link's exact length.  So a safe path no longer than ``c2``
+wins without a flow, and a link whose ``c2`` exceeds the slack the meta
+path offers cannot relax anything.  The flow, which gives the link's
+edges, runs only for a link that will relax its target.  Twice ``d1``,
+the u-v distance over every edge, is a free lower bound on ``c2`` that
+decides most pairs before the pass runs.  The bounds are exact, so
+every answer is the one the full table gives.
 """
 
 from __future__ import annotations
@@ -25,8 +31,8 @@ from . import flow
 from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
                    SolverCheckFailed, adjacency, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
-from .shortest import (INF, _shortest_tree, meta_shortest_path, path_edges,
-                       safe_subgraph_distances)
+from .shortest import (INF, _shortest_tree, _two_route_costs, meta_shortest_path,
+                       path_edges, safe_subgraph_distances)
 
 __all__ = ["WrongBudget", "LinkLengths", "link_lengths", "solve_1ftp"]
 
@@ -74,43 +80,68 @@ class _Links:
     its tree ``d1`` over all edges, are built when a pair from it is
     first read; a pair's flow only when a bound cannot settle the pair.
 
-    The bound: a flow link weighs at least ``lb = ceil(units * d1 /
-    (units - 1))``.  The flow sends ``units`` units along u-v paths of
-    length at least ``d1`` each, so it costs ``units * d1`` or more; the
-    weight is either that cost (``units`` = 2) or the support's weight,
-    where no edge carries more than ``units - 1`` units (the safe
-    capacity; an undirected edge is never loaded both ways), so the
-    support weighs at least cost / (units - 1).  Weights are integers,
-    hence the ceiling.  A safe distance of at most ``lb`` therefore wins
-    without a flow, and ``length`` skips the flow of a pair whose bound
-    exceeds the caller's ``limit``.
+    The bound ``lb``: a flow link weighs at least ``c2``, the min cost
+    of 2 unit routes from u to v, which ``shortest._two_route_costs``
+    gives for every v of a source in one pass (Suurballe & Tarjan
+    1984).  With 2 units the weight is the flow's cost and ``c2``, on
+    the same capacities, equals it.  With ``units`` > 2 the weight is
+    the support's, where no edge carries more than ``units - 1`` units
+    (the safe capacity; an undirected edge is never loaded both ways):
+    every u-v cut then crosses 2 or more support edges, so the support
+    holds 2 edge-disjoint u-v routes (Menger) and weighs at least their
+    cost, ``c2`` with every capacity 1.  Either way ``c2 >= 2 * d1``,
+    which is free once ``d1`` is built, so the pass runs only for a
+    source with a pair that ``2 * d1`` does not decide.  A safe distance
+    of at most ``lb`` wins without a flow, and ``length`` skips the flow
+    of a pair whose bound exceeds the caller's ``limit``.
     """
 
     def __init__(self, instance: Instance, safe_cap: int, units: int, weight):
         self.instance, self.units, self.weight = instance, units, weight
         self.net = flow.edge_network(instance, safe_cap)
-        self.safe_adj = adjacency(instance, [e.id for e in instance.edges if not e.faulty])
+        safe = [e.id for e in instance.edges if not e.faulty]
+        self.safe_adj = adjacency(instance, safe)
         self.all_adj = adjacency(instance)
-        self.trees: dict[int, tuple[list, list, list]] = {}  # u -> (dist, via, d1)
+        self.all_radj = adjacency(instance, reverse=True) if instance.directed else self.all_adj
+        # Tree edges that may carry both units of a 2-unit link.
+        self.doubled = frozenset(safe) if units == 2 and safe_cap >= 2 else frozenset()
+        self.trees: dict[int, tuple] = {}  # u -> (dist, via, d1, d1 via)
+        self.two_route: dict[int, list] = {}  # u -> c2 row
         self.entries: dict[tuple[int, int], tuple] = {}
 
-    def _tree(self, u: int) -> tuple[list, list, list]:
+    def _tree(self, u: int) -> tuple:
         tree = self.trees.get(u)
         if tree is None:
-            dist, via = _shortest_tree(self.safe_adj, u)
-            tree = self.trees[u] = (dist, via, _shortest_tree(self.all_adj, u)[0])
+            tree = self.trees[u] = (*_shortest_tree(self.safe_adj, u),
+                                    *_shortest_tree(self.all_adj, u))
         return tree
 
-    def _bounds(self, u: int, v: int) -> tuple:
-        """``(safe distance, lower bound on the flow link's weight)``."""
-        dist, _, d1 = self._tree(u)
-        d = d1[v]
-        if d == INF:
-            return dist[v], INF
-        return dist[v], -(-self.units * d // (self.units - 1))
+    def _c2(self, u: int) -> list:
+        row = self.two_route.get(u)
+        if row is None:
+            _, _, d1, via = self._tree(u)
+            row = self.two_route[u] = _two_route_costs(
+                self.all_adj, self.all_radj, d1, via, u, self.doubled)
+        return row
+
+    def _bounds(self, u: int, v: int, limit=INF) -> tuple:
+        """``(safe distance, lower bound on the flow link's weight)``.
+
+        The bound is ``2 * d1`` where that decides the pair against the
+        safe distance or ``limit``, and ``c2`` otherwise.
+        """
+        dist, _, d1, _ = self._tree(u)
+        safe_d, lb = dist[v], 2 * d1[v]
+        if safe_d <= lb or lb > limit:
+            return safe_d, lb
+        return safe_d, self._c2(u)[v]
 
     def entry(self, u: int, v: int) -> tuple:
-        """``(safe distance, pair distance, flow or None)`` of link u -> v."""
+        """``(safe distance, pair distance, flow or None)`` of link u -> v.
+
+        Raises:
+            SolverCheckFailed: the flow link weighs less than ``c2``.
+        """
         entry = self.entries.get((u, v))
         if entry is None:
             res, pair_d = None, 0
@@ -120,12 +151,15 @@ class _Links:
                     pair_d = self.weight(self.net, res)
                 except Infeasible:
                     pair_d = INF
+                if pair_d < self._c2(u)[v]:
+                    raise SolverCheckFailed(
+                        f"link {u}->{v} weighs {pair_d}, below its bound")
             entry = self.entries[(u, v)] = (self._tree(u)[0][v], pair_d, res)
         return entry
 
     def length(self, u: int, v: int, limit=INF):
         """The link's length, or ``INF`` if a bound puts it above ``limit``."""
-        safe_d, lb = self._bounds(u, v)
+        safe_d, lb = self._bounds(u, v, limit)
         if safe_d <= lb:
             return safe_d
         if lb > limit:

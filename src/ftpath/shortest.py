@@ -55,6 +55,103 @@ def _shortest_tree(adj: list, source: int) -> tuple[list, list]:
     return dist, via
 
 
+def _two_route_costs(adj: list, radj: list, dist: list, via: list, source: int,
+                     doubled) -> list:
+    """Min cost of two unit routes from ``source`` to every vertex.
+
+    The network has one unit arc per ``core.adjacency`` entry over all
+    edges (``radj`` lists them by head), except that the tree edge into
+    a vertex may carry a second unit when its id is in ``doubled``.
+    ``(dist, via)`` is a shortest-path tree over the same arcs, such as
+    ``_shortest_tree(adj, source)``.  Entry ``v`` is the cost of a
+    minimum-cost 2-unit source-v flow, ``INF`` when 2 units do not fit,
+    and 0 at the source.
+
+    Suurballe & Tarjan, "A quick method for finding shortest pairs of
+    disjoint paths" (Networks 14, 1984), in its edge-disjoint form: the
+    second unit to ``v`` is a shortest path on reduced costs
+    ``w + dist[x] - dist[y]`` (0 on tree arcs) with the tree path to
+    ``v`` reversed, and one Dijkstra search over labels ``D`` finds it
+    for every ``v`` at once.  The reached vertices start as one part of
+    the tree.  Popping ``v`` removes it from its part: each child of
+    ``v`` still in that part takes its subtree as a new part, the rest
+    keeps the old one, and every arc leaving ``v``, or joining two
+    pieces of the old part, offers its head ``D[v]`` plus its reduced
+    cost: with the tree path to the head reversed, every other piece is
+    reached from ``v`` at no cost, down tree arcs or back up that path.
+    The tree arc into a vertex is its first unit, so it offers nothing
+    unless it is doubled.  The answer is ``2 * dist[v] + D[v]``.
+    """
+    n = len(adj)
+    children: list[list[int]] = [[] for _ in range(n)]
+    parent = [-1] * n
+    for y, e in enumerate(via):
+        if e is not None:
+            for x, _, eid in radj[y]:
+                if eid == e:
+                    children[x].append(y)
+                    parent[y] = x
+                    break
+    # part[x]: id of x's part; -1 once popped, and for unreached vertices.
+    part = [-1 if d == INF else 0 for d in dist]
+    label = [INF] * n
+    costs = [INF] * n
+    label[source] = 0
+    heap = [(0, source)]
+    parts = 0
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        dv, v = pop(heap)
+        old = part[v]
+        if old < 0:
+            continue
+        part[v] = -1
+        costs[v] = 2 * dist[v] + dv
+        base = dv + dist[v]
+        for y, w, e in adj[v]:
+            if part[y] >= 0 and (e != via[y] or e in doubled):
+                d = base + w - dist[y]
+                if d < label[y]:
+                    label[y] = d
+                    push(heap, (d, y))
+        first = parts  # parts above ``first`` are new
+        moved = []
+        # When v is its part's root, nothing of the part is left above
+        # it, so its first child's subtree keeps the old id instead.
+        keep = parent[v] < 0 or part[parent[v]] != old
+        for c in children[v]:
+            if part[c] == old:
+                if keep:
+                    keep = False
+                    continue
+                parts += 1
+                part[c] = parts
+                subtree = [c]
+                for x in subtree:  # grows while it is walked
+                    for z in children[x]:
+                        if part[z] == old:
+                            part[z] = parts
+                            subtree.append(z)
+                moved += subtree
+        for x in moved:
+            px = part[x]
+            base = dv + dist[x]
+            for y, w, _ in adj[x]:
+                py = part[y]
+                if py != px and (py == old or py > first):
+                    d = base + w - dist[y]
+                    if d < label[y]:
+                        label[y] = d
+                        push(heap, (d, y))
+            for z, w, _ in radj[x]:
+                if part[z] == old:
+                    d = dv + w + dist[z] - dist[x]
+                    if d < label[x]:
+                        label[x] = d
+                        push(heap, (d, x))
+    return costs
+
+
 def path_edges(instance: Instance, via: Sequence, source: int, target: int) -> tuple[int, ...]:
     """Edge ids along the tree path from ``source`` back from ``target``."""
     out = []

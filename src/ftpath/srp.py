@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Union
 
-from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
-                   SolverCheckFailed, is_feasible)
+from .core import (BadParameters, FTPError, Infeasible, Instance, Solution,
+                   OPTIMAL, SolverCheckFailed, is_feasible)
 
 __all__ = ["NotSeriesParallel", "TreeMismatch", "Leaf", "Series", "Parallel",
            "DecompositionNode", "SolutionTable", "decompose_srp",
@@ -490,7 +490,14 @@ def _entry(instance: Instance, flat: _Flat, cost: list, splits: list,
     return frozenset(ids), total
 
 
+# The most entries, one per budget 0..k, that a SolutionTable may hold.
+_TABLE_LIMIT = 10**6
+
+
 def _table(instance: Instance, flat: _Flat) -> SolutionTable:
+    if instance.k >= _TABLE_LIMIT:
+        raise BadParameters(f"a table for budget k={instance.k} needs {instance.k + 1} "
+                            f"entries, above the bound of {_TABLE_LIMIT}")
     # Budgets past the last entry repeat it.
     cost, splits = _costs(instance, flat)
     entries = [_entry(instance, flat, cost, splits, j) for j in range(1, len(cost))]
@@ -502,6 +509,8 @@ def solve_ftp_srp(instance: Instance, tree: DecompositionNode) -> SolutionTable:
 
     Raises:
         TreeMismatch: the tree does not describe the instance.
+        BadParameters: the table of budgets ``0..k`` would hold more
+            than a million entries; ``solve_srp`` answers such a budget.
     """
     return _table(instance, _flatten_tree(instance, tree))
 

@@ -15,6 +15,13 @@ each of its edges; and it records the ``gen`` bytes, the ``bench`` table
 of each k = 2 corpus and a few ``gap`` reports.  Each entry is the sha256
 of the exit code, stdout and stderr.
 
+A few larger documents have the shape of the benchmark's ``general``
+workload (n = 14..16, m = 3n, weights 0..3, k = 1 and 2, directed and
+undirected), where the link-graph solvers' bounds decide most pairs.
+They run only under ``auto``, ``bipath`` and ``approx-k`` at the default
+caps, plus the same ``check`` runs; the other algorithms are exponential
+at that size.
+
 Re-record only the entries a declared behaviour change touches, and list
 them with the reason; a difference nobody can explain is a fault, not a
 reason to re-record.
@@ -27,6 +34,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 
@@ -66,6 +74,11 @@ SHAPES = {
                                       (0, 2, 5, True), (1, 1, 0, False)]),
 }
 
+# (directed, k, seed) of each general-shaped document.
+GENERAL = [(directed, k, seed) for directed in (False, True) for k in (1, 2)
+           for seed in range(4)]
+GENERAL_ALGORITHMS = ("auto", "bipath", "approx-k")
+
 CAPS = ("1000000", "2", "0")
 GAPS = [("2", "1"), ("3", "2"), ("4", "1"), ("5", "3")]
 
@@ -81,8 +94,18 @@ def _run(argv: list[str], directory: str) -> tuple[str, str]:
     return hashlib.sha256(blob).hexdigest(), stdout
 
 
-def _documents(directory: str, digests: dict) -> list[tuple[str, str]]:
-    # The gen runs write the seeded documents; their bytes are entries too.
+def _general_instance(directed: bool, k: int, seed: int):
+    rng = random.Random(seed * 4 + directed * 2 + k)
+    n = rng.randint(14, 16)
+    edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3), rng.random() < 0.5)
+             for _ in range(3 * n)]
+    return build_instance(directed, n, 0, n - 1, k, edges)
+
+
+def _documents(directory: str, digests: dict) -> list[tuple[str, str, tuple, tuple]]:
+    # (label, path, algorithms, caps) per document.  The gen runs write
+    # the seeded documents; their bytes are entries too.
+    full = (cli.ALGORITHMS, CAPS)
     docs = []
     for number, (kind, options) in enumerate(GEN):
         for k in range(4):
@@ -96,7 +119,7 @@ def _documents(directory: str, digests: dict) -> list[tuple[str, str]]:
                     data = handle.read()
                 label = f"gen{number}-k{k}/{name}"
                 digests[f"bytes {label}"] = hashlib.sha256(data).hexdigest()
-                docs.append((label, path))
+                docs.append((label, path, *full))
             if k == 2:
                 # The out file holds times; stdout and the exit code do not.
                 argv = ["bench", out, os.path.join(directory, f"bench{number}.txt")]
@@ -105,7 +128,13 @@ def _documents(directory: str, digests: dict) -> list[tuple[str, str]]:
         path = os.path.join(directory, f"{label}.ftp")
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(cli.serialize_instance(build_instance(directed, n, s, t, k, edges)))
-        docs.append((label, path))
+        docs.append((label, path, *full))
+    for directed, k, seed in GENERAL:
+        label = f"general-{'directed' if directed else 'undirected'}-k{k}-{seed}"
+        path = os.path.join(directory, f"{label}.ftp")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(cli.serialize_instance(_general_instance(directed, k, seed)))
+        docs.append((label, path, GENERAL_ALGORITHMS, CAPS[:1]))
     return docs
 
 
@@ -115,10 +144,10 @@ def record() -> dict[str, str]:
     saved = os.environ.pop("FTP_LOG_DIR", None)
     try:
         with tempfile.TemporaryDirectory() as directory:
-            for label, path in _documents(directory, digests):
+            for label, path, algorithms, caps in _documents(directory, digests):
                 solutions = set()
-                for algorithm in cli.ALGORITHMS:
-                    for cap in CAPS:
+                for algorithm in algorithms:
+                    for cap in caps:
                         argv = ["solve", path, "--algorithm", algorithm,
                                 "--cap-scenarios", cap, "--cap-configs", cap]
                         digest, stdout = _run(argv, directory)

@@ -6,8 +6,9 @@ eager reference that fills every pair first, then runs the same meta
 shortest path, must give the same edge sets, costs and ``Infeasible``
 messages.  They also pin the reading and ``limit`` contracts of
 ``meta_shortest_path`` that make the lazy table possible, the lower
-bound on a flow link's weight, and that the solvers really skip the
-links they never read and the flows that bound decides.
+bound on a flow link's weight (``c2``, the min cost of 2 unit routes,
+checked against ``min_cost_flow``), and that the solvers really skip
+the links they never read and the flows that bound decides.
 """
 
 import math
@@ -18,8 +19,9 @@ import pytest
 from ftpath import flow
 from ftpath.approx import approx_k
 from ftpath.bipath import link_lengths, solve_1ftp
-from ftpath.core import Infeasible, build_instance, is_feasible
-from ftpath.shortest import dijkstra_tree, meta_shortest_path, safe_subgraph_distances
+from ftpath.core import Infeasible, adjacency, build_instance, is_feasible
+from ftpath.shortest import (_shortest_tree, _two_route_costs, dijkstra_tree,
+                             meta_shortest_path, safe_subgraph_distances)
 
 from conftest import random_instance
 
@@ -264,13 +266,79 @@ def test_meta_shortest_path_limit_contract():
     assert skipped >= 300
 
 
+def _c2_rows(instance, cap):
+    # c2[u][v] for every pair, with safe edges of capacity ``cap`` (1 or 2).
+    adj, radj = adjacency(instance), adjacency(instance, reverse=True)
+    doubled = {e.id for e in instance.edges if not e.faulty} if cap == 2 else ()
+    return [_two_route_costs(adj, radj, *_shortest_tree(adj, u), u, doubled)
+            for u in range(instance.vertex_count)]
+
+
+def _two_unit_cost(instance, cap, u, v):
+    try:
+        return flow.min_cost_flow(flow.edge_network(instance, cap), u, v, 2).total_cost
+    except Infeasible:
+        return INF
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_two_route_costs_match_min_cost_flow(cap):
+    # c2[u][v] is the min cost of 2 units from u to v on the instance's
+    # network, whatever the direction, weights and multi-edges.
+    rng = random.Random(101 + cap)
+    parallel = loops = unreachable = finite = 0
+    for i in range(300):
+        inst = random_instance(rng, n_max=7, m_max=14, directed=i % 2 == 1, k=1,
+                               max_w=rng.choice((0, 1, 3)))
+        parallel += _has_parallel_edges(inst)
+        loops += any(e.u == e.v for e in inst.edges)
+        for u, row in enumerate(_c2_rows(inst, cap)):
+            d1 = dijkstra_tree(inst, u, range(len(inst.edges)))[0]
+            assert row[u] == 0
+            for v in range(inst.vertex_count):
+                if v != u:
+                    assert row[v] == _two_unit_cost(inst, cap, u, v)
+                    finite += row[v] != INF
+                    unreachable += d1[v] == INF
+    assert parallel >= 150 and loops >= 50 and unreachable >= 1500 and finite >= 1500
+
+
+def test_two_route_costs_cancel_a_shortest_path_edge():
+    # The shortest 0-3 path 0-1-2-3 (cost 3) shares 0->1 with 0-1-3 and
+    # 2->3 with 0-2-3, so the only pair, 0-1-3 and 0-2-3 (cost 8), must
+    # leave out its middle arc 1->2.
+    for directed in (True, False):
+        inst = build_instance(directed, 4, 0, 3, 1, [
+            (0, 1, 1, True), (1, 2, 1, True), (2, 3, 1, True), (0, 2, 3, True),
+            (1, 3, 3, True)])
+        assert dijkstra_tree(inst, 0, range(5))[0][3] == 3
+        for cap in (1, 2):
+            assert _c2_rows(inst, cap)[0][3] == 8 == _two_unit_cost(inst, cap, 0, 3)
+        net = flow.edge_network(inst, 1)
+        res = flow.min_cost_flow(net, 0, 3, 2)
+        assert 1 not in _support(net, res)
+
+
+def test_two_route_costs_double_a_safe_arc():
+    # Safe arcs 0->1->2, then two faulty arcs 2->3, and a detour 0->3 of
+    # weight 10.  With capacity 2 both units take the safe chain (cost
+    # 2*2 + 1 + 1); with capacity 1 the second one takes the detour.
+    inst = build_instance(True, 4, 0, 3, 1, [
+        (0, 1, 1, False), (1, 2, 1, False), (2, 3, 1, True), (2, 3, 1, True),
+        (0, 3, 10, True)])
+    doubled, single = _c2_rows(inst, 2), _c2_rows(inst, 1)
+    assert doubled[0][3] == 6 == _two_unit_cost(inst, 2, 0, 3)
+    assert single[0][3] == 13 == _two_unit_cost(inst, 1, 0, 3)
+    assert doubled[0][2] == 4 and single[0][2] == INF
+
+
 def _lower_bound(units, d1):
     # ceil(units * d1 / (units - 1)), the least weight of a flow link.
     return -(-units * d1 // (units - 1))
 
 
-def _flow_link_weights(instance, safe_cap, units, weight):
-    # (flow link weight, d1) for every pair with a feasible flow.
+def _flow_link_weights(instance, safe_cap, units, weight, c2):
+    # (flow link weight, d1, c2) for every pair with a feasible flow.
     net = flow.edge_network(instance, safe_cap)
     out = []
     for u in range(instance.vertex_count):
@@ -282,17 +350,19 @@ def _flow_link_weights(instance, safe_cap, units, weight):
                 res = flow.min_cost_flow(net, u, v, units)
             except Infeasible:
                 continue
-            out.append((weight(net, res), d1[v]))
+            out.append((weight(net, res), d1[v], c2[u][v]))
     return out
 
 
 @pytest.mark.parametrize("directed", [False, True])
 def test_flow_link_weight_lower_bound(directed):
     # Every flow link weighs at least ceil(units * d1 / (units - 1)),
-    # where d1 is the distance over all edges: the bound that lets the
-    # link table skip flows.
+    # where d1 is the distance over all edges, and at least c2, the min
+    # cost of 2 routes with every capacity 1: the bound that lets the
+    # link table skip flows.  A bipath link (2 units on its own
+    # capacities) weighs exactly its c2.
     rng = random.Random(83 if directed else 89)
-    parallel = tight = pairs = 0
+    parallel = tight = pairs = c2_tight = c2_above_old = 0
     for _ in range(60):
         inst = random_instance(rng, n_max=7, m_max=14, directed=directed, k=1,
                                max_w=3)
@@ -301,15 +371,25 @@ def test_flow_link_weight_lower_bound(directed):
         def support_weight(net, res):
             return sum(inst.edges[e].w for e in _support(net, res))
 
-        cases = [(2 if directed else 1, 2, lambda net, res: res.total_cost)]
-        cases += [(k, k + 1, support_weight) for k in (1, 2, 3)]
-        for safe_cap, units, weight in cases:
-            for w, d1 in _flow_link_weights(inst, safe_cap, units, weight):
-                lb = _lower_bound(units, d1)
-                assert w >= lb
+        bipath_cap = 2 if directed else 1
+        unit_c2 = _c2_rows(inst, 1)
+        for w, d1, c2 in _flow_link_weights(inst, bipath_cap, 2,
+                                            lambda net, res: res.total_cost,
+                                            _c2_rows(inst, bipath_cap)):
+            assert w >= _lower_bound(2, d1)
+            assert w == c2
+            pairs += 1
+            tight += w == _lower_bound(2, d1) and d1 > 0
+        for k in (1, 2, 3):
+            for w, d1, c2 in _flow_link_weights(inst, k, k + 1, support_weight, unit_c2):
+                lb = _lower_bound(k + 1, d1)
+                assert w >= c2 >= lb
                 pairs += 1
                 tight += w == lb and d1 > 0
+                c2_tight += w == c2
+                c2_above_old += c2 > lb
     assert parallel >= 15 and pairs >= 500 and tight >= 20
+    assert c2_tight >= 300 and c2_above_old >= 300
 
 
 @pytest.mark.parametrize("solver,k", [(solve_1ftp, 1), (approx_k, 1), (approx_k, 2),
@@ -345,3 +425,35 @@ def test_no_flow_for_links_the_bound_decides(solver, k, monkeypatch):
                            for v in range(inst.vertex_count) if v != u)
     # The bound decides many pairs from these sources: the pin has teeth.
     assert decided >= 100
+
+
+def test_flows_per_solve_on_general_sized_instances(monkeypatch):
+    # On instances of the general workload's shape the c2 bound decides
+    # most pairs.  bipath's bound is exact, so it never runs a flow that
+    # does not fit.  With ceil(units * d1 / (units - 1)) as the bound
+    # these solves ran 3,999 flows, 1,435 of them in bipath (314
+    # infeasible); with c2 they run 1,685.
+    rng = random.Random(113)
+    original = flow.min_cost_flow
+    calls = {solve_1ftp: [], approx_k: []}
+    solver = solve_1ftp
+
+    def recording(net, s, t, amount):
+        try:
+            result = original(net, s, t, amount)
+        except Infeasible:
+            calls[solver].append(False)
+            raise
+        calls[solver].append(True)
+        return result
+
+    monkeypatch.setattr(flow, "min_cost_flow", recording)
+    for _ in range(40):
+        inst = _general_sized_instance(rng, directed=rng.random() < 0.5)
+        for solver, k in ((solve_1ftp, 1), (approx_k, 1), (approx_k, 2)):
+            try:
+                solver(inst.with_budget(k))
+            except Infeasible:
+                pass
+    assert all(calls[solve_1ftp])
+    assert len(calls[solve_1ftp]) + len(calls[approx_k]) < 2000

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from ftpath.core import (Infeasible, Solution, SolverCheckFailed, build_instance,
-                         is_feasible)
+from ftpath.core import (BadParameters, Infeasible, Solution, SolverCheckFailed,
+                         build_instance, is_feasible)
 from ftpath.frac import gap_family
 from ftpath.oracle import brute_force_opt
 from ftpath.shortest import shortest_path_solution
@@ -138,6 +138,17 @@ def test_budget_above_faulty_count_repeats_the_last_entry():
     at_m = solve_ftp_srp(inst.with_budget(2), decompose_srp(inst))
     assert table.entries == at_m.entries + at_m.entries[-1:] * 4
     assert solve_srp(inst.with_budget(10**11)) == solve_srp(inst.with_budget(2))
+
+
+def test_table_refuses_huge_budgets():
+    # The table holds one entry per budget 0..k, so a huge k is refused
+    # before any is built; solve_srp still answers at that budget.
+    inst = build_instance(False, 2, 0, 1, 10**11, [(0, 1, 5, False)])
+    with pytest.raises(BadParameters, match=r"k=100000000000 needs 100000000001 "
+                                            r"entries, above the bound of 1000000"):
+        solve_ftp_srp(inst, decompose_srp(inst))
+    assert len(solve_ftp_srp(inst.with_budget(999_999), decompose_srp(inst)).entries) == 10**6
+    assert solve_srp(inst).edges == {0}
 
 
 def test_gap_family_table():
