@@ -6,13 +6,20 @@ s-t flow still fits.  Desk-scale instances are solved exactly: the
 per-scenario flow conditions collapse, cut by cut, into ``sum of x over
 the cut minus its k largest faulty values >= 1``, the inner maximum is
 linearized with one threshold variable per cut, and the resulting LP is
-handed to the rational simplex.  No floating point anywhere.
+handed to ``simplex.solve_lexmin``.  Every row is a ``>=`` row and every
+cost is at least 0, so that routine solves the LP through its dual from
+the slack basis, with no phase 1, and its lexicographic ratio test
+(Dantzig, Orden & Wolfe, 1955) returns the lexicographically smallest
+optimal ``x`` by edge id.  The answer is then checked: every row holds,
+``c.x`` equals the value the dual certifies, and every edge capacity lies
+in [0, 1].  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import flow, oracle, simplex
 from .core import (BadParameters, FTPError, Infeasible, Instance,
@@ -23,8 +30,9 @@ __all__ = ["TooLargeForExactLP", "CapacityVector", "GapReport", "solve_frac",
            "fractional_max_flow", "enumerate_cut_edge_sets"]
 
 DEFAULT_VAR_CAP = 50_000
-# Entries of the dense simplex tableau, each at least a pointer; the
-# largest LP of the tests and the benchmark has about 41,000.
+# Entries of the dense tableau of the LP's dual, each at least a pointer.
+# The largest LP of the tests, a random 8-vertex, 21-edge document at
+# k = 2, has about 116,000; those of the benchmark a few thousand.
 TABLEAU_CAP = 1_000_000
 MAX_CUT_ENUMERATION = 2**18
 MINIMALITY_FILTER_LIMIT = 4000
@@ -90,6 +98,8 @@ def enumerate_cut_edge_sets(instance: Instance) -> list[tuple[int, ...]]:
 def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVector:
     """Exact optimum of the fractional relaxation.
 
+    ``x`` is the lexicographically smallest optimal vector by edge id.
+
     Raises:
         Infeasible: even buying every edge is infeasible.
         TooLargeForExactLP: the cut enumeration or LP would be too big.
@@ -109,53 +119,65 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
 
     # Both caps are checked before any row is built.  A cut with more
     # than k faulty edges adds a threshold and one overshoot per faulty
-    # edge, each with its row.  Each row is a >= row with a non-negative
-    # right-hand side, so the simplex gives it a slack and an artificial
-    # column; the rhs is last.
+    # edge, each with its row.  The simplex works on the dual, one
+    # tableau row per variable, with a column per row, a slack column per
+    # variable and the rhs last.
     extra = [len(f) for f in faulty_of if len(f) > k]
     num_vars = m + len(extra) + sum(extra)
     if num_vars > var_cap:
         raise TooLargeForExactLP(f"{num_vars} LP variables exceed the cap of {var_cap}")
     num_rows = len(cuts) + sum(extra)
-    columns = num_vars + 2 * num_rows + 1
-    if num_rows * columns > TABLEAU_CAP:
+    columns = num_rows + num_vars + 1
+    if num_vars * columns > TABLEAU_CAP:
         raise TooLargeForExactLP(
-            f"LP tableau of {num_rows} rows x {columns} columns exceeds "
+            f"LP tableau of {num_vars} rows x {columns} columns exceeds "
             f"the cap of {TABLEAU_CAP} entries")
 
     next_var = m
-    rows: list[tuple[dict[int, Fraction], str, int]] = []
-    one = Fraction(1)
+    rows: list[tuple[dict[int, int], int]] = []
     for cut, cut_faulty in zip(cuts, faulty_of):
         if len(cut_faulty) <= k:
             # Every faulty edge of this cut can fail at once.
-            survivors = [eid for eid in cut if eid not in faulty]
-            rows.append(({eid: one for eid in survivors}, simplex.GREATER_EQUAL, 1))
+            rows.append((dict.fromkeys((eid for eid in cut if eid not in faulty), 1), 1))
         else:
             # sum(x over cut) - (k largest faulty x) >= 1, linearized with
             # a threshold theta and overshoot variables z >= x - theta.
             theta = next_var
             z_of = {eid: next_var + 1 + i for i, eid in enumerate(cut_faulty)}
             next_var += 1 + len(cut_faulty)
-            main: dict[int, Fraction] = {eid: one for eid in cut}
-            main[theta] = Fraction(-k)
+            main = dict.fromkeys(cut, 1)
+            main[theta] = -k
             for eid in cut_faulty:
-                main[z_of[eid]] = -one
-            rows.append((main, simplex.GREATER_EQUAL, 1))
+                main[z_of[eid]] = -1
+            rows.append((main, 1))
             for eid in cut_faulty:
-                rows.append(({z_of[eid]: one, theta: one, eid: -one},
-                             simplex.GREATER_EQUAL, 0))
+                rows.append(({z_of[eid]: 1, theta: 1, eid: -1}, 0))
 
-    objective = {e.id: Fraction(e.w) for e in instance.edges}
-    solution, value = simplex.solve_lp(objective, rows, num_vars)
-    # Capacities above one are never needed (a unit of flow never loads
-    # an edge beyond one); they can only appear on zero-cost edges.
-    x = tuple(min(solution[e.id], one) for e in instance.edges)
-    clamped_value = sum(Fraction(e.w) * x[e.id] for e in instance.edges)
-    if clamped_value != value:
+    objective = [e.w for e in instance.edges]
+    x, value = simplex.solve_lexmin(objective, rows, num_vars)
+    _check_solution(instance, rows, x, value)
+    return CapacityVector(tuple(x[:m]), value)
+
+
+def _check_solution(instance: Instance, rows, x: list[Fraction], value: Fraction) -> None:
+    """Raise ``SolverCheckFailed`` unless ``x`` is a feasible point of cost
+    ``value`` with every edge capacity in [0, 1].
+
+    The simplex's dual certifies that no feasible point costs less.  The
+    lexicographically smallest optimum never puts an edge above 1:
+    lowering such a capacity to 1 keeps every scenario cut at 1 or more.
+    """
+    scale = lcm(*(v.denominator for v in x))
+    scaled = [v.numerator * (scale // v.denominator) for v in x]
+    if any(v < 0 for v in scaled) or any(
+            sum(a * scaled[j] for j, a in coeffs.items()) < b * scale for coeffs, b in rows):
+        raise SolverCheckFailed("frac LP solution violates a cut row")
+    cost = sum(e.w * scaled[e.id] for e in instance.edges)
+    if cost != value * scale:
         raise SolverCheckFailed(
-            f"frac clamping changed the LP value from {value} to {clamped_value}")
-    return CapacityVector(x, value)
+            f"frac LP value {value} differs from the cost {Fraction(cost, scale)} of its x")
+    if any(scaled[e.id] > scale for e in instance.edges):
+        raise SolverCheckFailed("frac LP solution puts an edge above capacity 1")
 
 
 def gap_family(D: int, k: int) -> Instance:

@@ -148,13 +148,13 @@ def test_srp_and_shortest_check_failure_exit_code(tmp_path, capsys, monkeypatch,
 
 
 def test_frac_check_failure_exit_code(gap_file, capsys, monkeypatch):
-    real = simplex.solve_lp
+    real = simplex.solve_lexmin
 
     def off_by_one(*args):
         x, value = real(*args)
         return x, value + 1
 
-    monkeypatch.setattr(simplex, "solve_lp", off_by_one)
+    monkeypatch.setattr(simplex, "solve_lexmin", off_by_one)
     code, out, err = run_main(["solve", gap_file, "--algorithm", "frac"], capsys)
     assert code == EXIT_INTERNAL
     assert out == ""

@@ -2,18 +2,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from ftpath import flow, frac
-from ftpath.core import BadParameters, Infeasible, build_instance, enumerate_scenarios
+from ftpath import flow, frac, simplex
+from ftpath.core import (BadParameters, Infeasible, SolverCheckFailed, build_instance,
+                         enumerate_scenarios)
 from ftpath.frac import (TooLargeForExactLP, fractional_max_flow, gap_family,
                          gap_report, rounding_vector, solve_frac,
                          enumerate_cut_edge_sets)
 from ftpath.oracle import brute_force_opt
 from ftpath.shortest import shortest_path_solution
 from ftpath.simplex import (EQUAL, GREATER_EQUAL, LESS_EQUAL, LPInfeasible,
-                            LPUnbounded, solve_lp)
+                            LPUnbounded, solve_lexmin, solve_lp)
 
 from conftest import min_cut_by_bipartition, random_instance
 
@@ -143,6 +145,134 @@ def test_simplex_pins_vertex_among_several_optima():
     assert len(optima) == 2
     assert solve_lp(objective, rows, 4) == ([Fraction(2), Fraction(0), Fraction(0),
                                              Fraction(0)], Fraction(2))
+
+
+def _lexmin_vertex(objective, rows, num_vars):
+    """The lexicographically smallest optimal vertex of ``min objective . x``
+    over ``coeffs . x >= rhs`` rows, by enumerating every vertex."""
+    points = _vertices([(coeffs, GREATER_EQUAL, b) for coeffs, b in rows], num_vars)
+    if not points:
+        return None
+    costs = dict(enumerate(objective))
+
+    def cost(x):
+        return sum(Fraction(costs.get(j, 0)) * x[j] for j in range(num_vars))
+
+    best = min(cost(x) for x in points)
+    return min(x for x in points if cost(x) == best), best
+
+
+def test_solve_lexmin_matches_solve_lp_and_the_lexmin_vertex():
+    rng = random.Random(1501)
+    outcomes = Counter()
+    for _ in range(500):
+        num_vars = rng.randint(1, 4)
+        rows = [({j: Fraction(rng.randint(-1, 3), rng.choice((1, 1, 1, 2)))
+                  for j in range(num_vars) if rng.random() < 0.7}, rng.randint(-1, 2))
+                for _ in range(rng.randint(0, 4))]
+        # Zero costs and repeated costs make optima that are not unique.
+        objective = [rng.choice((0, 0, 1, 1, 1, Fraction(3, 2))) for _ in range(num_vars)]
+        try:
+            _, value = solve_lp(objective, [(c, GREATER_EQUAL, b) for c, b in rows], num_vars)
+        except LPInfeasible:
+            outcomes["infeasible"] += 1
+            with pytest.raises(LPInfeasible):
+                solve_lexmin(objective, rows, num_vars)
+            continue
+        x, got = solve_lexmin(objective, rows, num_vars)
+        assert got == value
+        assert (tuple(x), got) == _lexmin_vertex(objective, rows, num_vars)
+        outcomes["optimal"] += 1
+        outcomes["not unique"] += sum(
+            1 for v in _vertices([(c, GREATER_EQUAL, b) for c, b in rows], num_vars)
+            if sum(Fraction(objective[j]) * v[j] for j in range(num_vars)) == value) > 1
+    assert min(outcomes.values()) >= 30
+
+
+def test_solve_lexmin_edge_cases():
+    assert solve_lexmin([1, 2], [], 2) == ([0, 0], 0)
+    # A row with no coefficients and a positive rhs has no solution.
+    with pytest.raises(LPInfeasible):
+        solve_lexmin([], [({}, 1)], 0)
+    assert solve_lexmin({}, [({}, 0)], 0) == ([], 0)
+    with pytest.raises(ValueError, match="costs >= 0"):
+        solve_lexmin({0: -1}, [({0: 1}, 1)], 1)
+
+
+def _record_lp(monkeypatch):
+    """Patch the simplex so that every solve_frac call records the LP it
+    solves: the objective, rows and variable count."""
+    seen = {}
+    real = simplex.solve_lexmin
+
+    def recording(objective, rows, num_vars):
+        seen.update(objective=objective, rows=rows, num_vars=num_vars)
+        return real(objective, rows, num_vars)
+
+    monkeypatch.setattr(simplex, "solve_lexmin", recording)
+    return seen
+
+
+def test_frac_x_is_the_lexmin_optimum(monkeypatch):
+    lp = _record_lp(monkeypatch)
+    # k = 0, two shortest paths of cost 2 and a cut {0, 2} with a faulty
+    # edge, so a threshold block: the lexmin x avoids edge 0.
+    two_paths = build_instance(False, 4, 0, 3, 0, [(0, 1, 1, True), (1, 3, 1, False),
+                                                   (0, 2, 1, False), (2, 3, 1, False)])
+    cv = solve_frac(two_paths)
+    assert lp["num_vars"] > len(two_paths.edges)
+    assert cv.x == (0, 0, 1, 1) and cv.value == 2
+    assert _lexmin_vertex(lp["objective"], lp["rows"], lp["num_vars"]) == \
+        ((0, 0, 1, 1) + (0,) * 4, 2)
+
+    rng = random.Random(1502)
+    checked = 0
+    while checked < 40:
+        inst = random_instance(rng, n_max=4, m_max=5, k=rng.randint(0, 2), max_w=2)
+        if inst.s == inst.t:
+            continue
+        try:
+            cv = solve_frac(inst)
+        except Infeasible:
+            continue
+        num_vars = lp["num_vars"]
+        if comb(len(lp["rows"]) + num_vars, num_vars) > 3000:
+            continue
+        x, value = _lexmin_vertex(lp["objective"], lp["rows"], num_vars)
+        assert (cv.x, cv.value) == (x[:len(inst.edges)], value)
+        checked += 1
+
+
+@pytest.mark.parametrize("wrong", ["row", "above one", "value"])
+def test_frac_checks_the_simplex_answer(monkeypatch, wrong):
+    # Edge 2 costs nothing: raising it above 1 keeps the value.
+    inst = build_instance(False, 3, 0, 2, 0, [(0, 1, 1, False), (1, 2, 1, False),
+                                              (0, 2, 0, False)])
+    real = simplex.solve_lexmin
+
+    def altered(objective, rows, num_vars):
+        x, value = real(objective, rows, num_vars)
+        if wrong == "row":
+            return [Fraction(0)] * num_vars, Fraction(0)
+        if wrong == "above one":
+            return x[:2] + [Fraction(2)], value
+        return x, value + 1
+
+    monkeypatch.setattr(simplex, "solve_lexmin", altered)
+    with pytest.raises(SolverCheckFailed):
+        solve_frac(inst)
+
+
+def test_frac_value_of_a_large_cut_lp(tmp_path, capsys):
+    # 8 vertices and 21 edges at k = 2: this LP took 42 s through the
+    # two-phase simplex, which gave the same value.
+    from ftpath.cli import main, parse_instance
+    out = tmp_path / "gen"
+    assert main(["gen", "--kind", "random", "--seed", "8", "--n", "8", "--edges", "21",
+                 "--k", "2", "--out", str(out)]) == 0
+    capsys.readouterr()
+    cv = solve_frac(parse_instance((out / "random_000.ftp").read_text()))
+    assert cv.value == 20
 
 
 def test_gap_family_values_exact():
@@ -408,18 +538,18 @@ def test_var_cap():
 
 def test_tableau_cap_names_the_size(monkeypatch):
     # gap_family(30, 2): one cut of 30 faulty edges, so 31 rows and 61
-    # variables, and 31 x (61 + 62 + 1) tableau entries.
-    monkeypatch.setattr(frac, "TABLEAU_CAP", 3843)
+    # variables, and a dual tableau of 61 x (31 + 61 + 1) entries.
+    monkeypatch.setattr(frac, "TABLEAU_CAP", 5672)
     with pytest.raises(TooLargeForExactLP,
-                       match=r"^LP tableau of 31 rows x 124 columns exceeds the cap of 3843 "):
+                       match=r"^LP tableau of 61 rows x 93 columns exceeds the cap of 5672 "):
         solve_frac(gap_family(30, 2))
-    monkeypatch.setattr(frac, "TABLEAU_CAP", 3844)
+    monkeypatch.setattr(frac, "TABLEAU_CAP", 5673)
     assert solve_frac(gap_family(30, 2)).value == Fraction(15, 14)
 
 
 def test_tableau_cap_stops_a_valid_document_before_the_simplex(tmp_path, capsys):
     # Under the variable cap, this document's LP would need a dense
-    # tableau of 3.6e9 entries, which exhausted memory.
+    # tableau of 2.4e9 entries, which exhausted memory.
     from ftpath.cli import main
     out = tmp_path / "gen"
     assert main(["gen", "--kind", "srp", "--seed", "4", "--edges", "30", "--k", "2",
@@ -427,5 +557,5 @@ def test_tableau_cap_stops_a_valid_document_before_the_simplex(tmp_path, capsys)
     capsys.readouterr()
     code = main(["solve", str(out / "srp_003.ftp"), "--algorithm", "frac"])
     assert (code, capsys.readouterr().err) == (
-        4, "caps exceeded: LP tableau of 34736 rows x 104199 columns exceeds "
+        4, "caps exceeded: LP tableau of 34726 rows x 69463 columns exceeds "
            "the cap of 1000000 entries\n")
