@@ -8,7 +8,10 @@ and (b) a cheapest pair of routes carrying two flow units, finds a
 shortest s-t path in the complete "link" graph over those lengths and
 expands each chosen link back into concrete edges.  Link lengths are
 computed on first read, so only the links leaving vertices that the
-meta shortest path settles before ``t`` are ever computed.
+meta shortest path settles before ``t`` are ever computed.  That search
+is goal-directed: A* on ``d1(v -> t)``, the distance to ``t`` over every
+edge, settles only vertices whose distance plus ``d1`` to ``t`` is at
+most the route's length, and reads no link into a vertex cut off from t.
 
 Most of those reads need no flow.  The two-route cost ``c2`` of every
 target of a source comes from one extra Dijkstra pass over the source's
@@ -108,6 +111,11 @@ class _Links:
         self.trees: dict[int, tuple] = {}  # u -> (dist, via, d1, d1 via)
         self.two_route: dict[int, list] = {}  # u -> c2 row
         self.entries: dict[tuple[int, int], tuple] = {}
+
+    def potential(self) -> list:
+        """``d1(v -> t)`` of every v, a consistent potential for the links:
+        each is at least ``d1(u, v)``, as safe paths and ``c2`` are."""
+        return _shortest_tree(self.all_radj, self.instance.t)[0]
 
     def _tree(self, u: int) -> tuple:
         tree = self.trees.get(u)
@@ -214,7 +222,7 @@ def solve_1ftp(instance: Instance) -> Solution:
     if instance.s == instance.t:
         return Solution(frozenset(), 0, OPTIMAL)
     total, seq = meta_shortest_path(instance.vertex_count, links.length,
-                                    instance.s, instance.t)
+                                    instance.s, instance.t, links.potential())
     if total == INF:
         raise Infeasible("no single-failure-tolerant route exists")
     chosen: set[int] = set()

@@ -114,7 +114,8 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
             f"{instance.vertex_count} vertices give too many cuts to enumerate")
     cuts = enumerate_cut_edge_sets(instance)
     k = instance.k
-    faulty = instance.faulty_ids
+    # With nothing able to fail, a faulty edge counts in a cut like a safe one.
+    faulty = instance.faulty_ids if k else frozenset()
     faulty_of = [[eid for eid in cut if eid in faulty] for cut in cuts]
 
     # Both caps are checked before any row is built.  A cut with more

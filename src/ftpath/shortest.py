@@ -187,49 +187,59 @@ def safe_subgraph_distances(instance: Instance) -> tuple[list[list], dict]:
 
 
 def meta_shortest_path(n: int, length: Callable[[int, int, object], object],
-                       s: int, t: int) -> tuple[object, list[int]]:
+                       s: int, t: int, potential: Sequence | None = None
+                       ) -> tuple[object, list[int]]:
     """Shortest s-t path in the complete graph with lengths ``length(u, v, limit)``.
 
     ``length`` may return ``math.inf`` for missing links.  Returns
     ``(distance, vertex sequence)``; an infinite distance comes with an
     empty sequence.  Ties prefer fewer hops, then smaller predecessors.
 
+    ``potential[v]``, if given, is a lower bound on the distance from
+    ``v`` to ``t`` (``math.inf`` when ``v`` cannot reach ``t``), and it
+    must be consistent: ``potential[u] <= length(u, v) + potential[v]``
+    for the exact lengths.  The search then settles vertices in A* order
+    (Hart, Nilsson & Raphael, 1968), by ``(dist + potential, dist, hops,
+    vertex)``; the result is the one without a potential.
+
     Callers may compute lengths on demand: each ``(u, v)`` is read at
-    most once, only after ``u`` is settled, never for a settled ``v``
-    and never once ``t`` is settled.  ``limit`` is the largest length
-    that could still relax ``v`` (``math.inf`` while ``v`` is
-    unreached): ``length`` must return the exact length when it is at
-    most ``limit``, and may return any larger value otherwise, so a
-    caller can skip computing a link that a lower bound already rules
-    out.  The result is the same as with exact lengths.
+    most once, only after ``u`` is settled, never for a settled ``v``,
+    never for a ``v`` of infinite potential (one that cannot reach
+    ``t``) and never once ``t`` is settled.  With or without a
+    potential, ``limit`` is the largest length that could still relax
+    ``v`` (``math.inf`` while ``v`` is unreached): ``length`` must
+    return the exact length when it is at most ``limit``, and may return
+    any larger value otherwise, so a caller can skip computing a link
+    that a lower bound already rules out.  The result is the same as
+    with exact lengths.
     """
     if s == t:
         return 0, [s]
+    h = [0] * n if potential is None else potential
     dist: list = [INF] * n
     hops: list = [INF] * n
     pred: list = [None] * n
     done = [False] * n
     dist[s], hops[s] = 0, 0
-    for _ in range(n):
-        u, best = -1, (INF, INF, INF)
-        for v in range(n):
-            if not done[v] and dist[v] != INF and (dist[v], hops[v], v) < best:
-                best = (dist[v], hops[v], v)
-                u = v
-        if u < 0:
-            break
+    heap = [(h[s], 0, 0, s)] if h[s] != INF else []
+    while heap:
+        _, du, hu, u = heapq.heappop(heap)
+        if done[u]:
+            continue
         done[u] = True
         if u == t:
             break
         for v in range(n):
-            if done[v]:
+            if done[v] or h[v] == INF:
                 continue
-            ell = length(u, v, dist[v] - dist[u])
+            ell = length(u, v, dist[v] - du)
             if ell == INF:
                 continue
             old_pred = pred[v] if pred[v] is not None else INF
-            if (dist[u] + ell, hops[u] + 1, u) < (dist[v], hops[v], old_pred):
-                dist[v], hops[v], pred[v] = dist[u] + ell, hops[u] + 1, u
+            if (du + ell, hu + 1, u) < (dist[v], hops[v], old_pred):
+                if (du + ell, hu + 1) < (dist[v], hops[v]):
+                    heapq.heappush(heap, (du + ell + h[v], du + ell, hu + 1, v))
+                dist[v], hops[v], pred[v] = du + ell, hu + 1, u
     if dist[t] == INF:
         return INF, []
     seq = [t]

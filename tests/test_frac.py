@@ -215,15 +215,17 @@ def _record_lp(monkeypatch):
 
 def test_frac_x_is_the_lexmin_optimum(monkeypatch):
     lp = _record_lp(monkeypatch)
-    # k = 0, two shortest paths of cost 2 and a cut {0, 2} with a faulty
-    # edge, so a threshold block: the lexmin x avoids edge 0.
+    # k = 0, two shortest paths of cost 2; the lexmin x avoids edge 0.
+    # Nothing can fail, so the faulty edge 0 counts in its cuts like a
+    # safe one: one plain row per cut, x(C) >= 1, and no threshold block.
     two_paths = build_instance(False, 4, 0, 3, 0, [(0, 1, 1, True), (1, 3, 1, False),
                                                    (0, 2, 1, False), (2, 3, 1, False)])
     cv = solve_frac(two_paths)
-    assert lp["num_vars"] > len(two_paths.edges)
+    assert lp["num_vars"] == len(two_paths.edges) == 4
+    assert sorted(lp["rows"], key=lambda row: sorted(row[0])) == [
+        ({0: 1, 2: 1}, 1), ({0: 1, 3: 1}, 1), ({1: 1, 2: 1}, 1), ({1: 1, 3: 1}, 1)]
     assert cv.x == (0, 0, 1, 1) and cv.value == 2
-    assert _lexmin_vertex(lp["objective"], lp["rows"], lp["num_vars"]) == \
-        ((0, 0, 1, 1) + (0,) * 4, 2)
+    assert _lexmin_vertex(lp["objective"], lp["rows"], lp["num_vars"]) == ((0, 0, 1, 1), 2)
 
     rng = random.Random(1502)
     checked = 0

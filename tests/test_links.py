@@ -8,17 +8,24 @@ messages.  They also pin the reading and ``limit`` contracts of
 ``meta_shortest_path`` that make the lazy table possible, the lower
 bound on a flow link's weight (``c2``, the min cost of 2 unit routes,
 checked against ``min_cost_flow``), and that the solvers really skip
-the links they never read and the flows that bound decides.
+the links they never read and the flows that bound decides.  The meta
+search runs in A* order on the potential ``d1(v -> t)``; a plain
+Dijkstra search with a selection scan, kept here as a reference, must
+give the same routes, and the potential must be consistent.
 """
 
+import importlib.util
 import math
 import random
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
-from ftpath import flow
+from ftpath import approx, bipath, flow
 from ftpath.approx import approx_k
-from ftpath.bipath import link_lengths, solve_1ftp
+from ftpath.bipath import _Links, _one_failure_links, link_lengths, solve_1ftp
 from ftpath.core import Infeasible, adjacency, build_instance, is_feasible
 from ftpath.shortest import (_shortest_tree, _two_route_costs, dijkstra_tree,
                              meta_shortest_path, safe_subgraph_distances)
@@ -26,6 +33,54 @@ from ftpath.shortest import (_shortest_tree, _two_route_costs, dijkstra_tree,
 from conftest import random_instance
 
 INF = math.inf
+
+
+def _plain_meta_shortest_path(n, length, s, t):
+    # The meta search without a potential, as a plain Dijkstra search
+    # that picks each next vertex by a scan: the reference for A* order.
+    if s == t:
+        return 0, [s]
+    dist = [INF] * n
+    hops = [INF] * n
+    pred = [None] * n
+    done = [False] * n
+    dist[s], hops[s] = 0, 0
+    for _ in range(n):
+        u, best = -1, (INF, INF, INF)
+        for v in range(n):
+            if not done[v] and dist[v] != INF and (dist[v], hops[v], v) < best:
+                best = (dist[v], hops[v], v)
+                u = v
+        if u < 0:
+            break
+        done[u] = True
+        if u == t:
+            break
+        for v in range(n):
+            if done[v]:
+                continue
+            ell = length(u, v, dist[v] - dist[u])
+            if ell == INF:
+                continue
+            old_pred = pred[v] if pred[v] is not None else INF
+            if (dist[u] + ell, hops[u] + 1, u) < (dist[v], hops[v], old_pred):
+                dist[v], hops[v], pred[v] = dist[u] + ell, hops[u] + 1, u
+    if dist[t] == INF:
+        return INF, []
+    seq = [t]
+    while seq[-1] != s:
+        seq.append(pred[seq[-1]])
+    seq.reverse()
+    return dist[t], seq
+
+
+def _plain_search(monkeypatch):
+    # Let both solvers run the reference search, dropping the potential.
+    def plain(n, length, s, t, potential=None):
+        return _plain_meta_shortest_path(n, length, s, t)
+
+    monkeypatch.setattr(bipath, "meta_shortest_path", plain)
+    monkeypatch.setattr(approx, "meta_shortest_path", plain)
 
 
 def _support(net, result):
@@ -153,6 +208,118 @@ def test_lazy_solvers_match_eager_reference(directed):
     assert routes >= 30 and parallel >= 30
 
 
+@pytest.mark.parametrize("potential", [False, True])
+def test_meta_search_matches_the_plain_search(potential):
+    # Random tables with lengths 0 to 3, so ties are common.
+    rng = random.Random(23 + potential)
+    routes = 0
+    for _ in range(500):
+        n = rng.randint(2, 9)
+        s, t = rng.sample(range(n), 2)
+        table = [[rng.choice((0, 1, 1, 2, 3, INF)) for _ in range(n)] for _ in range(n)]
+        h = _potentials(rng, table, t) if potential else None
+
+        def exact(u, v, limit):
+            return table[u][v]
+
+        found = meta_shortest_path(n, exact, s, t, h)
+        assert found == _plain_meta_shortest_path(n, exact, s, t)
+        routes += len(found[1]) > 2
+    assert routes >= 150
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_solvers_match_the_plain_meta_search(directed, monkeypatch):
+    # Tie-heavy instances: weights 0 to 3, zero-weight, parallel edges
+    # and self-loops.  Each solver gives the same edges, cost or
+    # Infeasible message with the A* search as with the plain one.
+    rng = random.Random(29 if directed else 31)
+    instances = [random_instance(rng, n_max=9, m_max=18, directed=directed, k=1,
+                                 max_w=3, ensure_backbone=i % 2 == 0) for i in range(300)]
+
+    def outcomes():
+        return [_outcome(solve_1ftp, inst) for inst in instances] + [
+            _outcome(approx_k, inst.with_budget(k)) for inst in instances for k in (1, 2, 3)]
+
+    a_star = outcomes()
+    _plain_search(monkeypatch)
+    assert outcomes() == a_star
+    assert sum(not isinstance(o, str) for o in a_star) >= 500
+    assert sum(_has_parallel_edges(inst) for inst in instances) >= 150
+    assert sum(any(e.u == e.v for e in inst.edges) for inst in instances) >= 40
+    assert sum(any(e.w == 0 for e in inst.edges) for inst in instances) >= 200
+
+
+def _approx_links(instance):
+    # The table approx_k reads.
+    def support_weight(net, res):
+        return sum(instance.edges[e].w for e in _support(net, res))
+
+    k = instance.k
+    return _Links(instance, safe_cap=k, units=k + 1, weight=support_weight)
+
+
+def test_the_potential_is_consistent():
+    # h(u) = d1(u -> t) <= length(u, v) + h(v) for every exact link
+    # length of both solvers' tables: what keeps the A* order exact.
+    rng = random.Random(37)
+    pairs = tight = 0
+    for i in range(100):
+        inst = random_instance(rng, n_max=7, m_max=14, directed=i % 2 == 1, k=1, max_w=3)
+        tables = [_one_failure_links(inst)]
+        tables += [_approx_links(inst.with_budget(k)) for k in (1, 2, 3)]
+        for links in tables:
+            h = links.potential()
+            assert h[inst.t] == 0
+            for u in range(inst.vertex_count):
+                for v in range(inst.vertex_count):
+                    ell = links.length(u, v)
+                    assert h[u] <= ell + h[v]
+                    pairs += ell != INF and u != v
+                    tight += ell != INF and u != v and h[u] == ell + h[v]
+    assert pairs >= 2500 and tight >= 800
+
+
+def _general_corpus(seeds, monkeypatch):
+    # The benchmark's general documents of these seeds, drawn by its own
+    # corpus module with this package's instance builder.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("general_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, corpus)  # for its dataclasses
+    spec.loader.exec_module(corpus)
+    ftpath = types.SimpleNamespace(build_instance=build_instance, is_feasible=is_feasible)
+    return [inst for seed in seeds
+            for inst in corpus.generate(ftpath, corpus.WORKLOADS["general"], seed)]
+
+
+def test_a_star_reads_fewer_sources_on_the_general_corpus(monkeypatch):
+    # Every source whose link row the search reads costs a safe tree and
+    # a d1 tree; the A* order reads fewer of them, with the same answers.
+    instances = _general_corpus((3, 4), monkeypatch)
+    sources = []
+    tree = _Links._tree
+
+    def recording(self, u):
+        if u not in self.trees:
+            sources.append(u)
+        return tree(self, u)
+
+    monkeypatch.setattr(_Links, "_tree", recording)
+
+    def solve_all():
+        sources.clear()
+        return [_outcome(solve_1ftp if inst.k == 1 else approx_k, inst)
+                for inst in instances], len(sources)
+
+    a_star, a_star_sources = solve_all()
+    _plain_search(monkeypatch)
+    plain, plain_sources = solve_all()
+    assert a_star == plain
+    # 611 sources against 1,080 for the 160 documents.
+    assert 3 * a_star_sources < 2 * plain_sources
+
+
 def test_link_lengths_fill_the_eager_table():
     rng = random.Random(71)
     for _ in range(60):
@@ -240,6 +407,60 @@ def test_meta_shortest_path_reading_contract():
         assert {v for v in range(n) if true[v] < true[t]} <= set(settled)
         if total != INF:
             assert sum(table[u][v] for u, v in zip(seq, seq[1:])) == total
+
+
+def _potentials(rng, table, t):
+    # A consistent lower bound on each vertex's distance to t: the true
+    # distance, or that divided down (floor(d / c) is consistent too).
+    to_t = [row[t] for row in _all_pairs(table)]
+    c = rng.choice((1, 1, 2, 3))
+    return [d if d == INF else d // c for d in to_t]
+
+
+def test_meta_shortest_path_reading_contract_with_a_potential():
+    rng = random.Random(19)
+    unreadable = cut_off = 0
+    for _ in range(400):
+        n = rng.randint(2, 9)
+        s, t = rng.sample(range(n), 2)
+        # Sparser tables leave vertices that cannot reach t.
+        missing = rng.choice((0.2, 0.5, 0.7))
+        table = [[INF if rng.random() < missing else rng.choice((0, 1, 1, 2, 3))
+                  for _ in range(n)] for _ in range(n)]
+        h = _potentials(rng, table, t)
+        reads = []
+
+        def length(u, v, limit):
+            reads.append((u, v))
+            return table[u][v]
+
+        total, seq = meta_shortest_path(n, length, s, t, h)
+        assert (total, seq) == _plain_meta_shortest_path(n, lambda u, v, limit: table[u][v],
+                                                         s, t)
+        if h[s] == INF:
+            assert (total, seq, reads) == (INF, [], [])
+            cut_off += 1
+            continue
+        assert len(set(reads)) == len(reads)
+        settled = []
+        for u, v in reads:
+            if not settled or settled[-1] != u:
+                assert u not in settled
+                settled.append(u)
+            assert v not in settled and h[v] != INF
+        assert t not in settled
+        assert settled[0] == s
+        # Each row reads every vertex not yet settled that can reach t.
+        for i, u in enumerate(settled):
+            assert [v for a, v in reads if a == u] == [
+                v for v in range(n) if v not in settled[:i + 1] and h[v] != INF]
+        unreadable += sum(h[v] == INF for v in range(n))
+        # Vertices settle by distance plus potential, none beyond t's.
+        true = _all_pairs(table)[s]
+        keys = [true[u] + h[u] for u in settled]
+        assert keys == sorted(keys)
+        assert all(key <= true[t] for key in keys)
+    assert unreadable >= 40 and cut_off >= 60
 
 
 def test_meta_shortest_path_limit_contract():
