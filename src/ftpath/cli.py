@@ -107,9 +107,7 @@ def parse_instance(text: str) -> Instance:
         if key in fields:
             raise ParseError(f"field {key!r} given twice")
         fields[key] = value
-    if block:
-        _parse_edges(block, edges)
-        block.clear()
+    _parse_edges(block, edges)
     if not header:
         raise ParseError(f"missing '{INSTANCE_HEADER}' header")
     missing = {"directed", "vertices", "s", "t", "k"} - set(fields)
@@ -401,10 +399,7 @@ def _bench_solvers(instance: Instance) -> list[str]:
         names.append("shortest")
     if instance.k == 1:
         names.append("bipath")
-    if instance.directed:
-        names.append("dag")
-    else:
-        names.append("srp")
+    names.append("dag" if instance.directed else "srp")
     names.append("approx-k1")
     if instance.k >= 1:
         names.append("approx-k")

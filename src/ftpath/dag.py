@@ -7,8 +7,9 @@ consecutive layers, so carrying ``f`` units from ``u`` to ``v`` costs
 ``min(cheapest safe u->v edge, the f cheapest faulty u->v edges)``, and
 a link between configurations costs the least sum of these pair costs
 over the splits of each tail's units among its heads.  A forward dynamic
-program finds the cheapest route; only its links get a realizing edge
-set (:func:`link_cost`), mapped back through edge origins.
+program finds the cheapest route with one staged transition per layer
+(all configurations split at once, tail by tail); only its links get a
+realizing edge set (:func:`link_cost`), mapped back through edge origins.
 """
 
 from __future__ import annotations
@@ -43,10 +44,13 @@ class NotADag(FTPError):
 
 
 class ConfigurationSpaceTooLarge(FTPError):
-    """The DAG solver's cap on layer configurations was exceeded."""
+    """The DAG solver's cap on layer configurations or spread entries was exceeded."""
 
-    def __init__(self, estimate: int, cap: int):
-        super().__init__(f"about {estimate} configurations, cap is {cap}")
+    def __init__(self, estimate: int, cap: int, entries: bool = False):
+        counted, limit = "configurations", cap
+        if entries:  # refused past the larger of ``cap`` and the default
+            counted, limit = "spread entries", max(cap, DEFAULT_CONFIG_CAP)
+        super().__init__(f"about {estimate} {counted}, cap is {limit}")
         self.estimate = estimate
         self.cap = cap
 
@@ -80,22 +84,18 @@ class LayeredInstance:
     edges: tuple[LayeredEdge, ...]
 
     @cached_property
-    def _edges_by_layer(self) -> dict[int, list[LayeredEdge]]:
-        by_layer: dict[int, list[LayeredEdge]] = {}
-        for e in self.edges:
-            by_layer.setdefault(e.layer, []).append(e)
-        return by_layer
+    def _edges_by_layer(self) -> dict[int, tuple[LayeredEdge, ...]]:
+        by_layer = sorted(self.edges, key=lambda e: e.layer)
+        return {i: tuple(edges) for i, edges in groupby(by_layer, lambda e: e.layer)}
 
     def edges_in_layer(self, i: int) -> tuple[LayeredEdge, ...]:
-        return tuple(self._edges_by_layer.get(i, ()))
+        return self._edges_by_layer.get(i, ())
 
     def as_instance(self) -> Instance:
         """The layered graph as a plain directed instance (same budget)."""
         count = max((max(layer) for layer in self.layers if layer), default=0) + 1
-        return build_instance(
-            True, count, self.layers[0][0], self.layers[-1][0],
-            self.original.k,
-            [(e.tail, e.head, e.w, e.faulty) for e in self.edges])
+        return build_instance(True, count, self.layers[0][0], self.layers[-1][0], self.original.k,
+                              [(e.tail, e.head, e.w, e.faulty) for e in self.edges])
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,7 @@ class Configuration:
     demand: tuple[int, ...]  # aligned with LayeredInstance.layers[layer]
 
     def support(self, layered: LayeredInstance) -> tuple[int, ...]:
-        verts = layered.layers[self.layer]
-        return tuple(v for v, d in zip(verts, self.demand) if d > 0)
+        return tuple(v for v, d in zip(layered.layers[self.layer], self.demand) if d > 0)
 
 
 @dataclass(frozen=True)
@@ -156,8 +155,7 @@ def _topological_order(adj: list) -> list[int]:
     # never appear in minimal solutions, so they do not disqualify a DAG.
     n = len(adj)
     indeg = Counter(v for out in adj for v, _, _ in out)
-    ready = [v for v in range(n) if not indeg[v]]
-    heapq.heapify(ready)
+    ready = [v for v in range(n) if not indeg[v]]  # ascending, so a heap
     order = []
     while ready:
         u = heapq.heappop(ready)
@@ -229,15 +227,12 @@ def layerize(instance: Instance) -> LayeredInstance:
     if layer_members[0] != [vertex_of[s]] or layer_members[r - 1] != [vertex_of[t]]:
         raise SolverCheckFailed("layerize did not put s alone in the first "
                                 "layer and t alone in the last")
-    return LayeredInstance(instance,
-                           tuple(tuple(lm) for lm in layer_members),
-                           tuple(edges))
+    return LayeredInstance(instance, tuple(map(tuple, layer_members)), tuple(edges))
 
 
 def configuration_count(layered: LayeredInstance, k: int) -> int:
     """Total configurations across all layers for budget ``k``."""
-    return sum(math.comb(len(layer) + k, k + 1) if layer else 0
-               for layer in layered.layers)
+    return sum(math.comb(len(layer) + k, k + 1) for layer in layered.layers)
 
 
 def _check_budget(layered: LayeredInstance, k: int, cap: int) -> None:
@@ -246,7 +241,7 @@ def _check_budget(layered: LayeredInstance, k: int, cap: int) -> None:
     total = configuration_count(layered, k)
     entries = (k + 1) * (k + 2) // 2
     if total > cap or entries > max(cap, DEFAULT_CONFIG_CAP):
-        raise ConfigurationSpaceTooLarge(total if total > cap else entries, cap)
+        raise ConfigurationSpaceTooLarge(total if total > cap else entries, cap, total <= cap)
 
 
 def enumerate_configurations(layered: LayeredInstance, i: int, k: int,
@@ -260,56 +255,65 @@ def enumerate_configurations(layered: LayeredInstance, i: int, k: int,
     _check_budget(layered, k, cap)
     # A sorted tuple of k+1 vertex positions (a spread) is one demand
     # vector; ascending spreads are descending demand vectors.
-    return [_configuration(layered, i, spread) for spread in
-            combinations_with_replacement(range(len(layered.layers[i])), k + 1)]
+    width = range(len(layered.layers[i]))
+    return [Configuration(i, tuple(map(spread.count, width)))
+            for spread in combinations_with_replacement(width, k + 1)]
 
 
-def _configuration(layered: LayeredInstance, i: int,
-                   spread: tuple[int, ...]) -> Configuration:
-    return Configuration(i, tuple(map(spread.count, range(len(layered.layers[i])))))
+def _configuration(layered: LayeredInstance, i: int, code: int, bits: int) -> Configuration:
+    # A demand code holds ``bits`` bits per vertex, the first vertex highest:
+    # larger codes are larger demand vectors, and adding codes adds units.
+    width, mask = len(layered.layers[i]), (1 << bits) - 1
+    return Configuration(i, tuple(code >> bits * (width - 1 - p) & mask for p in range(width)))
 
 
 def _pair_rows(edges, k: int, pos: dict[int, int], paid=frozenset()
                ) -> dict[int, list[tuple[int, list[int]]]]:
-    # Per tail, (head position, row) pairs: row[f] is the least weight
+    # Per tail position, (head position, row) pairs: row[f] is the least weight
     # that lets the tail->head edges carry f units (f <= k+1, as far as
     # they can).  Edges in ``paid`` are already bought and weigh 0.
-    units = k + 1
     groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     for e in edges:
         safe, faulty = groups.setdefault((e.tail, e.head), ([], []))
         (faulty if e.faulty else safe).append(0 if e.id in paid else e.w)
     rows: dict[int, list[tuple[int, list[int]]]] = {}
     for (tail, head), (safe, faulty) in groups.items():
-        sums = [0, *accumulate(sorted(faulty))]  # sums[f]: the f cheapest
-        carried = range(units + 1) if safe else range(min(units, len(faulty)) + 1)
-        row = [min(safe + sums[f:f + 1]) for f in carried]
-        rows.setdefault(tail, []).append((pos[head], row))
+        sums = [0, *accumulate(sorted(faulty))][:k + 2]  # sums[f]: the f cheapest
+        row = [min(safe + sums[f:f + 1]) for f in range(k + 2 if safe else len(sums))]
+        rows.setdefault(pos[tail], []).append((pos[head], row))
     return rows
 
 
-def _reach(rows: dict[int, list[tuple[int, list[int]]]],
-           have: list[tuple[int, int]], memo: dict) -> dict[tuple[int, ...], int]:
-    # Least cost of every spread (the sorted head positions of the units)
-    # that splitting each (tail, units) of ``have`` over the tail's (head
-    # position, row) pairs reaches; ascending spreads are descending
-    # demand vectors.  ``memo`` keeps each tail's (positions, cost) splits.
-    partial: dict[tuple[int, ...], int] = {(): 0}
-    for tail, units in have:
-        if (tail, units) not in memo:
-            splits: list[tuple[tuple[int, ...], int]] = [((), 0)]
-            for p, row in rows.get(tail, []):
-                splits = [(taken + (p,) * x, cost + row[x]) for taken, cost in splits
-                          for x in range(min(units - len(taken), len(row) - 1) + 1)]
-            memo[tail, units] = [split for split in splits if len(split[0]) == units]
-        grown: dict[tuple[int, ...], int] = {}
-        for spread, cost in partial.items():
-            for taken, extra in memo[tail, units]:
-                key = tuple(sorted(spread + taken))
-                if cost + extra < grown.get(key, math.inf):
-                    grown[key] = cost + extra
-        partial = grown
-    return partial
+def _advance(rows: dict[int, list[tuple[int, list[int]]]], starts: dict[int, int],
+             tail_width: int, head_width: int, bits: int) -> dict[int, tuple[int, int]]:
+    # One staged transition from all starts (tail code -> base cost) at once.
+    # A state codes its rest of tail units above the heads placed so far;
+    # bucket p holds those whose first tail is p (the last: none left), and
+    # in ascending p each splits tail p's units over its (head, row) pairs.
+    # Equal states keep the least cost * big + big - 1 - start, the least
+    # (cost, start spread), which a common future cost does not reorder.
+    shift, big, mask = bits * head_width, 1 << bits * tail_width, (1 << bits) - 1
+    buckets: list[dict[int, int]] = [{} for _ in range(tail_width + 1)]
+    for start, base in starts.items():
+        first = tail_width - 1 - (start.bit_length() - 1) // bits
+        buckets[first][start << shift] = base * big + big - 1 - start
+    for p in range(tail_width):
+        at, splits = shift + bits * (tail_width - 1 - p), {}
+        for state, value in buckets[p].items():
+            units = state >> at & mask
+            state -= units << at
+            if units not in splits:
+                made = [(0, 0, 0)]  # (units, head code, cost)
+                for h, row in rows.get(p, []):
+                    one = 1 << bits * (head_width - 1 - h)
+                    made = [(n + x, code + x * one, cost + row[x]) for n, code, cost in made
+                            for x in range(min(units - n, len(row) - 1) + 1)]
+                splits[units] = [(code, cost * big) for n, code, cost in made if n == units]
+            grown = buckets[tail_width - 1 - ((state >> shift).bit_length() - 1) // bits]
+            for taken, extra in splits[units]:
+                if state + taken not in grown or value + extra < grown[state + taken]:
+                    grown[state + taken] = value + extra
+    return {heads: (value // big, big - 1 - value % big) for heads, value in buckets[-1].items()}
 
 
 def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
@@ -326,19 +330,21 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
     holding the chosen ids, that id and otherwise larger ids completes.
     ``None`` means no subset works (the link is absent).
     """
-    supp1 = set(d1.support(layered))
-    supp2 = set(d2.support(layered))
+    supp1, supp2 = d1.support(layered), d2.support(layered)
     edges = [e for e in layered.edges_in_layer(d1.layer)
              if e.tail in supp1 and e.head in supp2]
-    have = [(v, d) for v, d in zip(layered.layers[d1.layer], d1.demand) if d]
-    pos = {v: p for p, v in enumerate(layered.layers[d2.layer])}
-    target = tuple(p for p, d in enumerate(d2.demand) for _ in range(d))
+    pos = {v: p for supp in (supp1, supp2) for p, v in enumerate(supp)}
+    need1, need2 = [d for d in d1.demand if d], [d for d in d2.demand if d]
+    bits = max(sum(need1), sum(need2), 1).bit_length()
+    start, target = (sum(d << bits * p for p, d in enumerate(reversed(need)))
+                     for need in (need1, need2))
     weight = {e.id: e.w for e in edges}
 
     def cheapest(forced: list[int], floor: float) -> int | None:
         pool = [e for e in edges if e.id > floor or e.id in forced]
-        extra = _reach(_pair_rows(pool, k, pos, set(forced)), have, {}).get(target)
-        return None if extra is None else extra + sum(weight[i] for i in forced)
+        rows = _pair_rows(pool, k, pos, set(forced))
+        reached = _advance(rows, {start: 0}, len(need1), len(need2), bits).get(target)
+        return None if reached is None else reached[0] + sum(weight[i] for i in forced)
 
     best = cheapest([], -1)
     if best is None:
@@ -350,13 +356,28 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
     return Link(d1, d2, best, frozenset(chosen))
 
 
+def _route_tables(layered: LayeredInstance, k: int) -> list[dict[int, tuple[int, int]]]:
+    # best[i]: demand code over layer i -> (cost, parent code over layer
+    # i-1), least in cost, then first in descending demand order.
+    bits = (k + 1).bit_length()
+    pos = {v: p for layer in layered.layers for p, v in enumerate(layer)}
+    best = [{k + 1: (0, 0)}]
+    for i in range(len(layered.layers) - 1):
+        rows = _pair_rows(layered.edges_in_layer(i), k, pos)
+        best.append(_advance(rows, {code: cost for code, (cost, _) in best[i].items()},
+                             len(layered.layers[i]), len(layered.layers[i + 1]), bits))
+    return best
+
+
 def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solution:
     """Optimal solution on a directed acyclic instance.
 
-    Runs a forward dynamic program over layer configurations, each
-    split over its layer's per-pair cost table into the configurations
-    it links to.  It layerizes and checks the cap first, so the first
-    two errors below mean that the solver does not apply.
+    Runs a forward dynamic program over layer configurations: per layer,
+    one staged transition splits all configurations' units, tail by tail,
+    over the per-pair cost table, merging equal partial states, and ties
+    keep the parent first in descending demand order.  It layerizes and
+    checks the cap first, so the first two errors below mean that the
+    solver does not apply.
 
     Raises:
         NotADag: not a DAG.
@@ -370,36 +391,19 @@ def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solutio
         return Solution(frozenset(), 0, OPTIMAL)
     if not layered.edges:
         raise Infeasible("terminals are disconnected")
-    # best[i]: spread over layer i -> (cost, parent spread over layer i-1).
-    # Tails run in descending demand order and only a strictly cheaper
-    # route replaces a parent, so ties keep the first tail.
-    best: list[dict[tuple[int, ...], tuple]] = [{(0,) * (k + 1): (0, ())}]
-    for i in range(len(layered.layers) - 1):
-        pos = {v: p for p, v in enumerate(layered.layers[i + 1])}
-        rows = _pair_rows(layered.edges_in_layer(i), k, pos)
-        memo: dict = {}
-        reached: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-        for spread in sorted(best[i]):
-            base = best[i][spread][0]
-            have = [(layered.layers[i][p], len(list(units)))
-                    for p, units in groupby(spread)]
-            for head_spread, cost in _reach(rows, have, memo).items():
-                if base + cost < reached.get(head_spread, (math.inf,))[0]:
-                    reached[head_spread] = (base + cost, spread)
-        best.append(reached)
-    goal = (0,) * (k + 1)
-    if goal not in best[-1]:
+    best, bits = _route_tables(layered, k), (k + 1).bit_length()
+    code = k + 1  # all units at t
+    if code not in best[-1]:
         raise Infeasible("no robust route through the layered graph")
     layered_ids: set[int] = set()
-    spread = goal
     for i in range(len(best) - 1, 0, -1):
-        cost, parent = best[i][spread]
-        link = link_cost(layered, _configuration(layered, i - 1, parent),
-                         _configuration(layered, i, spread), k)
+        cost, parent = best[i][code]
+        link = link_cost(layered, _configuration(layered, i - 1, parent, bits),
+                         _configuration(layered, i, code, bits), k)
         if link is None or link.cost != cost - best[i - 1][parent][0]:
             raise SolverCheckFailed("dag link cost disagrees with its table")
         layered_ids |= link.realizing
-        spread = parent
+        code = parent
     origins = {layered.edges[lid].origin for lid in layered_ids}
     cost = sum(instance.edges[eid].w for eid in origins)
     solution = Solution(frozenset(origins), cost, OPTIMAL)

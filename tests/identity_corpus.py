@@ -22,6 +22,11 @@ They run only under ``auto``, ``bipath`` and ``approx-k`` at the default
 caps, plus the same ``check`` runs; the other algorithms are exponential
 at that size.
 
+A few DAGs have the shape of the benchmark's ``dag`` workload (n = 9..10,
+m = 3n, a path through every vertex, weights 0..3 so that routes tie,
+k = 2).  They run under ``auto`` and ``dag`` at the default caps, plus the
+same ``check`` runs.
+
 Re-record only the entries a declared behaviour change touches, and list
 them with the reason; a difference nobody can explain is a fault, not a
 reason to re-record.
@@ -79,6 +84,10 @@ GENERAL = [(directed, k, seed) for directed in (False, True) for k in (1, 2)
            for seed in range(4)]
 GENERAL_ALGORITHMS = ("auto", "bipath", "approx-k")
 
+# Seeds of the dag-shaped documents.
+DAGS = range(8)
+DAG_ALGORITHMS = ("auto", "dag")
+
 CAPS = ("1000000", "2", "0")
 GAPS = [("2", "1"), ("3", "2"), ("4", "1"), ("5", "3")]
 
@@ -100,6 +109,17 @@ def _general_instance(directed: bool, k: int, seed: int):
     edges = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3), rng.random() < 0.5)
              for _ in range(3 * n)]
     return build_instance(directed, n, 0, n - 1, k, edges)
+
+
+def _dag_instance(seed: int):
+    rng = random.Random(1000 + seed)
+    n = rng.randint(9, 10)
+    arcs = [(u, u + 1) for u in range(n - 1)]
+    while len(arcs) < 3 * n:
+        u = rng.randrange(n - 1)
+        arcs.append((u, rng.randrange(u + 1, n)))
+    edges = [(u, v, rng.randint(0, 3), rng.random() < 0.5) for u, v in arcs]
+    return build_instance(True, n, 0, n - 1, 2, edges)
 
 
 def _documents(directory: str, digests: dict) -> list[tuple[str, str, tuple, tuple]]:
@@ -135,6 +155,12 @@ def _documents(directory: str, digests: dict) -> list[tuple[str, str, tuple, tup
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(cli.serialize_instance(_general_instance(directed, k, seed)))
         docs.append((label, path, GENERAL_ALGORITHMS, CAPS[:1]))
+    for seed in DAGS:
+        label = f"dag-k2-{seed}"
+        path = os.path.join(directory, f"{label}.ftp")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(cli.serialize_instance(_dag_instance(seed)))
+        docs.append((label, path, DAG_ALGORITHMS, CAPS[:1]))
     return docs
 
 

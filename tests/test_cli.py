@@ -315,6 +315,22 @@ def test_dag_checks_domain_and_cap_before_shortcuts(tmp_path, capsys, shape, cap
                     capsys) == (code, "", err)
 
 
+@pytest.mark.parametrize("cap, err", [
+    ("1000000", "about 5000000000050000000000 spread entries, cap is 1000000"),
+    ("5", "about 5000000000050000000000 spread entries, cap is 1000000"),
+    ("1000000000000000000000", "about 5000000000050000000000 spread entries, "
+                               "cap is 1000000000000000000000"),
+    ("1", "about 2 configurations, cap is 1"),
+])
+def test_dag_cap_message_names_what_it_counts(tmp_path, capsys, cap, err):
+    # One edge, so two configurations; at this k one tail's units split
+    # into (k + 1)(k + 2) / 2 spread entries, refused past the larger of
+    # the given cap and the default.
+    path = _write(tmp_path, build_instance(True, 2, 0, 1, 99999999999, [(0, 1, 1, False)]))
+    assert run_main(["solve", path, "--algorithm", "dag", "--cap-configs", cap],
+                    capsys) == (EXIT_CAPS, "", f"caps exceeded: {err}\n")
+
+
 def test_solve_oracle_cap_exit_code(tmp_path, capsys):
     p = tmp_path / "wide.ftp"
     p.write_text(serialize_instance(gap_family(25, 1)))

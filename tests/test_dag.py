@@ -1,8 +1,10 @@
+import math
 import random
-from itertools import product
+from itertools import accumulate, groupby, product
 
 import pytest
 
+from ftpath import dag
 from ftpath.bipath import solve_1ftp
 from ftpath.core import Infeasible, build_instance, is_feasible
 from ftpath.dag import (Configuration, ConfigurationSpaceTooLarge, NotADag,
@@ -630,3 +632,170 @@ def test_layerize_matches_reference_on_seeded_dags():
         edges = tuple((e.layer, e.tail, e.head, e.w, e.faulty, e.origin)
                       for e in layered.edges)
         assert (layered.layers, edges) == _reference_layers(inst)
+
+
+# Reference copy of the per-spread dynamic program that the staged layer
+# transition replaced.  Each spread of a layer (the sorted positions of
+# its k + 1 units) ran its own _reach, spreads in ascending order, and
+# only a strictly cheaper route replaced a parent; link_cost ran _reach
+# from its one spread.
+
+def _reference_pair_rows(edges, k, pos, paid=frozenset()):
+    # Per tail vertex, (head position, row) pairs: row[f] is the least
+    # weight that lets the tail->head edges carry f units.
+    units = k + 1
+    groups = {}
+    for e in edges:
+        safe, faulty = groups.setdefault((e.tail, e.head), ([], []))
+        (faulty if e.faulty else safe).append(0 if e.id in paid else e.w)
+    rows = {}
+    for (tail, head), (safe, faulty) in groups.items():
+        sums = [0, *accumulate(sorted(faulty))]
+        carried = range(units + 1) if safe else range(min(units, len(faulty)) + 1)
+        rows.setdefault(tail, []).append((pos[head], [min(safe + sums[f:f + 1])
+                                                      for f in carried]))
+    return rows
+
+
+def _reach(rows, have, memo):
+    partial = {(): 0}
+    for tail, units in have:
+        if (tail, units) not in memo:
+            splits = [((), 0)]
+            for p, row in rows.get(tail, []):
+                splits = [(taken + (p,) * x, cost + row[x]) for taken, cost in splits
+                          for x in range(min(units - len(taken), len(row) - 1) + 1)]
+            memo[tail, units] = [split for split in splits if len(split[0]) == units]
+        grown = {}
+        for spread, cost in partial.items():
+            for taken, extra in memo[tail, units]:
+                key = tuple(sorted(spread + taken))
+                if cost + extra < grown.get(key, math.inf):
+                    grown[key] = cost + extra
+        partial = grown
+    return partial
+
+
+def _reference_tables(layered, k, ties):
+    # ``ties`` counts the routes that matched a parent's cost and lost.
+    best = [{(0,) * (k + 1): (0, ())}]
+    for i in range(len(layered.layers) - 1):
+        pos = {v: p for p, v in enumerate(layered.layers[i + 1])}
+        rows = _reference_pair_rows(layered.edges_in_layer(i), k, pos)
+        memo, reached = {}, {}
+        for spread in sorted(best[i]):
+            base = best[i][spread][0]
+            have = [(layered.layers[i][p], len(list(units)))
+                    for p, units in groupby(spread)]
+            for head_spread, cost in _reach(rows, have, memo).items():
+                old = reached.get(head_spread, (math.inf,))[0]
+                ties[0] += base + cost == old
+                if base + cost < old:
+                    reached[head_spread] = (base + cost, spread)
+        best.append(reached)
+    return best
+
+
+def _reference_link_cost(layered, d1, d2, k):
+    supp1, supp2 = set(d1.support(layered)), set(d2.support(layered))
+    edges = [e for e in layered.edges_in_layer(d1.layer)
+             if e.tail in supp1 and e.head in supp2]
+    have = [(v, d) for v, d in zip(layered.layers[d1.layer], d1.demand) if d]
+    pos = {v: p for p, v in enumerate(layered.layers[d2.layer])}
+    target = tuple(p for p, d in enumerate(d2.demand) for _ in range(d))
+    weight = {e.id: e.w for e in edges}
+
+    def cheapest(forced, floor):
+        pool = [e for e in edges if e.id > floor or e.id in forced]
+        extra = _reach(_reference_pair_rows(pool, k, pos, set(forced)), have, {}).get(target)
+        return None if extra is None else extra + sum(weight[i] for i in forced)
+
+    best = cheapest([], -1)
+    if best is None:
+        return None
+    chosen = []
+    while cheapest(chosen, math.inf) != best:
+        chosen.append(next(i for i in sorted(weight) if i > max(chosen, default=-1)
+                           and cheapest(chosen + [i], i) == best))
+    return best, frozenset(chosen)
+
+
+def _demand(spread, width):
+    return tuple(map(spread.count, range(width)))
+
+
+def _reference_solve(inst, layered, best):
+    """(sorted edges, cost) as the per-spread program gave them from ``best``."""
+    if not layered.edges:
+        raise Infeasible("terminals are disconnected")
+    spread = (0,) * (inst.k + 1)
+    if spread not in best[-1]:
+        raise Infeasible("no robust route through the layered graph")
+    ids = set()
+    for i in range(len(best) - 1, 0, -1):
+        parent = best[i][spread][1]
+        d1 = Configuration(i - 1, _demand(parent, len(layered.layers[i - 1])))
+        d2 = Configuration(i, _demand(spread, len(layered.layers[i])))
+        ids |= _reference_link_cost(layered, d1, d2, inst.k)[1]
+        spread = parent
+    origins = {layered.edges[lid].origin for lid in ids}
+    return sorted(origins), sum(inst.edges[e].w for e in origins)
+
+
+def _tie_heavy_dag(rng):
+    # Weights 0-3, parallel arcs, a zero-weight chain and a self-loop now
+    # and then, so that many routes tie.
+    n = rng.randint(2, 9)
+    edges = []
+    for _ in range(rng.randint(n - 1, 2 * n)):
+        u = rng.randrange(n - 1)
+        v = rng.randrange(u + 1, n)
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            edges.append((u, v, rng.randint(0, 3), rng.random() < 0.6))
+    if rng.random() < 0.5:
+        a = rng.randrange(n - 1)
+        edges += [(u, u + 1, 0, rng.random() < 0.5)
+                  for u in range(a, rng.randrange(a + 1, n))]
+    if rng.random() < 0.3:
+        v = rng.randrange(n)
+        edges.append((v, v, rng.randint(0, 3), rng.random() < 0.5))
+    rng.shuffle(edges)
+    return build_instance(True, n, 0, n - 1, rng.randint(0, 3), edges)
+
+
+def _spread_tables(layered, k, tables):
+    # The staged tables keyed and parented by spreads, as the reference.
+    bits = (k + 1).bit_length()
+
+    def spread(i, code):
+        demand = dag._configuration(layered, i, code, bits).demand
+        return tuple(p for p, d in enumerate(demand) for _ in range(d))
+
+    return [{(0,) * (k + 1): (0, ())}] + [
+        {spread(i, code): (cost, spread(i - 1, parent)) for code, (cost, parent) in table.items()}
+        for i, table in enumerate(tables) if i]
+
+
+def test_staged_transition_matches_the_per_spread_program():
+    # Every layer's table agrees in cost and parent for every spread, and
+    # solve_kftp_dag gives the same edges, cost or error message.
+    rng = random.Random(1720)
+    ties, solved, compared = [0], 0, 0
+    for _ in range(2500):
+        inst = _tie_heavy_dag(rng)
+        layered, best = layerize(inst), None
+        if layered.edges:
+            best = _reference_tables(layered, inst.k, ties)
+            assert _spread_tables(layered, inst.k, dag._route_tables(layered, inst.k)) == best
+            compared += 1
+        try:
+            expected = _reference_solve(inst, layered, best)
+        except Infeasible as err:
+            with pytest.raises(Infeasible) as got:
+                solve_kftp_dag(inst)
+            assert str(got.value) == str(err)
+            continue
+        solution = solve_kftp_dag(inst)
+        assert (sorted(solution.edges), solution.cost) == expected
+        solved += 1
+    assert compared >= 2000 and solved >= 1500 and ties[0] >= 5000
