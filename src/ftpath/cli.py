@@ -25,9 +25,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__, approx, bipath, dag, frac, oracle, srp
-from .core import (FTPError, Infeasible, Instance, ScenarioSpaceTooLarge,
-                   Solution, ValidationError, build_instance,
-                   infeasibility_witness, reachable)
+from .core import (DEFAULT_SCENARIO_CAP, FTPError, Infeasible, Instance,
+                   ScenarioSpaceTooLarge, Solution, ValidationError,
+                   build_instance, infeasibility_witness, reachable)
 from .shortest import shortest_path_solution
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_solution",
@@ -554,8 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("native", "dimacs"), default="native")
-    common.add_argument("--cap-scenarios", type=int, default=10**6)
-    common.add_argument("--cap-configs", type=int, default=10**6)
+    common.add_argument("--cap-scenarios", type=int, default=DEFAULT_SCENARIO_CAP)
+    common.add_argument("--cap-configs", type=int, default=dag.DEFAULT_CONFIG_CAP)
 
     p_solve = sub.add_parser("solve", parents=[common], help="solve one instance")
     p_solve.add_argument("path")

@@ -6,7 +6,7 @@ s-t flow still fits.  Desk-scale instances are solved exactly: the
 per-scenario flow conditions collapse, cut by cut, into ``sum of x over
 the cut minus its k largest faulty values >= 1``, the inner maximum is
 linearized with one threshold variable per cut, and the resulting LP is
-handed to ``simplex.solve_lexmin``.  Every row is a ``>=`` row and every
+handed to ``simplex.solve_lp``.  Every row is a ``>=`` row and every
 cost is at least 0, so that routine solves the LP through its dual from
 the slack basis, with no phase 1, and its lexicographic ratio test
 (Dantzig, Orden & Wolfe, 1955) returns the lexicographically smallest
@@ -107,11 +107,14 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
     m = len(instance.edges)
     if instance.s == instance.t:
         return CapacityVector((Fraction(0),) * m, Fraction(0))
-    if not is_feasible(instance, range(m)):
-        raise Infeasible("instance is infeasible even with every edge bought")
-    if 2 ** max(0, instance.vertex_count - 2) > MAX_CUT_ENUMERATION:
+    # Are there more than MAX_CUT_ENUMERATION s-sides, 2**(n - 2)?  Compared
+    # by exponent, and before the flow below allocates per-vertex lists, so
+    # a huge vertex count is refused at once.
+    if instance.vertex_count - 2 > MAX_CUT_ENUMERATION.bit_length() - 1:
         raise TooLargeForExactLP(
             f"{instance.vertex_count} vertices give too many cuts to enumerate")
+    if not is_feasible(instance, range(m)):
+        raise Infeasible("instance is infeasible even with every edge bought")
     cuts = enumerate_cut_edge_sets(instance)
     k = instance.k
     # With nothing able to fail, a faulty edge counts in a cut like a safe one.
@@ -155,7 +158,7 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
                 rows.append(({z_of[eid]: 1, theta: 1, eid: -1}, 0))
 
     objective = [e.w for e in instance.edges]
-    x, value = simplex.solve_lexmin(objective, rows, num_vars)
+    x, value = simplex.solve_lp(objective, rows, num_vars)
     _check_solution(instance, rows, x, value)
     return CapacityVector(tuple(x[:m]), value)
 

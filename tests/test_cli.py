@@ -148,13 +148,13 @@ def test_srp_and_shortest_check_failure_exit_code(tmp_path, capsys, monkeypatch,
 
 
 def test_frac_check_failure_exit_code(gap_file, capsys, monkeypatch):
-    real = simplex.solve_lexmin
+    real = simplex.solve_lp
 
     def off_by_one(*args):
         x, value = real(*args)
         return x, value + 1
 
-    monkeypatch.setattr(simplex, "solve_lexmin", off_by_one)
+    monkeypatch.setattr(simplex, "solve_lp", off_by_one)
     code, out, err = run_main(["solve", gap_file, "--algorithm", "frac"], capsys)
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -344,6 +344,24 @@ def test_solve_frac_document(gap_file, capsys):
     assert code == EXIT_OK
     assert "value: 4/3" in out
     assert "x 0 1/3" in out
+
+
+@pytest.mark.parametrize("vertices, code, err", [
+    (20, EXIT_INFEASIBLE, "infeasible: instance is infeasible even with every edge bought\n"),
+    (21, EXIT_CAPS, "caps exceeded: 21 vertices give too many cuts to enumerate\n"),
+    (30_000_000, EXIT_CAPS,
+     "caps exceeded: 30000000 vertices give too many cuts to enumerate\n"),
+])
+def test_frac_vertex_cap_comes_before_the_feasibility_flow(tmp_path, capsys, vertices,
+                                                            code, err):
+    # The faulty bridge makes the document infeasible at k = 1.  Past 2**18
+    # s-sides the cap refuses it before any per-vertex list is built.
+    path = tmp_path / "wide.ftp"
+    path.write_text(f"ftp-instance v1\ndirected: false\nvertices: {vertices}\n"
+                    "s: 0\nt: 2\nk: 1\nedge 0 0 1 1 faulty\nedge 1 1 2 1 safe\n")
+    started = time.perf_counter()
+    assert run_main(["solve", str(path), "--algorithm", "frac"], capsys) == (code, "", err)
+    assert time.perf_counter() - started < 5
 
 
 def test_check_pipeline(tmp_path, gap_file, capsys):
@@ -769,12 +787,14 @@ def test_srp_on_directed_document_is_invalid_input(tmp_path, capsys):
     assert err == ("invalid input: series-parallel decomposition requires "
                    "an undirected instance\n")
 
-def test_module_entry_point(gap_file):
-    proc = subprocess.run([sys.executable, "-m", "ftpath", "solve", gap_file,
-                           "--algorithm", "bipath"],
-                          capture_output=True, text=True)
-    assert proc.returncode == EXIT_OK
-    assert "cost: 2" in proc.stdout
+def test_module_entry_point(gap_file, capsys):
+    expected = run_main(["solve", gap_file, "--algorithm", "bipath"], capsys)
+    assert expected[0] == EXIT_OK and "cost: 2" in expected[1]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "ftpath", "solve", gap_file,
+                               "--algorithm", "bipath"],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
 
 HUGE_BUDGET = 10**11

@@ -14,33 +14,34 @@ from ftpath.frac import (TooLargeForExactLP, fractional_max_flow, gap_family,
                          enumerate_cut_edge_sets)
 from ftpath.oracle import brute_force_opt
 from ftpath.shortest import shortest_path_solution
-from ftpath.simplex import (EQUAL, GREATER_EQUAL, LESS_EQUAL, LPInfeasible,
-                            LPUnbounded, solve_lexmin, solve_lp)
+from ftpath.simplex import LPInfeasible, solve_lp
 
 from conftest import min_cut_by_bipartition, random_instance
+from lp_reference import (EQUAL, GREATER_EQUAL, LESS_EQUAL, LPUnbounded,
+                          solve_lp as reference_lp)
 
 
 def test_simplex_basic():
     # min x0 + x1  s.t.  x0 + x1 >= 2, x0 - x1 == 0
-    x, value = solve_lp([1, 1],
-                        [({0: 1, 1: 1}, GREATER_EQUAL, 2),
-                         ({0: 1, 1: -1}, EQUAL, 0)], 2)
+    x, value = reference_lp([1, 1],
+                            [({0: 1, 1: 1}, GREATER_EQUAL, 2),
+                             ({0: 1, 1: -1}, EQUAL, 0)], 2)
     assert value == 2
     assert x == [Fraction(1), Fraction(1)]
 
 
 def test_simplex_infeasible_and_unbounded():
     with pytest.raises(LPInfeasible):
-        solve_lp([1], [({0: 1}, LESS_EQUAL, -1)], 1)
+        reference_lp([1], [({0: 1}, LESS_EQUAL, -1)], 1)
     with pytest.raises(LPUnbounded):
-        solve_lp([-1], [({0: -1}, LESS_EQUAL, 0)], 1)
+        reference_lp([-1], [({0: -1}, LESS_EQUAL, 0)], 1)
 
 
 def test_simplex_degenerate_redundant_rows():
-    x, value = solve_lp([2, 3],
-                        [({0: 1, 1: 1}, EQUAL, 1),
-                         ({0: 2, 1: 2}, EQUAL, 2),
-                         ({0: 1}, LESS_EQUAL, 1)], 2)
+    x, value = reference_lp([2, 3],
+                            [({0: 1, 1: 1}, EQUAL, 1),
+                             ({0: 2, 1: 2}, EQUAL, 2),
+                             ({0: 1}, LESS_EQUAL, 1)], 2)
     assert value == 2
     assert x == [Fraction(1), Fraction(0)]
 
@@ -121,12 +122,12 @@ def test_simplex_matches_brute_force_over_bases():
         outcomes[status] += 1
         if status == "infeasible":
             with pytest.raises(LPInfeasible):
-                solve_lp(objective, rows, num_vars)
+                reference_lp(objective, rows, num_vars)
         elif status == "unbounded":
             with pytest.raises(LPUnbounded):
-                solve_lp(objective, rows, num_vars)
+                reference_lp(objective, rows, num_vars)
         else:
-            x, got = solve_lp(objective, rows, num_vars)
+            x, got = reference_lp(objective, rows, num_vars)
             assert got == value
             assert _satisfies(rows, x)
             assert sum(objective[j] * x[j] for j in range(num_vars)) == value
@@ -143,8 +144,8 @@ def test_simplex_pins_vertex_among_several_optima():
     optima = [v for v in _vertices(rows, 4)
               if sum(objective[j] * v[j] for j in range(4)) == 2]
     assert len(optima) == 2
-    assert solve_lp(objective, rows, 4) == ([Fraction(2), Fraction(0), Fraction(0),
-                                             Fraction(0)], Fraction(2))
+    assert reference_lp(objective, rows, 4) == ([Fraction(2), Fraction(0), Fraction(0),
+                                                 Fraction(0)], Fraction(2))
 
 
 def _lexmin_vertex(objective, rows, num_vars):
@@ -162,7 +163,7 @@ def _lexmin_vertex(objective, rows, num_vars):
     return min(x for x in points if cost(x) == best), best
 
 
-def test_solve_lexmin_matches_solve_lp_and_the_lexmin_vertex():
+def test_solve_lp_matches_the_reference_and_the_lexmin_vertex():
     rng = random.Random(1501)
     outcomes = Counter()
     for _ in range(500):
@@ -173,13 +174,14 @@ def test_solve_lexmin_matches_solve_lp_and_the_lexmin_vertex():
         # Zero costs and repeated costs make optima that are not unique.
         objective = [rng.choice((0, 0, 1, 1, 1, Fraction(3, 2))) for _ in range(num_vars)]
         try:
-            _, value = solve_lp(objective, [(c, GREATER_EQUAL, b) for c, b in rows], num_vars)
+            _, value = reference_lp(objective, [(c, GREATER_EQUAL, b) for c, b in rows],
+                                    num_vars)
         except LPInfeasible:
             outcomes["infeasible"] += 1
             with pytest.raises(LPInfeasible):
-                solve_lexmin(objective, rows, num_vars)
+                solve_lp(objective, rows, num_vars)
             continue
-        x, got = solve_lexmin(objective, rows, num_vars)
+        x, got = solve_lp(objective, rows, num_vars)
         assert got == value
         assert (tuple(x), got) == _lexmin_vertex(objective, rows, num_vars)
         outcomes["optimal"] += 1
@@ -189,27 +191,27 @@ def test_solve_lexmin_matches_solve_lp_and_the_lexmin_vertex():
     assert min(outcomes.values()) >= 30
 
 
-def test_solve_lexmin_edge_cases():
-    assert solve_lexmin([1, 2], [], 2) == ([0, 0], 0)
+def test_solve_lp_edge_cases():
+    assert solve_lp([1, 2], [], 2) == ([0, 0], 0)
     # A row with no coefficients and a positive rhs has no solution.
     with pytest.raises(LPInfeasible):
-        solve_lexmin([], [({}, 1)], 0)
-    assert solve_lexmin({}, [({}, 0)], 0) == ([], 0)
+        solve_lp([], [({}, 1)], 0)
+    assert solve_lp({}, [({}, 0)], 0) == ([], 0)
     with pytest.raises(ValueError, match="costs >= 0"):
-        solve_lexmin({0: -1}, [({0: 1}, 1)], 1)
+        solve_lp({0: -1}, [({0: 1}, 1)], 1)
 
 
 def _record_lp(monkeypatch):
     """Patch the simplex so that every solve_frac call records the LP it
     solves: the objective, rows and variable count."""
     seen = {}
-    real = simplex.solve_lexmin
+    real = simplex.solve_lp
 
     def recording(objective, rows, num_vars):
         seen.update(objective=objective, rows=rows, num_vars=num_vars)
         return real(objective, rows, num_vars)
 
-    monkeypatch.setattr(simplex, "solve_lexmin", recording)
+    monkeypatch.setattr(simplex, "solve_lp", recording)
     return seen
 
 
@@ -250,7 +252,7 @@ def test_frac_checks_the_simplex_answer(monkeypatch, wrong):
     # Edge 2 costs nothing: raising it above 1 keeps the value.
     inst = build_instance(False, 3, 0, 2, 0, [(0, 1, 1, False), (1, 2, 1, False),
                                               (0, 2, 0, False)])
-    real = simplex.solve_lexmin
+    real = simplex.solve_lp
 
     def altered(objective, rows, num_vars):
         x, value = real(objective, rows, num_vars)
@@ -260,7 +262,7 @@ def test_frac_checks_the_simplex_answer(monkeypatch, wrong):
             return x[:2] + [Fraction(2)], value
         return x, value + 1
 
-    monkeypatch.setattr(simplex, "solve_lexmin", altered)
+    monkeypatch.setattr(simplex, "solve_lp", altered)
     with pytest.raises(SolverCheckFailed):
         solve_frac(inst)
 
@@ -508,7 +510,7 @@ def _scenario_flow_lp_value(inst):
                     balance[flow_var[a]] = balance.get(flow_var[a], 0) - 1
             rows.append((balance, EQUAL, 1 if vertex == inst.s else 0))
     objective = {e.id: e.w for e in inst.edges}
-    x, value = solve_lp(objective, rows, num_vars)
+    x, value = reference_lp(objective, rows, num_vars)
     return value
 
 

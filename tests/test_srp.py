@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -249,6 +250,34 @@ def test_parse_decomposition_rejects_bad_trees():
         parse_decomposition("S(e0", inst)
     with pytest.raises(TreeMismatch):
         parse_decomposition("S(e1, e0)", inst)  # wrong order for terminals
+
+
+@pytest.mark.parametrize("text, message", [
+    ("S(e0; e1)", "bad decomposition syntax at offset 4"),
+    ("S(e0, e1, e0)", "unexpected ','"),
+    ("S(e0)", "unexpected ')'"),
+    ("e0)", "unexpected ')'"),
+    ("S(,e0, e1)", "unexpected token ','"),
+    ("S(e0 e1)", "unexpected token 'e1'"),
+    ("S(e0, e9)", "leaf references unknown edge e9"),
+], ids=["bad character", "extra comma", "one-child node", "extra paren",
+        "missing left child", "missing comma", "unknown leaf"])
+def test_parse_decomposition_names_the_fault(text, message):
+    inst = build_instance(False, 3, 0, 2, 1, [(0, 1, 1, False), (1, 2, 2, True)])
+    with pytest.raises(TreeMismatch, match=f"^{re.escape(message)}$"):
+        parse_decomposition(text, inst)
+
+
+@pytest.mark.parametrize("inst, tree, message", [
+    (gap_family(2, 1), Parallel(Leaf(0, 0, 1), Leaf(0, 0, 1), 0, 1),
+     "tree leaves do not partition the edge set"),
+    (build_instance(False, 3, 0, 2, 1, [(0, 1, 1, False), (0, 1, 1, False)]),
+     Parallel(Leaf(0, 0, 1), Leaf(1, 0, 1), 0, 1),
+     "root terminals differ from the instance terminals"),
+], ids=["leaf twice", "root off the terminals"])
+def test_given_tree_names_the_fault(inst, tree, message):
+    with pytest.raises(TreeMismatch, match=f"^{message}$"):
+        solve_ftp_srp(inst, tree)
 
 
 def test_solve_srp_wrapper_accepts_explicit_tree():
