@@ -29,17 +29,15 @@ __all__ = ["TooLargeForExactLP", "CapacityVector", "GapReport", "solve_frac",
            "gap_family", "rounding_vector", "gap_report",
            "fractional_max_flow", "enumerate_cut_edge_sets"]
 
-DEFAULT_VAR_CAP = 50_000
 # Entries of the dense tableau of the LP's dual, each at least a pointer.
-# The largest LP of the tests, a random 8-vertex, 21-edge document at
-# k = 2, has about 116,000; those of the benchmark a few thousand.
+# The largest LP of the tests, srp_004 of `ftp gen --kind srp --seed 4
+# --edges 30 --k 2`, has about 230,000; those of the benchmark a few thousand.
 TABLEAU_CAP = 1_000_000
 MAX_CUT_ENUMERATION = 2**18
-MINIMALITY_FILTER_LIMIT = 4000
 
 
 class TooLargeForExactLP(FTPError):
-    """The exact LP would exceed the configured size caps."""
+    """The cut enumeration or the exact LP would exceed its size cap."""
 
 
 @dataclass(frozen=True)
@@ -62,40 +60,48 @@ class GapReport:
 def enumerate_cut_edge_sets(instance: Instance) -> list[tuple[int, ...]]:
     """Inclusion-minimal s-t cut edge sets, deduplicated, sorted.
 
-    Every s-side vertex subset is enumerated, so this is exponential in
-    the vertex count; callers cap sizes first.
+    Every s-side S is enumerated, so this is exponential in the vertex
+    count; callers cap sizes first.  The edges leaving S form a minimal
+    cut exactly when each has its tail reachable from s inside S and its
+    head reaching t outside S (Ford & Fulkerson, 1962); with s = t, only
+    the empty set does.  Each minimal cut leaves the side s reaches without it.
     """
-    n = instance.vertex_count
     s, t = instance.s, instance.t
-    others = [v for v in range(n) if v not in (s, t)]
+    # Bit i of a mask is vertex order[i]: the other vertices, then s, then t.
+    order = [v for v in range(instance.vertex_count) if v not in (s, t)] + [s] + [t] * (t != s)
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    # An undirected edge is two opposite arcs; loops never cross.
+    arcs = [(bit[a], bit[b], e.id) for e in instance.edges
+            for a, b in ((e.u, e.v), (e.v, e.u))[:2 - instance.directed]]
+    out, into = dict.fromkeys(bit.values(), 0), dict.fromkeys(bit.values(), 0)
+    for a, b, _ in arcs:
+        out[a] |= b
+        into[b] |= a
+    s_bit, t_bit, full = bit[s], bit[t] if t != s else 0, (1 << len(order)) - 1
     cuts: set[tuple[int, ...]] = set()
-    for mask in range(2 ** len(others)):
-        side = {s}
-        for i, v in enumerate(others):
-            if mask >> i & 1:
-                side.add(v)
-        crossing = []
-        for e in instance.edges:
-            if e.u == e.v:
-                continue
-            if instance.directed:
-                if e.u in side and e.v not in side:
-                    crossing.append(e.id)
-            elif (e.u in side) != (e.v in side):
-                crossing.append(e.id)
-        cuts.add(tuple(sorted(crossing)))
-    # Any cut containing another is implied by it.  The pairwise filter
-    # is quadratic, so past a few thousand distinct cuts the redundant
-    # rows are kept instead (they are sound, just wasteful).
-    if len(cuts) > MINIMALITY_FILTER_LIMIT:
-        return sorted(cuts)
-    as_sets = {c: frozenset(c) for c in cuts}
-    minimal = [c for c in cuts
-               if not any(other != c and as_sets[other] < as_sets[c] for other in cuts)]
-    return sorted(minimal)
+    for side in range(s_bit, 2 * s_bit):  # s and any set of the lower bits
+        rest = full ^ side
+        from_s, to_t = _closure(s_bit, side, out), _closure(t_bit, rest, into)
+        if all(a & from_s and b & to_t for a, b, _ in arcs if a & side and b & rest):
+            cuts.add(tuple(eid for a, b, eid in arcs if a & side and b & rest))
+    return sorted(cuts)
 
 
-def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVector:
+def _closure(seed: int, allowed: int, neighbours: dict[int, int]) -> int:
+    # The vertices of ``allowed`` that ``seed`` reaches inside it, as a mask.
+    reach = frontier = seed
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= neighbours[low]
+            frontier ^= low
+        frontier = step & allowed & ~reach
+        reach |= frontier
+    return reach
+
+
+def solve_frac(instance: Instance) -> CapacityVector:
     """Exact optimum of the fractional relaxation.
 
     ``x`` is the lexicographically smallest optimal vector by edge id.
@@ -121,15 +127,13 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
     faulty = instance.faulty_ids if k else frozenset()
     faulty_of = [[eid for eid in cut if eid in faulty] for cut in cuts]
 
-    # Both caps are checked before any row is built.  A cut with more
+    # The cap is checked before any row is built.  A cut with more
     # than k faulty edges adds a threshold and one overshoot per faulty
     # edge, each with its row.  The simplex works on the dual, one
     # tableau row per variable, with a column per row, a slack column per
     # variable and the rhs last.
     extra = [len(f) for f in faulty_of if len(f) > k]
     num_vars = m + len(extra) + sum(extra)
-    if num_vars > var_cap:
-        raise TooLargeForExactLP(f"{num_vars} LP variables exceed the cap of {var_cap}")
     num_rows = len(cuts) + sum(extra)
     columns = num_rows + num_vars + 1
     if num_vars * columns > TABLEAU_CAP:
@@ -146,16 +150,10 @@ def solve_frac(instance: Instance, var_cap: int = DEFAULT_VAR_CAP) -> CapacityVe
         else:
             # sum(x over cut) - (k largest faulty x) >= 1, linearized with
             # a threshold theta and overshoot variables z >= x - theta.
-            theta = next_var
-            z_of = {eid: next_var + 1 + i for i, eid in enumerate(cut_faulty)}
-            next_var += 1 + len(cut_faulty)
-            main = dict.fromkeys(cut, 1)
-            main[theta] = -k
-            for eid in cut_faulty:
-                main[z_of[eid]] = -1
-            rows.append((main, 1))
-            for eid in cut_faulty:
-                rows.append(({z_of[eid]: 1, theta: 1, eid: -1}, 0))
+            theta, zs = next_var, range(next_var + 1, next_var + 1 + len(cut_faulty))
+            next_var = zs.stop
+            rows.append(({**dict.fromkeys(cut, 1), theta: -k, **dict.fromkeys(zs, -1)}, 1))
+            rows += (({z: 1, theta: 1, eid: -1}, 0) for z, eid in zip(zs, cut_faulty))
 
     objective = [e.w for e in instance.edges]
     x, value = simplex.solve_lp(objective, rows, num_vars)
@@ -233,10 +231,10 @@ def fractional_max_flow(instance: Instance, capacities, banned=frozenset()) -> F
     return Fraction(flow.max_flow(net, instance.s, instance.t, total).value)
 
 
-def gap_report(D: int, k: int, var_cap: int = DEFAULT_VAR_CAP) -> GapReport:
+def gap_report(D: int, k: int) -> GapReport:
     """Exact integral and fractional optima for the worst-case family."""
     instance = gap_family(D, k)
-    frac = solve_frac(instance, var_cap)
+    frac = solve_frac(instance)
     integral = oracle.brute_force_opt(instance, edge_cap=max(oracle.DEFAULT_EDGE_CAP, D))
     if integral.best is None:
         raise SolverCheckFailed(

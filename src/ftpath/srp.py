@@ -396,6 +396,8 @@ def _flatten_tree(instance: Instance, tree: DecompositionNode) -> _Flat:
             if not 0 <= node.edge < m or seen[node.edge]:
                 raise TreeMismatch("tree leaves do not partition the edge set")
             e = edges[node.edge]
+            if e.u == e.v:
+                raise TreeMismatch(f"leaf e{e.id} is a self-loop at vertex {e.u}")
             if {node.u, node.v} != {e.u, e.v}:
                 raise TreeMismatch(f"leaf e{e.id} joins {node.u}-{node.v}, "
                                    f"but the edge joins {e.u}-{e.v}")

@@ -535,11 +535,6 @@ def test_infeasible_instance():
         solve_frac(inst)
 
 
-def test_var_cap():
-    with pytest.raises(TooLargeForExactLP):
-        solve_frac(gap_family(30, 2), var_cap=20)
-
-
 def test_tableau_cap_names_the_size(monkeypatch):
     # gap_family(30, 2): one cut of 30 faulty edges, so 31 rows and 61
     # variables, and a dual tableau of 61 x (31 + 61 + 1) entries.
@@ -552,14 +547,149 @@ def test_tableau_cap_names_the_size(monkeypatch):
 
 
 def test_tableau_cap_stops_a_valid_document_before_the_simplex(tmp_path, capsys):
-    # Under the variable cap, this document's LP would need a dense
-    # tableau of 2.4e9 entries, which exhausted memory.
+    # 126 minimal cuts, each with more than k faulty edges: a dense
+    # tableau of 2.1e6 entries, refused before the simplex starts.
     from ftpath.cli import main
     out = tmp_path / "gen"
     assert main(["gen", "--kind", "srp", "--seed", "4", "--edges", "30", "--k", "2",
                  "--out", str(out)]) == 0
     capsys.readouterr()
-    code = main(["solve", str(out / "srp_003.ftp"), "--algorithm", "frac"])
+    code = main(["solve", str(out / "srp_009.ftp"), "--algorithm", "frac"])
     assert (code, capsys.readouterr().err) == (
-        4, "caps exceeded: LP tableau of 34726 rows x 69463 columns exceeds "
+        4, "caps exceeded: LP tableau of 1035 rows x 2041 columns exceeds "
            "the cap of 1000000 entries\n")
+
+
+def test_frac_values_of_documents_with_many_side_cuts(tmp_path, capsys):
+    # 14 to 17 vertices, 4,096 to 32,768 s-sides, 20 to 90 minimal cuts.
+    from ftpath.cli import main
+    out = tmp_path / "gen"
+    assert main(["gen", "--kind", "srp", "--seed", "4", "--edges", "30", "--k", "2",
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name, value in [("srp_002", 16), ("srp_003", 3), ("srp_004", 0), ("srp_005", 42)]:
+        code = main(["solve", str(out / f"{name}.ftp"), "--algorithm", "frac"])
+        assert (code, capsys.readouterr().out.splitlines()[2]) == (0, f"value: {value}")
+
+
+def _side_cuts(instance):
+    """The edge set leaving every s-side, deduplicated."""
+    n = instance.vertex_count
+    s, t = instance.s, instance.t
+    others = [v for v in range(n) if v not in (s, t)]
+    cuts: set[tuple[int, ...]] = set()
+    for mask in range(2 ** len(others)):
+        side = {s}
+        for i, v in enumerate(others):
+            if mask >> i & 1:
+                side.add(v)
+        crossing = []
+        for e in instance.edges:
+            if e.u == e.v:
+                continue
+            if instance.directed:
+                if e.u in side and e.v not in side:
+                    crossing.append(e.id)
+            elif (e.u in side) != (e.v in side):
+                crossing.append(e.id)
+        cuts.add(tuple(sorted(crossing)))
+    return cuts
+
+
+def _pairwise_minimal_cuts(instance):
+    """Reference enumeration: the side cuts, less any that contains another
+    by a quadratic filter, which is skipped past 4,000 cuts."""
+    cuts = _side_cuts(instance)
+    if len(cuts) > 4000:
+        return sorted(cuts)
+    as_sets = {c: frozenset(c) for c in cuts}
+    minimal = [c for c in cuts
+               if not any(other != c and as_sets[other] < as_sets[c] for other in cuts)]
+    return sorted(minimal)
+
+
+def _joined(instance, removed) -> bool:
+    """Whether t is reachable from s once the edges ``removed`` are gone."""
+    adj: dict[int, list[int]] = {}
+    for e in instance.edges:
+        if e.id not in removed:
+            adj.setdefault(e.u, []).append(e.v)
+            if not instance.directed:
+                adj.setdefault(e.v, []).append(e.u)
+    seen, stack = {instance.s}, [instance.s]
+    while stack:
+        for v in adj.get(stack.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return instance.t in seen
+
+
+def test_cut_enumeration_matches_the_pairwise_filter():
+    rng = random.Random(1901)
+    shapes = Counter()
+    for _ in range(5000):
+        n = rng.randint(1, 8)
+        edges = []
+        for _ in range(rng.randint(0, 14)):
+            u = rng.randrange(n)
+            v = u if rng.random() < 0.1 else rng.randrange(n)
+            edges.append((u, v, 1, rng.random() < 0.5))
+            if rng.random() < 0.1:
+                edges.append(edges[-1])
+        s = rng.randrange(n)
+        t = s if rng.random() < 0.1 else rng.randrange(n)
+        inst = build_instance(rng.random() < 0.5, n, s, t, 1, edges)
+        assert enumerate_cut_edge_sets(inst) == _pairwise_minimal_cuts(inst)
+        ends = Counter((e.u, e.v) if inst.directed else frozenset((e.u, e.v))
+                       for e in inst.edges)
+        touched = {x for e in inst.edges for x in (e.u, e.v)}
+        shapes.update({"directed": inst.directed, "s = t": s == t,
+                       "loop": any(e.u == e.v for e in inst.edges),
+                       "parallel": max(ends.values(), default=0) > 1,
+                       "isolated": len(touched) < n})
+    assert min(shapes.values()) >= 400, shapes
+
+
+def _many_side_cuts(rng, n, m, directed, k, faulty_prob):
+    """A seeded instance on n vertices with a random spanning tree, a loop,
+    parallel edges and more than 4,000 distinct side cuts."""
+    while True:
+        pairs = [(rng.randrange(v), v) for v in range(1, n)]
+        pairs += [tuple(rng.sample(range(n), 2)) for _ in range(m - n - 1)]
+        pairs += [pairs[-1], (1, 1)]
+        rng.shuffle(pairs)
+        inst = build_instance(directed, n, 0, n - 1, k,
+                              [(u, v, rng.randint(1, 9), rng.random() < faulty_prob)
+                               for u, v in pairs])
+        cuts = _side_cuts(inst)
+        if len(cuts) > 4000 and _joined(inst, ()):
+            return inst, cuts
+
+
+def test_minimal_cuts_past_four_thousand_side_cuts():
+    rng = random.Random(1902)
+    for n, directed in [(14, False), (15, True), (15, False), (16, True)]:
+        inst, side_cuts = _many_side_cuts(rng, n, 30, directed, 2, 0.5)
+        minimal = enumerate_cut_edge_sets(inst)
+        assert minimal == sorted(set(minimal))
+        for cut in minimal:
+            # A cut, and each of its edges is needed.
+            assert not _joined(inst, set(cut))
+            assert all(_joined(inst, set(cut) - {e}) for e in cut)
+        # Each side cut contains one of the returned cuts, so no minimal
+        # side cut is missing.
+        returned = [sum(1 << e for e in cut) for cut in minimal]
+        for cut in side_cuts:
+            mask = sum(1 << e for e in cut)
+            assert any(r & ~mask == 0 for r in returned)
+
+
+@pytest.mark.parametrize("k, faulty_prob", [(1, 0.0), (20, 0.5)], ids=["all safe", "k >= |M|"])
+def test_frac_with_every_side_cut_gives_the_same_lp_answer(monkeypatch, k, faulty_prob):
+    # Past 4,000 side cuts the rows of non-minimal cuts are dropped; they
+    # are implied by the minimal cuts, so x and the value stay.
+    inst, side_cuts = _many_side_cuts(random.Random(1903), 14, 18, False, k, faulty_prob)
+    expected = solve_frac(inst)
+    monkeypatch.setattr(frac, "enumerate_cut_edge_sets", lambda _: sorted(side_cuts))
+    assert solve_frac(inst) == expected

@@ -280,6 +280,18 @@ def test_given_tree_names_the_fault(inst, tree, message):
         solve_ftp_srp(inst, tree)
 
 
+@pytest.mark.parametrize("k, loop_faulty", [(0, False), (1, True)],
+                         ids=["safe loop", "faulty loop"])
+def test_loop_leaf_is_a_mismatch(k, loop_faulty):
+    # A self-loop joins no two vertices, so no series or parallel node can
+    # hold it; the optimum here is edge 0 alone, at every budget.
+    inst = build_instance(False, 2, 0, 1, k, [(0, 1, 1, False), (1, 1, 5, loop_faulty)])
+    tree = Series(Leaf(0, 0, 1), Leaf(1, 1, 1), 0, 1)
+    for solve in (solve_ftp_srp, solve_srp):
+        with pytest.raises(TreeMismatch, match="^leaf e1 is a self-loop at vertex 1$"):
+            solve(inst, tree)
+
+
 def test_solve_srp_wrapper_accepts_explicit_tree():
     inst = gap_family(2, 1)
     tree = parse_decomposition("P(e0, e1)", inst)
