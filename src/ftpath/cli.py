@@ -6,8 +6,8 @@ deterministic: the same input and flags produce byte-identical stdout.
 Wall-clock times go only to the append-only run log (FTP_LOG_DIR).
 
 Exit codes: 0 success, 1 nothing to do, 2 infeasible instance,
-3 parse/validation error or a file that cannot be read or written
-(including the run log), 4 a size cap was exceeded, 5 internal error
+3 usage, parse or validation error, or a file that cannot be read or
+written (including the run log), 4 a size cap was exceeded, 5 internal error
 (a solver failed its own output check, or any other unexpected
 exception).
 """
@@ -603,7 +603,13 @@ def main(argv=None) -> int:
     if _parser is None:
         # Built once per process: building costs about 15 parses.
         _parser = _build_parser()
-    args = _parser.parse_args(argv)
+    try:
+        args = _parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, and 2 means infeasible here.
+        if exc.code == 2:
+            return EXIT_INVALID
+        raise
     try:
         return args.func(args)
     except Infeasible as exc:

@@ -10,6 +10,9 @@ over the splits of each tail's units among its heads.  A forward dynamic
 program finds the cheapest route with one staged transition per layer
 (all configurations split at once, tail by tail); only its links get a
 realizing edge set (:func:`link_cost`), mapped back through edge origins.
+A link reruns one transition with each edge's weight packed above a tie
+bit of its own, so the one optimum it reaches is the cheapest edge set
+with the least sum of ``2^id``.
 """
 
 from __future__ import annotations
@@ -267,15 +270,15 @@ def _configuration(layered: LayeredInstance, i: int, code: int, bits: int) -> Co
     return Configuration(i, tuple(code >> bits * (width - 1 - p) & mask for p in range(width)))
 
 
-def _pair_rows(edges, k: int, pos: dict[int, int], paid=frozenset()
+def _pair_rows(edges, weights, k: int, pos: dict[int, int]
                ) -> dict[int, list[tuple[int, list[int]]]]:
     # Per tail position, (head position, row) pairs: row[f] is the least weight
     # that lets the tail->head edges carry f units (f <= k+1, as far as
-    # they can).  Edges in ``paid`` are already bought and weigh 0.
+    # they can).  ``weights`` is aligned with ``edges``.
     groups: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
-    for e in edges:
+    for e, w in zip(edges, weights):
         safe, faulty = groups.setdefault((e.tail, e.head), ([], []))
-        (faulty if e.faulty else safe).append(0 if e.id in paid else e.w)
+        (faulty if e.faulty else safe).append(w)
     rows: dict[int, list[tuple[int, list[int]]]] = {}
     for (tail, head), (safe, faulty) in groups.items():
         sums = [0, *accumulate(sorted(faulty))][:k + 2]  # sums[f]: the f cheapest
@@ -324,11 +327,10 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
     ``C*`` is the least sum of per-pair costs (``f`` units over a pair
     cost its cheapest safe edge or its ``f`` cheapest faulty edges) over
     the splits of d1's units that deliver d2.  The realizing set is the
-    first candidate subset in ``(cost, sorted ids)`` order that carries
-    the transport: while the chosen ids alone do not carry it at cost
-    ``C*``, add the smallest larger id that a subset of cost ``C*``
-    holding the chosen ids, that id and otherwise larger ids completes.
-    ``None`` means no subset works (the link is absent).
+    one of cost ``C*`` with the least sum of ``2^id``: the smallest
+    largest id, then the smallest next largest, and so on.  It is always
+    inclusion-minimal.  ``None`` means no subset works (the link is
+    absent).
     """
     supp1, supp2 = d1.support(layered), d2.support(layered)
     edges = [e for e in layered.edges_in_layer(d1.layer)
@@ -338,22 +340,17 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
     bits = max(sum(need1), sum(need2), 1).bit_length()
     start, target = (sum(d << bits * p for p, d in enumerate(reversed(need)))
                      for need in (need1, need2))
-    weight = {e.id: e.w for e in edges}
-
-    def cheapest(forced: list[int], floor: float) -> int | None:
-        pool = [e for e in edges if e.id > floor or e.id in forced]
-        rows = _pair_rows(pool, k, pos, set(forced))
-        reached = _advance(rows, {start: 0}, len(need1), len(need2), bits).get(target)
-        return None if reached is None else reached[0] + sum(weight[i] for i in forced)
-
-    best = cheapest([], -1)
-    if best is None:
+    # Candidate j (in id order) weighs w * 2^E + 2^j.  Each edge sits in
+    # one tail-head pair, so a transport's packed weight is its cost over
+    # the bits of its edges, without carries, and one optimum is least.
+    low = len(edges)
+    rows = _pair_rows(edges, [e.w << low | 1 << j for j, e in enumerate(edges)], k, pos)
+    reached = _advance(rows, {start: 0}, len(need1), len(need2), bits).get(target)
+    if reached is None:
         return None
-    chosen: list[int] = []
-    while cheapest(chosen, math.inf) != best:
-        chosen.append(next(i for i in sorted(weight) if i > max(chosen, default=-1)
-                           and cheapest(chosen + [i], i) == best))
-    return Link(d1, d2, best, frozenset(chosen))
+    packed = reached[0]
+    return Link(d1, d2, packed >> low,
+                frozenset(e.id for j, e in enumerate(edges) if packed >> j & 1))
 
 
 def _route_tables(layered: LayeredInstance, k: int) -> list[dict[int, tuple[int, int]]]:
@@ -363,7 +360,8 @@ def _route_tables(layered: LayeredInstance, k: int) -> list[dict[int, tuple[int,
     pos = {v: p for layer in layered.layers for p, v in enumerate(layer)}
     best = [{k + 1: (0, 0)}]
     for i in range(len(layered.layers) - 1):
-        rows = _pair_rows(layered.edges_in_layer(i), k, pos)
+        edges = layered.edges_in_layer(i)
+        rows = _pair_rows(edges, [e.w for e in edges], k, pos)
         best.append(_advance(rows, {code: cost for code, (cost, _) in best[i].items()},
                              len(layered.layers[i]), len(layered.layers[i + 1]), bits))
     return best

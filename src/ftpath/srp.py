@@ -109,10 +109,12 @@ def _reduce(instance: Instance) -> _Flat:
     nu = [e.u for e in instance.edges]
     nv = [e.v for e in instance.edges]
     # The live node of each vertex pair (key min*n+max), the edge groups
-    # that share a pair, and the live non-loop nodes at each vertex.
+    # that share a pair, and the live non-loop nodes at each vertex.  A
+    # loop carries no s-t flow and stays an unmerged leaf.
     by_pair: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
     incident: list[set[int]] = [set() for _ in range(n)]
+    loops = 0
     for i, (u, v) in enumerate(zip(nu, nv)):
         if u != v:
             p = u * n + v if u < v else v * n + u
@@ -121,6 +123,10 @@ def _reduce(instance: Instance) -> _Flat:
             by_pair[p] = i
             incident[u].add(i)
             incident[v].add(i)
+        else:
+            loops += 1
+    if loops == m:
+        raise NotSeriesParallel("graph has only self-loops", ())
     # Parallel edges merge first, smallest pair first.  Merged nodes take
     # the largest keys, so a group drains in sorted order: merge the two
     # smallest, append the result.
@@ -182,9 +188,10 @@ def _reduce(instance: Instance) -> _Flat:
                 heapq.heappush(vert_heap, y)
 
     u, v = nu[-1], nv[-1]
-    if len(kind) != 2 * m - 1 or {u, v} != {s, t}:
+    left_over = 2 * m - loops - len(kind)
+    if left_over != 1 or {u, v} != {s, t}:
         raise NotSeriesParallel(
-            f"reduction stuck with {2 * m - len(kind)} edges left" if len(kind) != 2 * m - 1
+            f"reduction stuck with {left_over} edges left" if left_over != 1
             else f"graph reduces to a single {u}-{v} edge, not to the terminals",
             _remainder(m, left, right, nu, nv))
     return _Flat(kind, left, right, int(u != s))
@@ -192,13 +199,14 @@ def _reduce(instance: Instance) -> _Flat:
 
 def _remainder(m: int, left: list[int], right: list[int], nu: list[int],
                nv: list[int]) -> tuple:
-    # The nodes no merge consumed, in creation order, with their leaves.
+    # The nodes no merge consumed, in creation order, with their leaves;
+    # self-loops are left out.
     consumed = bytearray(len(nu))
     for i in range(m, len(nu)):
         consumed[left[i] >> 1] = consumed[right[i] >> 1] = 1
     out = []
     for i in range(len(nu)):
-        if consumed[i]:
+        if consumed[i] or nu[i] == nv[i]:
             continue
         leaves, stack = [], [i]
         while stack:
@@ -221,9 +229,14 @@ def decompose_srp(instance: Instance) -> DecompositionNode:
     Raises:
         NotSeriesParallel: the instance is directed (with an empty
             remainder), or the reduction gets stuck; the exception
-            carries the irreducible remainder.
+            carries the irreducible remainder.  A self-loop, which no
+            tree node can hold, is refused with itself as the remainder.
     """
     kind, left, right, flip = _reduce(instance)
+    for e in instance.edges:
+        if e.u == e.v:
+            raise NotSeriesParallel(f"edge e{e.id} is a self-loop at vertex {e.u}",
+                                    ((e.u, e.v, (e.id,)),))
     # Top-down, a node is flipped when its parent's use of it is.
     flips = bytearray(len(kind))
     flips[-1] = flip
@@ -312,10 +325,13 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
             raise TreeMismatch(f"leaf references unknown edge e{eid}")
     if sorted(leaf_ids) != list(range(m)):
         raise TreeMismatch("tree leaves do not partition the edge set")
+    for e in instance.edges:
+        if e.u == e.v:
+            raise TreeMismatch(f"leaf e{e.id} is a self-loop at vertex {e.u}")
 
     # Bottom-up, the (u, v) each node can join; top-down, the smallest
     # series midpoint that meets the node's ends.
-    ends = [{(e.u, e.v), (e.v, e.u)} if e.u != e.v else set() for e in instance.edges]
+    ends = [{(e.u, e.v), (e.v, e.u)} for e in instance.edges]
     for i in range(m, len(kind)):
         lc, rc = ends[left[i] >> 1], ends[right[i] >> 1]
         if kind[i] == _SERIES:
@@ -519,7 +535,8 @@ def solve_ftp_srp(instance: Instance, tree: DecompositionNode) -> SolutionTable:
 
 def solve_srp(instance: Instance, tree: DecompositionNode | None = None) -> Solution:
     """Solve at the full budget over ``tree``, else over the reduction (which
-    raises :class:`NotSeriesParallel` when the graph does not reduce)."""
+    leaves self-loops out and raises :class:`NotSeriesParallel` when the
+    graph does not reduce)."""
     flat = _reduce(instance) if tree is None else _flatten_tree(instance, tree)
     cost, splits = _costs(instance, flat)
     entry = _entry(instance, flat, cost, splits, len(cost) - 1)

@@ -787,6 +787,36 @@ def test_srp_on_directed_document_is_invalid_input(tmp_path, capsys):
     assert err == ("invalid input: series-parallel decomposition requires "
                    "an undirected instance\n")
 
+@pytest.mark.parametrize("algorithm", ["srp", "auto"])
+def test_srp_skips_a_self_loop(tmp_path, capsys, algorithm):
+    # A loop carries no s-t flow, so the path 0-1-2 with a faulty loop at
+    # 1 reduces, and auto answers through srp, optimally.
+    path = _write(tmp_path, build_instance(False, 3, 0, 2, 2, [(0, 1, 1, False),
+                                                               (1, 2, 1, False),
+                                                               (1, 1, 1, True)]))
+    code, out, err = run_main(["solve", path, "--algorithm", algorithm], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert out == ("ftp-solution v1\nalgorithm: srp\nstatus: optimal\n"
+                   "cost: 2\nedges: 0 1\n")
+
+
+@pytest.mark.parametrize("argv", [["solve", "x", "--algorithm", "bogus"], ["solve"],
+                                  ["frobnicate"], []],
+                         ids=["bad choice", "missing path", "bad command", "no command"])
+def test_usage_errors_exit_3(capsys, argv):
+    # argparse would exit 2, which reads as an infeasible instance.
+    code, out, err = run_main(argv, capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("usage: ftp")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ftp solve")
+
+
 def test_module_entry_point(gap_file, capsys):
     expected = run_main(["solve", gap_file, "--algorithm", "bipath"], capsys)
     assert expected[0] == EXIT_OK and "cost: 2" in expected[1]

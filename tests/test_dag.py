@@ -367,24 +367,23 @@ def test_layerize_long_cycle_has_no_recursion_limit():
     assert err.value.cycle == tuple(range(n)) + (0,)
 
 
-def _first_feasible_subset(edges, have, need, k):
-    """The first subset in (cost, sorted ids) order that carries the demand."""
+def _least_feasible_subset(edges, have, need, k):
+    """The subset least in (cost, sum of 2^id) that carries the demand."""
     subsets = [[e for i, e in enumerate(edges) if mask >> i & 1]
                for mask in range(1, 2 ** len(edges))]
-    subsets.sort(key=lambda s: (sum(e.w for e in s), sorted(e.id for e in s)))
+    subsets.sort(key=lambda s: (sum(e.w for e in s), sum(1 << e.id for e in s)))
     for subset in subsets:
         if _transport_feasible_reference(subset, have, need, k):
             return sum(e.w for e in subset), frozenset(e.id for e in subset)
     return None
 
 
-def test_link_cost_realizing_set_is_first_in_cost_then_id_order():
-    # Zero weights make ties common: {2, 5} sorts before {5} at equal
-    # cost, so the realizing set may hold edges the transport never uses.
+def _tie_gadget_links(seed):
+    # Zero weights make ties common.  Yields (gadget, have, need, k, link)
+    # for every configuration pair of 40 two-layer gadgets.
     from ftpath.dag import LayeredEdge, LayeredInstance
 
-    rng = random.Random(83)
-    compared = linked = 0
+    rng = random.Random(seed)
     for _ in range(40):
         k = rng.randint(1, 3)
         width1, width2 = rng.randint(2, 3), rng.randint(2, 3)
@@ -399,15 +398,51 @@ def test_link_cost_realizing_set_is_first_in_cost_then_id_order():
             have = {v: d for v, d in zip(layered.layers[0], d1.demand) if d}
             for d2 in enumerate_configurations(layered, 1, k):
                 need = {v: d for v, d in zip(layered.layers[1], d2.demand) if d}
-                candidates = [e for e in gadget
-                              if e.tail in have and e.head in need]
-                expected = _first_feasible_subset(candidates, have, need, k)
-                link = link_cost(layered, d1, d2, k)
-                got = None if link is None else (link.cost, link.realizing)
-                assert got == expected
-                compared += 1
-                linked += link is not None
+                yield gadget, have, need, k, link_cost(layered, d1, d2, k)
+
+
+def test_link_cost_realizing_set_is_least_in_cost_then_id_bits():
+    # Among the subsets of least cost, the one with the least sum of
+    # 2^id: the smallest largest id, then the next largest, and so on.
+    compared = linked = 0
+    for gadget, have, need, k, link in _tie_gadget_links(83):
+        candidates = [e for e in gadget if e.tail in have and e.head in need]
+        expected = _least_feasible_subset(candidates, have, need, k)
+        assert (None if link is None else (link.cost, link.realizing)) == expected
+        compared += 1
+        linked += link is not None
     assert compared >= 1000 and linked >= 150
+
+
+def test_link_cost_realizing_set_is_inclusion_minimal():
+    # A proper subset that still carried the transport would cost less
+    # (against the least cost) or as much (an edge carrying nothing).
+    checked = 0
+    for seed in (83, 89):
+        for gadget, have, need, k, link in _tie_gadget_links(seed):
+            if link is None:
+                continue
+            chosen = [e for e in gadget if e.id in link.realizing]
+            assert sum(e.w for e in chosen) == link.cost
+            assert _transport_feasible_reference(chosen, have, need, k)
+            for e in chosen:
+                rest = [f for f in chosen if f is not e]
+                assert not _transport_feasible_reference(rest, have, need, k)
+                checked += 1
+    assert checked >= 500
+
+
+def test_link_cost_runs_one_transition(monkeypatch):
+    calls = []
+    advance = dag._advance
+    monkeypatch.setattr(dag, "_advance", lambda *args: calls.append(1) or advance(*args))
+    inst = build_instance(True, 3, 0, 2, 1, [(0, 1, 0, True), (0, 1, 0, True),
+                                             (0, 1, 2, False), (1, 2, 1, False),
+                                             (0, 2, 3, True)])
+    layered = layerize(inst)
+    d1, d2 = Configuration(0, (2,)), Configuration(1, (2, 0))
+    link = link_cost(layered, d1, d2, 1)
+    assert (link.cost, link.realizing, len(calls)) == (0, frozenset({0, 1}), 1)
 
 
 def test_matches_oracle_at_budget_three_with_zero_weights():
@@ -640,14 +675,14 @@ def test_layerize_matches_reference_on_seeded_dags():
 # only a strictly cheaper route replaced a parent; link_cost ran _reach
 # from its one spread.
 
-def _reference_pair_rows(edges, k, pos, paid=frozenset()):
+def _reference_pair_rows(edges, k, pos):
     # Per tail vertex, (head position, row) pairs: row[f] is the least
     # weight that lets the tail->head edges carry f units.
     units = k + 1
     groups = {}
     for e in edges:
         safe, faulty = groups.setdefault((e.tail, e.head), ([], []))
-        (faulty if e.faulty else safe).append(0 if e.id in paid else e.w)
+        (faulty if e.faulty else safe).append(e.w)
     rows = {}
     for (tail, head), (safe, faulty) in groups.items():
         sums = [0, *accumulate(sorted(faulty))]
@@ -697,27 +732,27 @@ def _reference_tables(layered, k, ties):
 
 
 def _reference_link_cost(layered, d1, d2, k):
+    # The least cost by _reach; the realizing set by a greedy that drops,
+    # in descending id order, each edge whose removal keeps that cost.
     supp1, supp2 = set(d1.support(layered)), set(d2.support(layered))
     edges = [e for e in layered.edges_in_layer(d1.layer)
              if e.tail in supp1 and e.head in supp2]
     have = [(v, d) for v, d in zip(layered.layers[d1.layer], d1.demand) if d]
     pos = {v: p for p, v in enumerate(layered.layers[d2.layer])}
     target = tuple(p for p, d in enumerate(d2.demand) for _ in range(d))
-    weight = {e.id: e.w for e in edges}
 
-    def cheapest(forced, floor):
-        pool = [e for e in edges if e.id > floor or e.id in forced]
-        extra = _reach(_reference_pair_rows(pool, k, pos, set(forced)), have, {}).get(target)
-        return None if extra is None else extra + sum(weight[i] for i in forced)
+    def cheapest(pool):
+        return _reach(_reference_pair_rows(pool, k, pos), have, {}).get(target)
 
-    best = cheapest([], -1)
+    best = cheapest(edges)
     if best is None:
         return None
-    chosen = []
-    while cheapest(chosen, math.inf) != best:
-        chosen.append(next(i for i in sorted(weight) if i > max(chosen, default=-1)
-                           and cheapest(chosen + [i], i) == best))
-    return best, frozenset(chosen)
+    kept = list(edges)
+    for e in sorted(edges, key=lambda e: -e.id):
+        rest = [f for f in kept if f is not e]
+        if cheapest(rest) == best:
+            kept = rest
+    return best, frozenset(e.id for e in kept)
 
 
 def _demand(spread, width):

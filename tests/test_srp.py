@@ -292,6 +292,33 @@ def test_loop_leaf_is_a_mismatch(k, loop_faulty):
             solve(inst, tree)
 
 
+def test_reduction_leaves_self_loops_out():
+    # solve_srp answers without the loops; a tree must hold every edge,
+    # so decompose_srp and parse_decomposition refuse and name the loop.
+    inst = build_instance(False, 3, 0, 2, 2, [(1, 1, 0, False), (0, 1, 1, False),
+                                              (1, 2, 1, False), (2, 2, 4, True)])
+    solution = solve_srp(inst)
+    assert (solution.edges, solution.cost) == ({1, 2}, 2)
+    with pytest.raises(NotSeriesParallel, match="^edge e0 is a self-loop at vertex 1$") as err:
+        decompose_srp(inst)
+    assert err.value.remainder == ((1, 1, (0,)),)
+    with pytest.raises(TreeMismatch, match="^leaf e0 is a self-loop at vertex 1$"):
+        parse_decomposition("S(P(e0, e1), P(e2, e3))", inst)
+    only_loops = build_instance(False, 2, 0, 1, 1, [(0, 0, 1, False), (1, 1, 1, False)])
+    for solve in (solve_srp, decompose_srp):
+        with pytest.raises(NotSeriesParallel, match="^graph has only self-loops$"):
+            solve(only_loops)
+
+
+def test_stuck_reduction_counts_no_loops():
+    # K4 with a loop: six edges stay unreduced, and the loop is not one.
+    edges = [(u, v, 1, False) for u in range(4) for v in range(u + 1, 4)]
+    inst = build_instance(False, 4, 0, 3, 1, edges + [(2, 2, 1, True)])
+    with pytest.raises(NotSeriesParallel, match="^reduction stuck with 6 edges left$") as err:
+        solve_srp(inst)
+    assert len(err.value.remainder) == 6
+
+
 def test_solve_srp_wrapper_accepts_explicit_tree():
     inst = gap_family(2, 1)
     tree = parse_decomposition("P(e0, e1)", inst)
