@@ -118,9 +118,12 @@ RATIO_BOUNDED = "ratio-bounded"
 HEURISTIC = "heuristic"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
-    """One selectable edge: ``u -> v`` when directed, ``{u, v}`` otherwise."""
+    """One selectable edge: ``u -> v`` when directed, ``{u, v}`` otherwise.
+
+    Slotted, so it has no ``__dict__``: use ``dataclasses.asdict``, not ``vars``.
+    """
 
     id: int
     u: int
@@ -189,21 +192,23 @@ def build_instance(directed: bool, vertex_count: int, s: int, t: int, k: int,
 
     Edge ids are assigned by position.  Raises a :class:`ValidationError`
     subclass if the result is malformed.  Each :class:`Edge` is made by
-    setting its fields directly, which skips the dataclass ``__init__``
-    but gives an equal object.  When every row is a tuple, whole-column
-    checks of the plain-int case stand in for the per-edge loop of
-    :func:`validate`.
+    calling its slot descriptors' ``__set__``, which skips the dataclass
+    ``__init__`` and its frozen ``__setattr__`` but gives an equal object.
+    When every row is a tuple, whole-column checks of the plain-int case
+    stand in for the per-edge loop of :func:`validate`.
     """
     rows = edges if type(edges) in (list, tuple) else list(edges)
-    new, put = object.__new__, object.__setattr__
+    new = object.__new__
+    set_id, set_u, set_v, set_w, set_f = (
+        Edge.__dict__[name].__set__ for name in ("id", "u", "v", "w", "faulty"))
     built = []
     for i, (u, v, w, f) in enumerate(rows):
         e = new(Edge)
-        put(e, "id", i)
-        put(e, "u", u)
-        put(e, "v", v)
-        put(e, "w", w)
-        put(e, "faulty", bool(f))
+        set_id(e, i)
+        set_u(e, u)
+        set_v(e, v)
+        set_w(e, w)
+        set_f(e, bool(f))
         built.append(e)
     inst = Instance(bool(directed), vertex_count, tuple(built), s, t, k)
     if rows and set(map(type, rows)) == {tuple}:

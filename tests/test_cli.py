@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import json
+import pickle
 import random
 import subprocess
 import sys
@@ -12,7 +15,7 @@ from ftpath.cli import (EXIT_CAPS, EXIT_EMPTY, EXIT_INFEASIBLE, EXIT_INTERNAL,
                         EXIT_INVALID, EXIT_OK, ParseError, main, parse_dimacs,
                         parse_instance, parse_solution, serialize_instance,
                         serialize_solution)
-from ftpath.core import Solution, SolverCheckFailed, build_instance
+from ftpath.core import Edge, Solution, SolverCheckFailed, build_instance
 from ftpath.frac import gap_family
 from ftpath.oracle import brute_force_feasible
 
@@ -59,6 +62,30 @@ a 1 2 1 1
 """
     inst = parse_dimacs(text)
     assert inst == gap_family(2, 1)
+
+
+def test_instances_survive_pickle_deepcopy_and_replace():
+    # Edges are frozen slotted dataclasses built without ``__init__``; every
+    # copy must still compare and hash equal.
+    rng = random.Random(17)
+    built = [random_instance(rng, n_max=6, m_max=10) for _ in range(10)]
+    insts = (built + [parse_instance(serialize_instance(i)) for i in built]
+             + [parse_dimacs("p ftp 3 2 1 1\nn s 1\nn t 3\na 1 2 4 1\na 2 3 0 0\n")])
+    for inst in insts:
+        copies = [copy.deepcopy(inst)]
+        copies += [pickle.loads(pickle.dumps(inst, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert other == inst and hash(other) == hash(inst)
+            assert all(type(e) is Edge for e in other.edges)
+        for edge in inst.edges:
+            heavier = dataclasses.replace(edge, w=edge.w + 1)
+            expected = Edge(edge.id, edge.u, edge.v, edge.w + 1, edge.faulty)
+            assert heavier == expected and hash(heavier) == hash(expected)
+            same = dataclasses.replace(edge, w=edge.w)
+            assert same == edge and hash(same) == hash(edge) and same is not edge
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                heavier.w = 0
 
 
 def test_solution_document_roundtrip():

@@ -62,7 +62,9 @@ def test_built_edges_are_frozen_dataclasses():
     assert edge != (0, 0, 1, 2, True)
     assert edge == Edge(0, 0, 1, 2, True)
     assert hash(edge) == hash(Edge(0, 0, 1, 2, True))
-    assert vars(edge) == vars(Edge(0, 0, 1, 2, True))
+    assert dataclasses.asdict(edge) == dataclasses.asdict(Edge(0, 0, 1, 2, True))
+    assert not hasattr(edge, "__dict__")
+    assert inst.edges[0].faulty is True
     assert inst.edges[1] == Edge(1, 1, 2, 0, False) and inst.edges[1].faulty is False
 
 
