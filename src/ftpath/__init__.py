@@ -10,11 +10,11 @@ relaxation; and a brute-force oracle for validation.
 """
 
 from .core import (Edge, Instance, Scenario, Solution, OPTIMAL, RATIO_BOUNDED,
-                   HEURISTIC, FTPError, ValidationError, DuplicateEdgeId,
-                   BadEndpoint, NegativeWeight, OverflowRisk, UnknownEdgeId,
-                   BadParameters, ScenarioSpaceTooLarge, Infeasible,
-                   build_instance, validate, is_feasible, enumerate_scenarios,
-                   scenario_count)
+                   HEURISTIC, FTPError, ValidationError, NotApplicable,
+                   CapExceeded, DuplicateEdgeId, BadEndpoint, NegativeWeight,
+                   OverflowRisk, UnknownEdgeId, BadParameters,
+                   ScenarioSpaceTooLarge, Infeasible, build_instance,
+                   validate, is_feasible, enumerate_scenarios, scenario_count)
 from .flow import Arc, FlowNetwork, FlowResult, max_flow, min_cost_flow
 from .bipath import WrongBudget, LinkLengths, link_lengths, solve_1ftp
 from .dag import (NotADag, ConfigurationSpaceTooLarge, LayeredInstance,
@@ -37,7 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Edge", "Instance", "Scenario", "Solution",
     "OPTIMAL", "RATIO_BOUNDED", "HEURISTIC",
-    "FTPError", "ValidationError", "DuplicateEdgeId", "BadEndpoint",
+    "FTPError", "ValidationError", "NotApplicable", "CapExceeded",
+    "DuplicateEdgeId", "BadEndpoint",
     "NegativeWeight", "OverflowRisk", "UnknownEdgeId", "BadParameters",
     "ScenarioSpaceTooLarge", "Infeasible", "WrongBudget", "NotADag",
     "ConfigurationSpaceTooLarge", "NotSeriesParallel", "TreeMismatch",

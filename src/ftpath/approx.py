@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from . import flow
 from .bipath import WrongBudget, _Links, _support
-from .core import (FTPError, Infeasible, Instance, Solution, RATIO_BOUNDED,
-                   SolverCheckFailed, adjacency, is_feasible)
+from .core import (Infeasible, Instance, Solution, RATIO_BOUNDED,
+                   SolverCheckFailed, ValidationError, adjacency, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
 from .shortest import (INF, dijkstra_tree, meta_shortest_path,
                        safe_subgraph_distances)
@@ -36,7 +36,7 @@ __all__ = ["NotFeasible", "InducedFlow", "SegmentDecomposition",
            "segment_decomposition"]
 
 
-class NotFeasible(FTPError):
+class NotFeasible(ValidationError):
     """The supplied edge set is not a feasible solution."""
 
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flow
-from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
+from .core import (Infeasible, Instance, NotApplicable, Solution, OPTIMAL,
                    SolverCheckFailed, adjacency, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
 from .shortest import (INF, _shortest_tree, _two_route_costs, meta_shortest_path,
@@ -43,7 +43,7 @@ SAFE_PATH = "safe-path"
 TWO_ROUTE = "two-route"
 
 
-class WrongBudget(FTPError):
+class WrongBudget(NotApplicable):
     """The solver only supports the stated failure budget."""
 
 

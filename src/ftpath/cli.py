@@ -5,11 +5,12 @@ a DIMACS-like edge list with a faulty column.  Output documents are
 deterministic: the same input and flags produce byte-identical stdout.
 Wall-clock times go only to the append-only run log (FTP_LOG_DIR).
 
-Exit codes: 0 success, 1 nothing to do, 2 infeasible instance,
-3 usage, parse or validation error, or a file that cannot be read or
-written (including the run log), 4 a size cap was exceeded, 5 internal error
-(a solver failed its own output check, or any other unexpected
-exception).
+Exit codes: 0 success, 1 nothing to do, 2 infeasible instance (``Infeasible``),
+3 usage error, any ``ValidationError`` (a parse error, or a file that cannot be
+read or written, the run log included) or ``NotApplicable`` (the chosen solver
+does not handle the instance), 4 any ``CapExceeded`` (a size cap refused the
+instance), 5 internal error (a solver failed its own output check, or any other
+unexpected exception).
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import __version__, approx, bipath, dag, frac, oracle, srp
-from .core import (DEFAULT_SCENARIO_CAP, FTPError, Infeasible, Instance,
-                   ScenarioSpaceTooLarge, Solution, ValidationError,
-                   build_instance, infeasibility_witness, reachable)
+from .core import (DEFAULT_SCENARIO_CAP, CapExceeded, Infeasible, Instance,
+                   NotApplicable, Solution, ValidationError, build_instance,
+                   infeasibility_witness, reachable)
 from .shortest import shortest_path_solution
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_solution",
@@ -43,11 +44,8 @@ EXIT_INTERNAL = 5
 ALGORITHMS = ("auto", "bipath", "dag", "srp", "approx-k", "approx-k1",
               "oracle", "frac")
 
-_CAP_ERRORS = (ScenarioSpaceTooLarge, dag.ConfigurationSpaceTooLarge,
-               frac.TooLargeForExactLP, oracle.InstanceTooLargeForOracle)
 
-
-class ParseError(FTPError):
+class ParseError(ValidationError):
     """A document is malformed."""
 
 
@@ -168,7 +166,7 @@ def parse_dimacs(text: str) -> Instance:
     """DIMACS-like dialect: p/n/a lines, 1-indexed vertices, faulty column."""
     directed = None
     vertices = edge_count = k = None
-    s = t = None
+    terminals: dict[str, int] = {}
     edges: list[tuple[int, int, int, bool]] = []
     for raw in text.splitlines():
         line = raw.strip()
@@ -179,6 +177,8 @@ def parse_dimacs(text: str) -> Instance:
             if parts[0] == "p":
                 if len(parts) != 6 or parts[1] != "ftp":
                     raise ParseError(f"bad problem line: {line!r}")
+                if directed is not None:
+                    raise ParseError(f"repeated problem line: {line!r}")
                 vertices, edge_count, d_flag, k = (int(parts[2]), int(parts[3]),
                                                    parts[4], int(parts[5]))
                 if d_flag not in ("0", "1"):
@@ -187,10 +187,9 @@ def parse_dimacs(text: str) -> Instance:
             elif parts[0] == "n":
                 if len(parts) != 3 or parts[1] not in ("s", "t"):
                     raise ParseError(f"bad terminal line: {line!r}")
-                if parts[1] == "s":
-                    s = int(parts[2]) - 1
-                else:
-                    t = int(parts[2]) - 1
+                if parts[1] in terminals:
+                    raise ParseError(f"repeated terminal line: {line!r}")
+                terminals[parts[1]] = int(parts[2]) - 1
             elif parts[0] == "a":
                 if len(parts) != 5:
                     raise ParseError(f"bad arc line: {line!r}")
@@ -203,11 +202,11 @@ def parse_dimacs(text: str) -> Instance:
                 raise ParseError(f"unrecognized line: {line!r}")
         except ValueError as exc:
             raise ParseError(f"bad number in line: {line!r}") from exc
-    if directed is None or s is None or t is None:
+    if directed is None or len(terminals) < 2:
         raise ParseError("missing p/n lines")
     if edge_count != len(edges):
         raise ParseError(f"problem line promises {edge_count} edges, got {len(edges)}")
-    return build_instance(directed, vertices, s, t, k, edges)
+    return build_instance(directed, vertices, terminals["s"], terminals["t"], k, edges)
 
 
 @contextmanager
@@ -298,13 +297,38 @@ def _record_fields(result: Solution | frac.CapacityVector) -> dict:
 # ---------------------------------------------------------------------------
 # Solvers
 
-def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
-                cap_configs: int) -> tuple[str, Solution | frac.CapacityVector]:
-    """Run ``algorithm``; return the name of the solver that ran and its result.
+def _oracle(instance: Instance, args) -> Solution:
+    result = oracle.brute_force_opt(instance, scenario_cap=args.cap_scenarios)
+    if result.best is None:
+        raise Infeasible("exhaustive search found no feasible subset")
+    return result.best
+
+
+# Name -> (call, whether ``bench`` runs it on an instance), in ``bench``
+# order.  A call looks its solver up in the module when it runs, so a
+# wrapper or patch set on the module attribute sees every call.
+_SOLVERS = {
+    "oracle": (_oracle, lambda inst: True),
+    "shortest": (lambda inst, args: shortest_path_solution(inst),
+                 lambda inst: inst.k == 0),
+    "bipath": (lambda inst, args: bipath.solve_1ftp(inst), lambda inst: inst.k == 1),
+    "dag": (lambda inst, args: dag.solve_kftp_dag(inst, args.cap_configs),
+            lambda inst: inst.directed),
+    "srp": (lambda inst, args: srp.solve_srp(inst), lambda inst: not inst.directed),
+    "approx-k1": (lambda inst, args: approx.approx_kplus1(inst), lambda inst: True),
+    "approx-k": (lambda inst, args: approx.approx_k(inst), lambda inst: inst.k >= 1),
+    "frac": (lambda inst, args: frac.solve_frac(inst), lambda inst: True),
+}
+
+
+def _run_solver(instance: Instance, algorithm: str,
+                args) -> tuple[str, Solution | frac.CapacityVector]:
+    """Run ``algorithm`` under the caps in ``args``; return the solver run and its result.
 
     ``auto`` runs ``shortest`` at k = 0 and ``bipath`` at k = 1.  Above
     that it runs ``dag`` (directed) or ``srp`` (undirected), and
-    ``approx-k`` where that solver finds that it does not apply.
+    ``approx-k`` where that solver raises ``NotApplicable`` or
+    ``CapExceeded``.
     """
     if algorithm == "auto":
         if instance.k <= 1:
@@ -312,43 +336,16 @@ def _run_solver(instance: Instance, algorithm: str, cap_scenarios: int,
         else:
             exact = "dag" if instance.directed else "srp"
             try:
-                return exact, _solve(instance, exact, cap_scenarios, cap_configs)
-            except (dag.NotADag, dag.ConfigurationSpaceTooLarge,
-                    srp.NotSeriesParallel):
-                pass
-            algorithm = "approx-k"
-    return algorithm, _solve(instance, algorithm, cap_scenarios, cap_configs)
-
-
-def _solve(instance: Instance, algorithm: str, cap_scenarios: int,
-           cap_configs: int) -> Solution | frac.CapacityVector:
-    if algorithm == "shortest":
-        return shortest_path_solution(instance)
-    if algorithm == "bipath":
-        return bipath.solve_1ftp(instance)
-    if algorithm == "dag":
-        return dag.solve_kftp_dag(instance, cap_configs)
-    if algorithm == "srp":
-        return srp.solve_srp(instance)
-    if algorithm == "approx-k":
-        return approx.approx_k(instance)
-    if algorithm == "approx-k1":
-        return approx.approx_kplus1(instance)
-    if algorithm == "frac":
-        return frac.solve_frac(instance)
-    if algorithm == "oracle":
-        result = oracle.brute_force_opt(instance, scenario_cap=cap_scenarios)
-        if result.best is None:
-            raise Infeasible("exhaustive search found no feasible subset")
-        return result.best
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+                return exact, _SOLVERS[exact][0](instance, args)
+            except (NotApplicable, CapExceeded):
+                algorithm = "approx-k"
+    return algorithm, _SOLVERS[algorithm][0](instance, args)
 
 
 def cmd_solve(args) -> int:
     instance = load_instance(args.path, args.format)
     started = time.perf_counter()
-    algorithm, result = _run_solver(instance, args.algorithm, args.cap_scenarios,
-                                    args.cap_configs)
+    algorithm, result = _run_solver(instance, args.algorithm, args)
     elapsed = time.perf_counter() - started
     if algorithm == "frac":
         lines = ["ftp-fractional v1", "algorithm: frac", f"value: {result.value}"]
@@ -393,20 +390,6 @@ def cmd_gap(args) -> int:
 # ---------------------------------------------------------------------------
 # Benchmark harness
 
-def _bench_solvers(instance: Instance) -> list[str]:
-    names = ["oracle"]
-    if instance.k == 0:
-        names.append("shortest")
-    if instance.k == 1:
-        names.append("bipath")
-    names.append("dag" if instance.directed else "srp")
-    names.append("approx-k1")
-    if instance.k >= 1:
-        names.append("approx-k")
-    names.append("frac")
-    return names
-
-
 def cmd_bench(args) -> int:
     try:
         files = sorted(f for f in os.listdir(args.corpus_dir)
@@ -424,15 +407,16 @@ def cmd_bench(args) -> int:
         path = os.path.join(args.corpus_dir, name)
         try:
             instance = load_instance(path, args.format)
-        except (ParseError, ValidationError) as exc:
+        except ValidationError as exc:
             rows.append((name, "-", f"PARSE-ERROR({exc})", "", "", ""))
             continue
         oracle_cost = None
-        for algorithm in _bench_solvers(instance):
+        for algorithm, (_, applies) in _SOLVERS.items():
+            if not applies(instance):
+                continue
             started = time.perf_counter()
             try:
-                _, result = _run_solver(instance, algorithm, args.cap_scenarios,
-                                        args.cap_configs)
+                _, result = _run_solver(instance, algorithm, args)
                 elapsed = time.perf_counter() - started
                 status, cost = (("ok", result.value) if algorithm == "frac"
                                 else (result.status, result.cost))
@@ -443,11 +427,11 @@ def cmd_bench(args) -> int:
                 _log_record(instance, algorithm, elapsed, _record_fields(result),
                             default=args.out + ".runs.jsonl")
                 any_success = True
-            except _CAP_ERRORS as exc:
+            except CapExceeded as exc:
                 rows.append((name, algorithm, f"SKIPPED(caps: {exc})", "", "", ""))
             except Infeasible:
                 rows.append((name, algorithm, "INFEASIBLE", "", "", ""))
-            except (dag.NotADag, srp.NotSeriesParallel, bipath.WrongBudget):
+            except NotApplicable:
                 rows.append((name, algorithm, "NOT-APPLICABLE", "", "", ""))
     header = ("instance", "solver", "status", "cost", "ratio-vs-oracle", "time-s")
 
@@ -615,11 +599,10 @@ def main(argv=None) -> int:
     except Infeasible as exc:
         sys.stderr.write(f"infeasible: {exc}\n")
         return EXIT_INFEASIBLE
-    except _CAP_ERRORS as exc:
+    except CapExceeded as exc:
         sys.stderr.write(f"caps exceeded: {exc}\n")
         return EXIT_CAPS
-    except (ParseError, ValidationError, bipath.WrongBudget, dag.NotADag,
-            srp.NotSeriesParallel, srp.TreeMismatch, approx.NotFeasible) as exc:
+    except (ValidationError, NotApplicable) as exc:
         sys.stderr.write(f"invalid input: {exc}\n")
         return EXIT_INVALID
     except Exception as exc:

@@ -27,6 +27,8 @@ __all__ = [
     "HEURISTIC",
     "FTPError",
     "ValidationError",
+    "NotApplicable",
+    "CapExceeded",
     "DuplicateEdgeId",
     "BadEndpoint",
     "NegativeWeight",
@@ -52,7 +54,11 @@ DEFAULT_SCENARIO_CAP = 10**6
 
 
 class FTPError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Each one derives from one kind: ``ValidationError``, ``NotApplicable``,
+    ``CapExceeded``, ``Infeasible`` or ``SolverCheckFailed``.
+    """
 
 
 class ValidationError(FTPError):
@@ -83,7 +89,15 @@ class BadParameters(ValidationError):
     """A parameter combination is outside the supported range."""
 
 
-class ScenarioSpaceTooLarge(FTPError):
+class NotApplicable(FTPError):
+    """This solver does not handle this instance; another one may."""
+
+
+class CapExceeded(FTPError):
+    """A size cap refused the instance before the work began."""
+
+
+class ScenarioSpaceTooLarge(CapExceeded):
     """The failure-scenario space exceeds the configured enumeration cap."""
 
     def __init__(self, count: int, cap: int):
@@ -154,10 +168,9 @@ class Instance:
     def edge(self, edge_id: int) -> Edge:
         return self.edges[edge_id]
 
-    def with_terminals(self, s: int, t: int, k: int | None = None) -> "Instance":
-        """Same graph, different terminals (and optionally budget)."""
-        return Instance(self.directed, self.vertex_count, self.edges,
-                        s, t, self.k if k is None else k)
+    def with_terminals(self, s: int, t: int) -> "Instance":
+        """Same graph and budget, different terminals."""
+        return Instance(self.directed, self.vertex_count, self.edges, s, t, self.k)
 
     def with_budget(self, k: int) -> "Instance":
         return Instance(self.directed, self.vertex_count, self.edges,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, groupby
 
-from .core import (FTPError, Infeasible, Instance, Solution, OPTIMAL,
+from .core import (CapExceeded, Infeasible, Instance, NotApplicable, Solution, OPTIMAL,
                    SolverCheckFailed, adjacency, build_instance, is_feasible, reachable)
 
 __all__ = ["NotADag", "ConfigurationSpaceTooLarge", "LayeredEdge",
@@ -34,7 +34,7 @@ __all__ = ["NotADag", "ConfigurationSpaceTooLarge", "LayeredEdge",
 DEFAULT_CONFIG_CAP = 10**6
 
 
-class NotADag(FTPError):
+class NotADag(NotApplicable):
     """The instance is not a directed acyclic graph.
 
     ``cycle`` carries a witnessing vertex sequence when a directed cycle
@@ -46,7 +46,7 @@ class NotADag(FTPError):
         self.cycle = cycle
 
 
-class ConfigurationSpaceTooLarge(FTPError):
+class ConfigurationSpaceTooLarge(CapExceeded):
     """The DAG solver's cap on layer configurations or spread entries was exceeded."""
 
     def __init__(self, estimate: int, cap: int, entries: bool = False):

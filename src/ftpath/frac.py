@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import flow, oracle, simplex
-from .core import (BadParameters, FTPError, Infeasible, Instance,
+from .core import (BadParameters, CapExceeded, Infeasible, Instance,
                    SolverCheckFailed, build_instance, is_feasible)
 
 __all__ = ["TooLargeForExactLP", "CapacityVector", "GapReport", "solve_frac",
@@ -36,7 +36,7 @@ TABLEAU_CAP = 1_000_000
 MAX_CUT_ENUMERATION = 2**18
 
 
-class TooLargeForExactLP(FTPError):
+class TooLargeForExactLP(CapExceeded):
     """The cut enumeration or the exact LP would exceed its size cap."""
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
-from .core import (DEFAULT_SCENARIO_CAP, OPTIMAL, FTPError, Instance,
+from .core import (DEFAULT_SCENARIO_CAP, OPTIMAL, CapExceeded, Instance,
                    ScenarioSpaceTooLarge, Solution, check_candidate,
                    enumerate_scenarios)
 
@@ -25,7 +25,7 @@ __all__ = ["OracleResult", "InstanceTooLargeForOracle",
 DEFAULT_EDGE_CAP = 20
 
 
-class InstanceTooLargeForOracle(FTPError):
+class InstanceTooLargeForOracle(CapExceeded):
     """The instance exceeds the subset-enumeration cap."""
 
 

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from operator import add
 from typing import NamedTuple, Union
 
-from .core import (BadParameters, FTPError, Infeasible, Instance, Solution,
-                   OPTIMAL, SolverCheckFailed, is_feasible)
+from .core import (BadParameters, Infeasible, Instance, NotApplicable, Solution,
+                   OPTIMAL, SolverCheckFailed, ValidationError, is_feasible)
 
 __all__ = ["NotSeriesParallel", "TreeMismatch", "Leaf", "Series", "Parallel",
            "DecompositionNode", "SolutionTable", "decompose_srp",
@@ -34,7 +34,7 @@ __all__ = ["NotSeriesParallel", "TreeMismatch", "Leaf", "Series", "Parallel",
            "solve_srp"]
 
 
-class NotSeriesParallel(FTPError):
+class NotSeriesParallel(NotApplicable):
     """The graph does not reduce to a single s-t edge.
 
     ``remainder`` holds the irreducible multigraph as a tuple of
@@ -46,7 +46,7 @@ class NotSeriesParallel(FTPError):
         self.remainder = remainder
 
 
-class TreeMismatch(FTPError):
+class TreeMismatch(ValidationError):
     """A supplied decomposition tree does not describe the instance."""
 
 

@@ -551,6 +551,10 @@ MALFORMED = [
      "bad edge line: 'edge 1 0 1 1 safe extra'"),
     ("native", _HEAD + "edge 0 0 1 1 safe\n edge 2 0 1 1 safe\n",
      "edge ids must be dense and ordered; got 2, expected 1"),
+    ("dimacs", _P + _NST + "a 1 2 1 1\n", "repeated problem line: 'p ftp 2 1 0 1'"),
+    ("dimacs", _NST + "n s 2\na 1 2 1 1\n", "repeated terminal line: 'n s 2'"),
+    ("dimacs", "p ftp 3 2 0 1\nn s 1\nn t 3\nn t 2\na 1 2 1 0\na 2 3 1 0\n",
+     "repeated terminal line: 'n t 2'"),
 ]
 
 
