@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from . import __version__, approx, bipath, dag, frac, oracle, srp
 from .core import (DEFAULT_SCENARIO_CAP, CapExceeded, Infeasible, Instance,
-                   NotApplicable, Solution, ValidationError, build_instance,
-                   infeasibility_witness, reachable)
+                   NotApplicable, Solution, ValidationError, _from_columns,
+                   build_instance, infeasibility_witness, reachable)
 from .shortest import shortest_path_solution
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_solution",
@@ -72,7 +72,7 @@ def serialize_instance(instance: Instance) -> str:
 def parse_instance(text: str) -> Instance:
     """Parse the native document; unknown or repeated fields are errors."""
     fields: dict[str, str] = {}
-    edges: list[tuple[int, int, int, bool]] = []
+    edges: tuple[list, list, list, list] = ([], [], [], [])
     block: list[str] = []
     header = False
     for line in text.splitlines():
@@ -114,32 +114,34 @@ def parse_instance(text: str) -> Instance:
     if fields["directed"] not in ("true", "false"):
         raise ParseError("field 'directed' must be true or false")
     try:
-        return build_instance(fields["directed"] == "true", int(fields["vertices"]),
-                              int(fields["s"]), int(fields["t"]), int(fields["k"]),
-                              edges)
+        return _from_columns(fields["directed"] == "true", int(fields["vertices"]),
+                             int(fields["s"]), int(fields["t"]), int(fields["k"]),
+                             *edges)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
 
 
-def _parse_edges(lines: list[str], edges: list[tuple[int, int, int, bool]]) -> None:
-    """Append the ``(u, v, w, faulty)`` of lines that each begin ``edge ``."""
+def _parse_edges(lines: list[str], columns: tuple[list, list, list, list]) -> None:
+    """Extend the u, v, w and faulty columns by lines that each begin ``edge ``."""
     # A chunk at a time when every line has six words, ``edge``, four ints
     # and a flag.  Each line's first word is ``edge``, which is neither an
     # int nor a flag, so the checks hold only when each line starts a new
     # six.  Chunks bound the words held at once.
+    us = columns[0]
     for start in range(0, len(lines), _EDGE_CHUNK):
         chunk = lines[start:start + _EDGE_CHUNK]
         words = " ".join(chunk).split()
-        first = len(edges)
+        first = len(us)
         if (len(words) == 6 * len(chunk) and words[::6].count("edge") == len(chunk)
                 and set(words[5::6]) <= {"faulty", "safe"}):
             try:
-                ids, us, vs, ws = (list(map(int, words[i::6])) for i in range(1, 5))
+                ids, u, v, w = (list(map(int, words[i::6])) for i in range(1, 5))
             except ValueError:
                 pass
             else:
                 if ids == list(range(first, first + len(chunk))):
-                    edges += zip(us, vs, ws, map("faulty".__eq__, words[5::6]))
+                    for column, part in zip(columns, (u, v, w, map("faulty".__eq__, words[5::6]))):
+                        column.extend(part)
                     continue
         # Otherwise line by line, which raises at the first bad one.
         for line in chunk:
@@ -156,10 +158,11 @@ def _parse_edges(lines: list[str], edges: list[tuple[int, int, int, bool]]) -> N
                 eid, u, v, w = int(eid), int(u), int(v), int(w)
             except ValueError as exc:
                 raise ParseError(f"bad edge numbers: {line!r}") from exc
-            if eid != len(edges):
+            if eid != len(us):
                 raise ParseError(f"edge ids must be dense and ordered; got {eid}, "
-                                 f"expected {len(edges)}")
-            edges.append((u, v, w, flag == "faulty"))
+                                 f"expected {len(us)}")
+            for column, value in zip(columns, (u, v, w, flag == "faulty")):
+                column.append(value)
 
 
 def parse_dimacs(text: str) -> Instance:
@@ -167,7 +170,7 @@ def parse_dimacs(text: str) -> Instance:
     directed = None
     vertices = edge_count = k = None
     terminals: dict[str, int] = {}
-    edges: list[tuple[int, int, int, bool]] = []
+    edges: tuple[list, list, list, list] = ([], [], [], [])
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -197,16 +200,17 @@ def parse_dimacs(text: str) -> Instance:
                               int(parts[3]), parts[4])
                 if f not in ("0", "1"):
                     raise ParseError("faulty column must be 0 or 1")
-                edges.append((u, v, w, f == "1"))
+                for column, value in zip(edges, (u, v, w, f == "1")):
+                    column.append(value)
             else:
                 raise ParseError(f"unrecognized line: {line!r}")
         except ValueError as exc:
             raise ParseError(f"bad number in line: {line!r}") from exc
     if directed is None or len(terminals) < 2:
         raise ParseError("missing p/n lines")
-    if edge_count != len(edges):
-        raise ParseError(f"problem line promises {edge_count} edges, got {len(edges)}")
-    return build_instance(directed, vertices, terminals["s"], terminals["t"], k, edges)
+    if edge_count != len(edges[0]):
+        raise ParseError(f"problem line promises {edge_count} edges, got {len(edges[0])}")
+    return _from_columns(directed, vertices, terminals["s"], terminals["t"], k, *edges)
 
 
 @contextmanager

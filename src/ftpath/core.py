@@ -11,8 +11,9 @@ must pass :func:`is_feasible`.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -201,33 +202,40 @@ class Solution:
 
 def build_instance(directed: bool, vertex_count: int, s: int, t: int, k: int,
                    edges: Iterable[tuple[int, int, int, bool]]) -> Instance:
-    """Build and validate an instance from ``(u, v, w, faulty)`` tuples.
+    """Build and validate an instance from ``(u, v, w, faulty)`` rows.
 
     Edge ids are assigned by position.  Raises a :class:`ValidationError`
-    subclass if the result is malformed.  Each :class:`Edge` is made by
-    calling its slot descriptors' ``__set__``, which skips the dataclass
-    ``__init__`` and its frozen ``__setattr__`` but gives an equal object.
-    When every row is a tuple, whole-column checks of the plain-int case
-    stand in for the per-edge loop of :func:`validate`.
+    subclass if the result is malformed: :class:`BadParameters` for a row
+    without exactly four fields, or a ``vertex_count`` or ``k`` that is
+    not an int.  The rows are transposed into u, v, w and faulty columns
+    for the one column builder, which the document parsers call directly.
+    It sets each :class:`Edge` field through its slot descriptor's
+    ``__set__``, one column at a time, which skips the dataclass
+    ``__init__`` and its frozen ``__setattr__`` but gives equal objects,
+    and checks the plain-int case whole columns at a time.
     """
     rows = edges if type(edges) in (list, tuple) else list(edges)
-    new = object.__new__
-    set_id, set_u, set_v, set_w, set_f = (
-        Edge.__dict__[name].__set__ for name in ("id", "u", "v", "w", "faulty"))
-    built = []
-    for i, (u, v, w, f) in enumerate(rows):
-        e = new(Edge)
-        set_id(e, i)
-        set_u(e, u)
-        set_v(e, v)
-        set_w(e, w)
-        set_f(e, bool(f))
-        built.append(e)
+    if not set(map(type, rows)) <= {tuple, list}:
+        rows = list(map(tuple, rows))
+    if set(map(len, rows)) - {4}:
+        pos = next(pos for pos, row in enumerate(rows) if len(row) != 4)
+        raise BadParameters(f"edge row {pos} has {len(rows[pos])} fields, not 4")
+    return _from_columns(directed, vertex_count, s, t, k,
+                         *(list(map(itemgetter(i), rows)) for i in range(4)))
+
+
+_SETTERS = tuple(Edge.__dict__[name].__set__ for name in ("id", "u", "v", "w", "faulty"))
+_drain = deque(maxlen=0).extend
+
+
+def _from_columns(directed: bool, vertex_count: int, s: int, t: int, k: int,
+                  us: list, vs: list, ws: list, faulty: list) -> Instance:
+    # The one edge builder; the four columns have one entry per edge.
+    built = list(map(object.__new__, repeat(Edge, len(us))))
+    for setter, column in zip(_SETTERS, (range(len(us)), us, vs, ws, map(bool, faulty))):
+        _drain(map(setter, built, column))
     inst = Instance(bool(directed), vertex_count, tuple(built), s, t, k)
-    if rows and set(map(type, rows)) == {tuple}:
-        _validate(inst, [list(map(itemgetter(i), rows)) for i in range(3)])
-    else:
-        validate(inst)
+    _validate(inst, (us, vs, ws))
     return inst
 
 
@@ -239,15 +247,19 @@ def validate(instance: Instance) -> None:
         BadEndpoint: an endpoint or terminal is outside ``[0, vertex_count)``.
         NegativeWeight: an edge has a negative or non-integer cost.
         OverflowRisk: a cost or the total cost does not fit in 63 bits.
-        BadParameters: ``vertex_count < 1`` or ``k < 0``.
+        BadParameters: ``vertex_count`` or ``k`` is not an int (a bool is
+            not one), ``vertex_count < 1`` or ``k < 0``.
     """
     _validate(instance, None)
 
 
-def _validate(instance: Instance, columns: list | None) -> None:
+def _validate(instance: Instance, columns: tuple | None) -> None:
     # ``columns`` holds the u, v and w columns of edges whose ids are
     # their positions.  If every value there is a plain int in range, the
     # edges are valid; otherwise the loop finds the first violation.
+    for name, value in (("vertex_count", instance.vertex_count), ("k", instance.k)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise BadParameters(f"{name} must be an int, got {value!r}")
     if instance.vertex_count < 1:
         raise BadParameters("vertex_count must be at least 1")
     if instance.k < 0:
@@ -255,7 +267,7 @@ def _validate(instance: Instance, columns: list | None) -> None:
     for name, v in (("s", instance.s), ("t", instance.t)):
         if not isinstance(v, int) or not 0 <= v < instance.vertex_count:
             raise BadEndpoint(f"terminal {name}={v} is not a vertex id")
-    if columns is not None:
+    if columns is not None and instance.edges:
         us, vs, ws = columns
         if (set(map(type, us)) | set(map(type, vs)) | set(map(type, ws)) == {int}
                 and 0 <= min(us) and 0 <= min(vs) and 0 <= min(ws)

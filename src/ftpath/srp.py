@@ -108,12 +108,11 @@ def _reduce(instance: Instance) -> _Flat:
     kind, left, right = [_LEAF] * m, [0] * m, [0] * m
     nu = [e.u for e in instance.edges]
     nv = [e.v for e in instance.edges]
-    # The live node of each vertex pair (key min*n+max), the edge groups
-    # that share a pair, and the live non-loop nodes at each vertex.  A
-    # loop carries no s-t flow and stays an unmerged leaf.
+    # The live node of each vertex pair (key min*n+max) and the edge
+    # groups that share a pair.  A loop carries no s-t flow and stays an
+    # unmerged leaf.
     by_pair: dict[int, int] = {}
     groups: dict[int, list[int]] = {}
-    incident: list[set[int]] = [set() for _ in range(n)]
     loops = 0
     for i, (u, v) in enumerate(zip(nu, nv)):
         if u != v:
@@ -121,8 +120,6 @@ def _reduce(instance: Instance) -> _Flat:
             if p in by_pair:
                 groups.setdefault(p, [by_pair[p]]).append(i)
             by_pair[p] = i
-            incident[u].add(i)
-            incident[v].add(i)
         else:
             loops += 1
     if loops == m:
@@ -142,9 +139,11 @@ def _reduce(instance: Instance) -> _Flat:
             nu.append(a)
             nv.append(b)
         by_pair[p] = queue[-1]
-        for x in (a, b):
-            incident[x].difference_update(queue)
-            incident[x].add(queue[-1])
+    # The live nodes at each vertex, read only by size and as a sorted pair.
+    incident: list[set[int]] = [set() for _ in range(n)]
+    for node in by_pair.values():
+        incident[nu[node]].add(node)
+        incident[nv[node]].add(node)
     # Then the smallest contractible vertex, again and again; stale heap
     # entries are skipped.  A series node that meets a live node of its
     # pair merges with it at once, so no pair holds two live nodes.
@@ -178,14 +177,19 @@ def _reduce(instance: Instance) -> _Flat:
             nu.append(low)
             nv.append(p - low * n)
         by_pair[p] = top = len(kind) - 1
-        for y, c in ((a, c1), (b, c2)):
-            at = incident[y]
-            at.discard(c)
-            at.discard(other)
-            at.add(top)
-            # Only a merge changes the sizes at a and b.
-            if other is not None and len(at) == 2 and y != s and y != t:
-                heapq.heappush(vert_heap, y)
+        at_a, at_b = incident[a], incident[b]
+        at_a.discard(c1)
+        at_a.add(top)
+        at_b.discard(c2)
+        at_b.add(top)
+        # Only a merge changes the sizes at a and b.
+        if other is not None:
+            at_a.discard(other)
+            at_b.discard(other)
+            if len(at_a) == 2 and a != s and a != t:
+                heapq.heappush(vert_heap, a)
+            if len(at_b) == 2 and b != s and b != t:
+                heapq.heappush(vert_heap, b)
 
     u, v = nu[-1], nv[-1]
     left_over = 2 * m - loops - len(kind)
@@ -460,7 +464,8 @@ def _costs(instance: Instance, flat: _Flat) -> tuple[list, list]:
     costs: list = list(map(rows.__getitem__, keys))
     kind, left, right = flat.kind, flat.left, flat.right
     splits: list = [None] * len(kind)
-    budgets = range(1, width)
+    # Per budget j, the entry pairs (y, j-y) with y >= 1, tried after (0, j).
+    budgets = [(j, tuple(zip(range(1, j + 1), range(j - 1, -1, -1)))) for j in range(1, width)]
     for i in range(len(costs), len(kind)):
         a, b = left[i] >> 1, right[i] >> 1
         ca, cb = costs[a], costs[b]
@@ -469,10 +474,10 @@ def _costs(instance: Instance, flat: _Flat) -> tuple[list, list]:
             costs.append(list(map(add, ca, cb)))
             continue
         cost, split = [0], [0]
-        for j in budgets:
+        for j, pairs in budgets:
             best, x = cb[j], 0
-            for y in range(1, j + 1):
-                c = ca[y] + cb[j - y]
+            for y, z in pairs:
+                c = ca[y] + cb[z]
                 if c < best:
                     best, x = c, y
             cost.append(best)

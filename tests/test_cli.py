@@ -586,6 +586,71 @@ def test_edge_runs_parse_in_chunks(monkeypatch):
         parse_instance(text.replace("edge 4 ", "edge 5 ") + "stray\n")
 
 
+def _built_from_rows(text):
+    # The row path: fields by name, each edge line checked alone and made
+    # a row, then build_instance.  Documents here have a valid header.
+    fields, rows = {}, []
+    for line in text.splitlines()[1:]:
+        if not line.startswith("edge "):
+            key, _, value = line.partition(":")
+            fields[key] = value.strip()
+            continue
+        _, eid, u, v, w, flag = line.split()
+        if flag not in ("faulty", "safe"):
+            raise ParseError(f"edge flag must be 'faulty' or 'safe': {line!r}")
+        if int(eid) != len(rows):
+            raise ParseError(f"edge ids must be dense and ordered; got {int(eid)}, "
+                             f"expected {len(rows)}")
+        rows.append((int(u), int(v), int(w), flag == "faulty"))
+    return build_instance(fields["directed"] == "true", int(fields["vertices"]),
+                          int(fields["s"]), int(fields["t"]), int(fields["k"]), rows)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_parsers_build_what_build_instance_builds():
+    rng = random.Random(2302)
+    # (word of the edge line, its replacement given the word and n)
+    mutations = [
+        (1, lambda word, n: str(int(word) + 1)),  # ids not dense
+        (5, lambda word, n: "broken"),
+        (5, lambda word, n: "1" if word == "faulty" else "0"),
+        (4, lambda word, n: str(-int(word) - 1)),
+        (4, lambda word, n: str(2**63 + int(word))),
+        (2, lambda word, n: "-1"),
+        (3, lambda word, n: str(n)),
+    ]
+    seen = set()
+    for _ in range(300):
+        inst = random_instance(rng, n_max=8, m_max=30)
+        text = serialize_instance(inst)
+        assert parse_instance(text) == _built_from_rows(text) == inst
+        dimacs = "".join([f"p ftp {inst.vertex_count} {len(inst.edges)} "
+                          f"{int(inst.directed)} {inst.k}\n",
+                          f"n s {inst.s + 1}\nn t {inst.t + 1}\n"]
+                         + [f"a {e.u + 1} {e.v + 1} {e.w} {int(e.faulty)}\n"
+                            for e in inst.edges])
+        assert parse_dimacs(dimacs) == inst
+        lines = text.splitlines()
+        at = 6 + rng.randrange(len(inst.edges))
+        words = lines[at].split()
+        index = rng.randrange(len(mutations))
+        word, replace = mutations[index]
+        words[word] = replace(words[word], inst.vertex_count)
+        lines[at] = " ".join(words)
+        mutated = "\n".join(lines) + "\n"
+        outcome = _outcome(parse_instance, mutated)
+        assert outcome == _outcome(_built_from_rows, mutated)
+        assert isinstance(outcome, tuple), mutated
+        seen.add(index)
+    assert seen == set(range(len(mutations)))
+
+
 @pytest.mark.parametrize("kind, text, message", MALFORMED,
                          ids=[f"{kind}-{i}" for i, (kind, _, _) in enumerate(MALFORMED)])
 def test_malformed_documents_exit_3(tmp_path, gap_file, capsys, kind, text, message):

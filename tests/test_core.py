@@ -100,6 +100,39 @@ def test_build_accepts_what_validate_accepts():
         build_instance(False, 0, 0, 0, 0, [(0, 5, 1, False)])
 
 
+@pytest.mark.parametrize("rows, message", [
+    ([(0, 1, 1)], "edge row 0 has 3 fields, not 4"),
+    ([(0, 1, 1, False), (1, 2, 1, False, 7)], "edge row 1 has 5 fields, not 4"),
+    ([(0, 1, 1, False), ()], "edge row 1 has 0 fields, not 4"),
+])
+def test_build_names_a_row_without_four_fields(rows, message):
+    for given in (rows, [list(row) for row in rows], [iter(row) for row in rows]):
+        with pytest.raises(BadParameters) as caught:
+            build_instance(False, 3, 0, 1, 0, given)
+        assert str(caught.value) == message
+    # Any iterable of four fields is a row.
+    built = build_instance(False, 3, 0, 1, 0, [iter((0, 1, 1, 0)), range(1, 5)])
+    assert built.edges == (Edge(0, 0, 1, 1, False), Edge(1, 1, 2, 3, True))
+
+
+@pytest.mark.parametrize("vertex_count, k, message", [
+    (2.5, 0, "vertex_count must be an int, got 2.5"),
+    (True, 0, "vertex_count must be an int, got True"),
+    ("3", 0, "vertex_count must be an int, got '3'"),
+    (3, 1.0, "k must be an int, got 1.0"),
+    (3, False, "k must be an int, got False"),
+])
+def test_vertex_count_and_budget_must_be_ints(vertex_count, k, message):
+    rows = [(0, 1, 1, False), (1, 2, 1, False), (0, 1, 2, True)]
+    edges = tuple(Edge(i, *row) for i, row in enumerate(rows))
+    with pytest.raises(BadParameters) as caught:
+        build_instance(False, vertex_count, 0, 1, k, rows)
+    assert str(caught.value) == message
+    with pytest.raises(BadParameters) as caught:
+        validate(Instance(False, vertex_count, edges, 0, 1, k))
+    assert str(caught.value) == message
+
+
 def test_is_feasible_gap_family_pairs():
     # Four parallel faulty unit edges, one failure allowed: any two
     # edges survive, any single edge does not.

@@ -1,5 +1,7 @@
+import heapq
 import random
 import re
+from collections import Counter
 
 import pytest
 
@@ -493,3 +495,179 @@ def test_corrupted_split_fails_the_check(monkeypatch):
         solve_srp(inst)
     with pytest.raises(SolverCheckFailed):
         solve_ftp_srp(inst, decompose_srp(inst))
+
+
+def _reference_reduce(instance):
+    # The reduction as it was before incident sets were built from the
+    # merged pairs: every edge is added and each parallel group removed
+    # again, and both ends of a contraction are updated in one loop.  A
+    # reference for the arrays, the errors and the remainders.
+    if instance.directed:
+        raise NotSeriesParallel(
+            "series-parallel decomposition requires an undirected instance")
+    s, t, n = instance.s, instance.t, instance.vertex_count
+    if s == t:
+        raise NotSeriesParallel("terminals coincide", ())
+    if not instance.edges:
+        raise NotSeriesParallel("graph has no edges", ())
+    m = len(instance.edges)
+    kind, left, right = [srp._LEAF] * m, [0] * m, [0] * m
+    nu = [e.u for e in instance.edges]
+    nv = [e.v for e in instance.edges]
+    by_pair, groups = {}, {}
+    incident = [set() for _ in range(n)]
+    loops = 0
+    for i, (u, v) in enumerate(zip(nu, nv)):
+        if u != v:
+            p = u * n + v if u < v else v * n + u
+            if p in by_pair:
+                groups.setdefault(p, [by_pair[p]]).append(i)
+            by_pair[p] = i
+            incident[u].add(i)
+            incident[v].add(i)
+        else:
+            loops += 1
+    if loops == m:
+        raise NotSeriesParallel("graph has only self-loops", ())
+    for p in sorted(groups):
+        a, b = divmod(p, n)
+        queue = groups[p]
+        for j in range(0, 2 * len(queue) - 2, 2):
+            c1, c2 = queue[j], queue[j + 1]
+            queue.append(len(kind))
+            kind.append(srp._PARALLEL)
+            left.append(c1 * 2 + (nu[c1] != a))
+            right.append(c2 * 2 + (nu[c2] != a))
+            nu.append(a)
+            nv.append(b)
+        by_pair[p] = queue[-1]
+        for x in (a, b):
+            incident[x].difference_update(queue)
+            incident[x].add(queue[-1])
+    vert_heap = [x for x in range(n) if len(incident[x]) == 2 and x != s and x != t]
+    while vert_heap:
+        x = heapq.heappop(vert_heap)
+        if len(incident[x]) != 2:
+            continue
+        c1, c2 = incident[x]
+        if c1 > c2:
+            c1, c2 = c2, c1
+        incident[x].clear()
+        a = nv[c1] if nu[c1] == x else nu[c1]
+        b = nv[c2] if nu[c2] == x else nu[c2]
+        node = len(kind)
+        kind.append(srp._SERIES)
+        left.append(c1 * 2 + (nu[c1] == x))
+        right.append(c2 * 2 + (nu[c2] != x))
+        nu.append(a)
+        nv.append(b)
+        p = a * n + b if a < b else b * n + a
+        other = by_pair.get(p)
+        if other is not None:
+            low = p // n
+            kind.append(srp._PARALLEL)
+            left.append(other * 2 + (nu[other] != low))
+            right.append(node * 2 + (a != low))
+            nu.append(low)
+            nv.append(p - low * n)
+        by_pair[p] = top = len(kind) - 1
+        for y, c in ((a, c1), (b, c2)):
+            at = incident[y]
+            at.discard(c)
+            at.discard(other)
+            at.add(top)
+            if other is not None and len(at) == 2 and y != s and y != t:
+                heapq.heappush(vert_heap, y)
+    u, v = nu[-1], nv[-1]
+    left_over = 2 * m - loops - len(kind)
+    if left_over != 1 or {u, v} != {s, t}:
+        raise NotSeriesParallel(
+            f"reduction stuck with {left_over} edges left" if left_over != 1
+            else f"graph reduces to a single {u}-{v} edge, not to the terminals",
+            srp._remainder(m, left, right, nu, nv))
+    return srp._Flat(kind, left, right, int(u != s))
+
+
+def _reference_costs(instance, flat):
+    # The table as it was before each budget's entry pairs were made once
+    # per call: the inner scan computes j - y per pair.
+    inf = float("inf")
+    keys = [~e.w if e.faulty else e.w for e in instance.edges]
+    width = min(instance.k, sum(key < 0 for key in keys)) + 2
+    rows = {key: [0, ~key] + [inf] * (width - 2) if key < 0 else [0] + [key] * (width - 1)
+            for key in set(keys)}
+    costs = list(map(rows.__getitem__, keys))
+    kind, left, right = flat.kind, flat.left, flat.right
+    splits = [None] * len(kind)
+    for i in range(len(costs), len(kind)):
+        a, b = left[i] >> 1, right[i] >> 1
+        ca, cb = costs[a], costs[b]
+        costs[a] = costs[b] = None
+        if kind[i] == srp._SERIES:
+            costs.append([x + y for x, y in zip(ca, cb)])
+            continue
+        cost, split = [0], [0]
+        for j in range(1, width):
+            best, x = cb[j], 0
+            for y in range(1, j + 1):
+                c = ca[y] + cb[j - y]
+                if c < best:
+                    best, x = c, y
+            cost.append(best)
+            split.append(x)
+        costs.append(cost)
+        splits[i] = split
+    return costs[-1], splits
+
+
+def _seeded_multigraph(rng):
+    # Half random multigraphs on at most 9 vertices, half series-parallel
+    # compositions; both relabelled and shuffled, with loops and parallel
+    # edges mixed in.
+    k = rng.randint(0, 4)
+    if rng.random() < 0.5:
+        n = rng.randint(1, 9)
+        s, t = rng.randrange(n), rng.randrange(n)
+        ends = []
+        for _ in range(rng.randint(0, 14)):
+            u = rng.randrange(n)
+            ends.append((u, u if rng.random() < 0.1 else rng.randrange(n)))
+            if rng.random() < 0.15:
+                ends.append(ends[-1][::-1])
+    else:
+        comp = random_srp_instance(rng, leaves=rng.randint(1, 14), k=k)
+        n = comp.vertex_count
+        label = list(range(n))
+        rng.shuffle(label)
+        s, t = label[0], label[1]
+        ends = [(label[e.u], label[e.v])[::rng.choice((1, -1))] for e in comp.edges]
+        if rng.random() < 0.3:
+            u = rng.randrange(n)
+            ends.append((u, u))
+        if rng.random() < 0.2:
+            ends.append((rng.randrange(n), rng.randrange(n)))
+        rng.shuffle(ends)
+    edges = [(u, v, rng.randint(0, 5), rng.random() < 0.5) for u, v in ends]
+    return build_instance(rng.random() < 0.05, n, s, t, k, edges)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except NotSeriesParallel as exc:
+        return type(exc), str(exc), exc.remainder
+
+
+def test_reduction_and_table_match_their_references():
+    rng = random.Random(2301)
+    shapes = Counter()
+    for _ in range(6000):
+        inst = _seeded_multigraph(rng)
+        flat = _outcome(srp._reduce, inst)
+        assert flat == _outcome(_reference_reduce, inst)
+        shapes[re.sub(r"\d+", "#", flat[1]) if type(flat[0]) is type else "reduced"] += 1
+        if type(flat[0]) is not type:
+            assert srp._costs(inst, flat) == _reference_costs(inst, flat)
+            shapes["parallel"] += srp._PARALLEL in flat.kind
+            shapes["loop"] += any(e.u == e.v for e in inst.edges)
+    assert min(shapes.values()) >= 50, shapes
