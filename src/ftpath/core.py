@@ -244,7 +244,7 @@ def validate(instance: Instance) -> None:
 
     Raises:
         DuplicateEdgeId: ids are not exactly ``0 .. len(edges)-1`` in order.
-        BadEndpoint: an endpoint or terminal is outside ``[0, vertex_count)``.
+        BadEndpoint: an endpoint or terminal is a bool or outside ``[0, vertex_count)``.
         NegativeWeight: an edge has a negative or non-integer cost.
         OverflowRisk: a cost or the total cost does not fit in 63 bits.
         BadParameters: ``vertex_count`` or ``k`` is not an int (a bool is
@@ -265,7 +265,7 @@ def _validate(instance: Instance, columns: tuple | None) -> None:
     if instance.k < 0:
         raise BadParameters(f"failure budget k={instance.k} is negative")
     for name, v in (("s", instance.s), ("t", instance.t)):
-        if not isinstance(v, int) or not 0 <= v < instance.vertex_count:
+        if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < instance.vertex_count:
             raise BadEndpoint(f"terminal {name}={v} is not a vertex id")
     if columns is not None and instance.edges:
         us, vs, ws = columns
@@ -280,7 +280,8 @@ def _validate(instance: Instance, columns: tuple | None) -> None:
             raise DuplicateEdgeId(
                 f"edge at position {pos} has id {e.id}; ids must be 0..m-1 in order")
         for endpoint in (e.u, e.v):
-            if not isinstance(endpoint, int) or not 0 <= endpoint < instance.vertex_count:
+            if (isinstance(endpoint, bool) or not isinstance(endpoint, int)
+                    or not 0 <= endpoint < instance.vertex_count):
                 raise BadEndpoint(f"edge {e.id} endpoint {endpoint} is not a vertex id")
         if not isinstance(e.w, int) or isinstance(e.w, bool) or e.w < 0:
             raise NegativeWeight(f"edge {e.id} has cost {e.w!r}")

@@ -4,22 +4,27 @@ The relaxation replaces edge purchases with capacities ``x`` in [0, 1]
 and asks that after any failure of at most k faulty edges a full unit of
 s-t flow still fits.  Desk-scale instances are solved exactly: the
 per-scenario flow conditions collapse, cut by cut, into ``sum of x over
-the cut minus its k largest faulty values >= 1``, the inner maximum is
-linearized with one threshold variable per cut, and the resulting LP is
-handed to ``simplex.solve_lp``.  Every row is a ``>=`` row and every
-cost is at least 0, so that routine solves the LP through its dual from
-the slack basis, with no phase 1, and its lexicographic ratio test
-(Dantzig, Orden & Wolfe, 1955) returns the lexicographically smallest
-optimal ``x`` by edge id.  The answer is then checked: every row holds,
-``c.x`` equals the value the dual certifies, and every edge capacity lies
-in [0, 1].  No floating point anywhere.
+the cut minus its k largest faulty values >= 1``.  An inclusion-minimal
+cut C with f faulty edges gets its comb(f, min(f, k)) scenario rows
+``x(C - S) >= 1``, one per set S of min(f, k) faulty edges (at f <= k,
+the plain row of its safe edges), when they are at most 2(1 + f), and
+otherwise the threshold block of Bertsimas & Sim (Oper. Res. 52, 2004):
+1 + f rows and 1 + f variables.  So the swap never grows the dual
+tableau.  A plain or scenario row whose edges contain another's is
+implied by it and dropped.  Every row is ``>=`` and every cost at least
+0, so ``simplex.solve_lp`` solves the LP through its dual from the slack
+basis, with no phase 1, and returns the lexicographically smallest
+optimal point.  Edge variables come first and both encodings cut out
+the same set of ``x``, so that point's ``x`` does not depend on the
+encoding.  The answer is then checked.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import combinations
+from math import comb, lcm
 
 from . import flow, oracle, simplex
 from .core import (BadParameters, CapExceeded, Infeasible, Instance,
@@ -30,8 +35,8 @@ __all__ = ["TooLargeForExactLP", "CapacityVector", "GapReport", "solve_frac",
            "fractional_max_flow", "enumerate_cut_edge_sets"]
 
 # Entries of the dense tableau of the LP's dual, each at least a pointer.
-# The largest LP of the tests, srp_004 of `ftp gen --kind srp --seed 4
-# --edges 30 --k 2`, has about 230,000; those of the benchmark a few thousand.
+# The largest LP of the tests, random_001 of `ftp gen --kind random --seed 8
+# --n 8 --edges 21 --k 2`, has about 133,000; those of the benchmark a few hundred.
 TABLEAU_CAP = 1_000_000
 MAX_CUT_ENUMERATION = 2**18
 
@@ -125,35 +130,45 @@ def solve_frac(instance: Instance) -> CapacityVector:
     k = instance.k
     # With nothing able to fail, a faulty edge counts in a cut like a safe one.
     faulty = instance.faulty_ids if k else frozenset()
-    faulty_of = [[eid for eid in cut if eid in faulty] for cut in cuts]
+    masks: set[int] = set()  # plain and scenario rows, as edge bitmasks
+    blocks: list[tuple[tuple[int, ...], list[int]]] = []
+    for cut in cuts:
+        cut_faulty = [eid for eid in cut if eid in faulty]
+        f, fail = len(cut_faulty), min(len(cut_faulty), k)
+        if comb(f, fail) <= 2 * (1 + f):
+            # One row x(C - S) >= 1 per set S of min(f, k) faulty edges.
+            whole = sum(1 << eid for eid in cut)
+            masks.update(whole - sum(1 << eid for eid in failed)
+                         for failed in combinations(cut_faulty, fail))
+        else:
+            blocks.append((cut, cut_faulty))
+    kept: list[int] = []
+    for mask in sorted(masks, key=lambda mask: (mask.bit_count(), mask)):
+        if all(mask & low != low for low in kept):
+            kept.append(mask)
 
-    # The cap is checked before any row is built.  A cut with more
-    # than k faulty edges adds a threshold and one overshoot per faulty
-    # edge, each with its row.  The simplex works on the dual, one
-    # tableau row per variable, with a column per row, a slack column per
-    # variable and the rhs last.
-    extra = [len(f) for f in faulty_of if len(f) > k]
-    num_vars = m + len(extra) + sum(extra)
-    num_rows = len(cuts) + sum(extra)
-    columns = num_rows + num_vars + 1
+    # The cap is checked on this LP before the simplex runs.  Each block
+    # adds a threshold and one overshoot per faulty edge, each with its
+    # row.  The simplex works on the dual, one tableau row per variable,
+    # with a column per row, a slack column per variable and the rhs last.
+    extra = len(blocks) + sum(len(cut_faulty) for _, cut_faulty in blocks)
+    num_vars = m + extra
+    columns = len(kept) + extra + num_vars + 1
     if num_vars * columns > TABLEAU_CAP:
         raise TooLargeForExactLP(
             f"LP tableau of {num_vars} rows x {columns} columns exceeds "
             f"the cap of {TABLEAU_CAP} entries")
 
+    rows: list[tuple[dict[int, int], int]] = [
+        (dict.fromkeys((eid for eid in range(m) if mask >> eid & 1), 1), 1) for mask in kept]
     next_var = m
-    rows: list[tuple[dict[int, int], int]] = []
-    for cut, cut_faulty in zip(cuts, faulty_of):
-        if len(cut_faulty) <= k:
-            # Every faulty edge of this cut can fail at once.
-            rows.append((dict.fromkeys((eid for eid in cut if eid not in faulty), 1), 1))
-        else:
-            # sum(x over cut) - (k largest faulty x) >= 1, linearized with
-            # a threshold theta and overshoot variables z >= x - theta.
-            theta, zs = next_var, range(next_var + 1, next_var + 1 + len(cut_faulty))
-            next_var = zs.stop
-            rows.append(({**dict.fromkeys(cut, 1), theta: -k, **dict.fromkeys(zs, -1)}, 1))
-            rows += (({z: 1, theta: 1, eid: -1}, 0) for z, eid in zip(zs, cut_faulty))
+    for cut, cut_faulty in blocks:
+        # sum(x over cut) - (k largest faulty x) >= 1, linearized with
+        # a threshold theta and overshoot variables z >= x - theta.
+        theta, zs = next_var, range(next_var + 1, next_var + 1 + len(cut_faulty))
+        next_var = zs.stop
+        rows.append(({**dict.fromkeys(cut, 1), theta: -k, **dict.fromkeys(zs, -1)}, 1))
+        rows += (({z: 1, theta: 1, eid: -1}, 0) for z, eid in zip(zs, cut_faulty))
 
     objective = [e.w for e in instance.edges]
     x, value = simplex.solve_lp(objective, rows, num_vars)
@@ -165,9 +180,10 @@ def _check_solution(instance: Instance, rows, x: list[Fraction], value: Fraction
     """Raise ``SolverCheckFailed`` unless ``x`` is a feasible point of cost
     ``value`` with every edge capacity in [0, 1].
 
-    The simplex's dual certifies that no feasible point costs less.  The
-    lexicographically smallest optimum never puts an edge above 1:
-    lowering such a capacity to 1 keeps every scenario cut at 1 or more.
+    So ``value`` is at least the optimum; no dual is checked, so nothing
+    here proves that no feasible point costs less.  The lexicographically
+    smallest optimum never puts an edge above 1: lowering such a capacity
+    to 1 keeps every scenario cut at 1 or more.
     """
     scale = lcm(*(v.denominator for v in x))
     scaled = [v.numerator * (scale // v.denominator) for v in x]

@@ -3,19 +3,22 @@
 ``solve_lp`` solves ``min c.x`` subject to ``A x >= b``, ``x >= 0`` with
 ``c >= 0``.  It runs the primal simplex on the dual ``max b.y`` subject
 to ``A^T y + s = c``, ``y, s >= 0``, whose slack basis is feasible, so
-there is no phase 1 and no artificial column.  Its ratio test is the
-lexicographic rule of Dantzig, Orden & Wolfe (Pacific J. Math. 5, 1955),
-which perturbs the dual's right-hand sides to ``c_j + eps^(j+1)``: no
-two rows ever tie, cycling is impossible, and the final basis is optimal
-for the costs ``c + (eps, eps^2, ...)``, so the ``x`` read off it is the
+there is no phase 1 and no artificial column.  The entering column is
+Dantzig's, the most negative reduced cost (the first on ties).  The
+leaving row comes from the lexicographic ratio test of Dantzig, Orden &
+Wolfe (Pacific J. Math. 5, 1955), which perturbs the dual's right-hand
+sides to ``c_j + eps^(j+1)``: no two rows ever tie, cycling is
+impossible whatever column enters, and the final basis is optimal for
+the costs ``c + (eps, eps^2, ...)``, so the ``x`` read off it is the
 lexicographically smallest optimal ``x`` whatever pivots led there.
 
 The tableau is fraction-free (Edmonds, J. Res. NBS 1967; Bareiss,
 Math. Comp. 1968): each row is a list of Python ints, right-hand side
 last, that stands for the exact rational row divided by its basic entry,
 the row's positive denominator.  Rows are reduced by their gcd after
-every pivot, so pricing is a sign test and the ratio test a
-cross-multiplication on ints; Fractions appear only in the returned
+every pivot.  The cost row is kept up to one positive factor, so its
+entries compare exactly in pricing, and the ratio test is a
+cross-multiplication on ints.  Fractions appear only in the returned
 ``x`` and value.  Problem sizes in this package are a few hundred rows
 and columns at most.
 """
@@ -111,15 +114,17 @@ def solve_lp(objective, rows, num_vars: int) -> tuple[list[Fraction], Fraction]:
     matrix = [_integer_row(e, last + 1) for e in entries]
     basis = list(range(first_slack, last))
     rhs = [b for _, b in rows]
-    # The reduced costs of max b.y as a minimization, up to a positive
-    # factor: only their signs are read.
+    # The reduced costs of max b.y as a minimization, up to one positive
+    # factor, so entries of the row compare exactly.
     obj = _integer_row({r: -b for r, b in enumerate(rhs) if b}, last + 1)
     # The perturbed rhs of row i is (rhs, B^-1 row i) in eps order.
     keys = [last, *range(first_slack, last)]
     while True:
-        enter = next((j for j in range(last) if obj[j] < 0), -1)
-        if enter < 0:
+        # Dantzig: the most negative reduced cost enters, the first on ties.
+        low = min(obj[:last], default=0)
+        if low >= 0:
             break
+        enter = obj.index(low)
         leave = -1
         for i, row in enumerate(matrix):
             if row[enter] > 0 and (leave < 0 or _lex_less(row, matrix[leave], enter, keys)):

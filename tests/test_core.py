@@ -92,12 +92,47 @@ def test_build_reports_the_first_violation(rows, error, message):
 
 
 def test_build_accepts_what_validate_accepts():
-    # Bool endpoints are ints to validate; the column check passes them on.
-    inst = build_instance(False, 3, 0, 2, 1, [(False, True, 0, 1), (1, 2, 2**62, 0)])
+    # A bool is not a vertex id, as it is not a count or a budget: the
+    # column check passes bool endpoints on to validate, which refuses them.
+    with pytest.raises(BadEndpoint) as caught:
+        build_instance(False, 3, 0, 2, 1, [(False, True, 0, 1), (1, 2, 2**62, 0)])
+    assert str(caught.value) == "edge 0 endpoint False is not a vertex id"
+    with pytest.raises(BadEndpoint) as caught:
+        build_instance(False, 3, False, 2, 1, [(False, True, 1, True), (1, 2, 1, False)])
+    assert str(caught.value) == "terminal s=False is not a vertex id"
+    with pytest.raises(BadEndpoint) as caught:
+        validate(Instance(False, 3, (Edge(0, 0, True, 1, False),), 0, 2, 1))
+    assert str(caught.value) == "edge 0 endpoint True is not a vertex id"
+    inst = build_instance(False, 3, 0, 2, 1, [(0, 1, 0, 1), (1, 2, 2**62, 0)])
     assert inst.edges[0] == Edge(0, 0, 1, 0, True)
     assert build_instance(False, 1, 0, 0, 0, []).edges == ()
     with pytest.raises(BadParameters):
         build_instance(False, 0, 0, 0, 0, [(0, 5, 1, False)])
+
+
+def test_every_built_instance_round_trips_through_its_document():
+    from ftpath.cli import parse_instance, serialize_instance
+    rng = random.Random(2401)
+    values = (0, 1, 2, 3, -1, 2**62, True, False, 1.0, "1", None)
+    outcomes = {"accepted": 0, "refused": 0}
+    for _ in range(3000):
+        n = rng.choice((1, 2, 3, 4, 4, 4, True, 2.0, 0))
+        rows = [(rng.choice(values[:4]) if rng.random() < 0.95 else rng.choice(values),
+                 rng.choice(values[:4]) if rng.random() < 0.95 else rng.choice(values),
+                 rng.choice(values[:3]) if rng.random() < 0.95 else rng.choice(values),
+                 rng.choice(values))
+                for _ in range(rng.randint(0, 4))]
+        terminals = [rng.choice(values[:3]) if rng.random() < 0.95 else rng.choice(values)
+                     for _ in range(2)]
+        try:
+            inst = build_instance(rng.choice((True, False, 0, 1, "yes")), n, *terminals,
+                                  rng.choice((0, 1, 2, False)), rows)
+        except ftpath.core.ValidationError:
+            outcomes["refused"] += 1
+            continue
+        outcomes["accepted"] += 1
+        assert parse_instance(serialize_instance(inst)) == inst
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 @pytest.mark.parametrize("rows, message", [

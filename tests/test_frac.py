@@ -8,7 +8,7 @@ import pytest
 
 from ftpath import flow, frac, simplex
 from ftpath.core import (BadParameters, Infeasible, SolverCheckFailed, build_instance,
-                         enumerate_scenarios)
+                         enumerate_scenarios, is_feasible)
 from ftpath.frac import (TooLargeForExactLP, fractional_max_flow, gap_family,
                          gap_report, rounding_vector, solve_frac,
                          enumerate_cut_edge_sets)
@@ -245,6 +245,101 @@ def test_frac_x_is_the_lexmin_optimum(monkeypatch):
         x, value = _lexmin_vertex(lp["objective"], lp["rows"], num_vars)
         assert (cv.x, cv.value) == (x[:len(inst.edges)], value)
         checked += 1
+
+
+def _block_only_lp(instance):
+    """The LP of an earlier ``solve_frac``, kept as a reference: the plain
+    row of its safe edges for a cut with at most k faulty edges, and a
+    threshold block for every other minimal cut, with no row dropped."""
+    k, next_var = instance.k, len(instance.edges)
+    faulty = instance.faulty_ids if k else frozenset()
+    rows = []
+    for cut in enumerate_cut_edge_sets(instance):
+        cut_faulty = [eid for eid in cut if eid in faulty]
+        if len(cut_faulty) <= k:
+            rows.append((dict.fromkeys((eid for eid in cut if eid not in faulty), 1), 1))
+        else:
+            theta, zs = next_var, range(next_var + 1, next_var + 1 + len(cut_faulty))
+            next_var = zs.stop
+            rows.append(({**dict.fromkeys(cut, 1), theta: -k, **dict.fromkeys(zs, -1)}, 1))
+            rows += (({z: 1, theta: 1, eid: -1}, 0) for z, eid in zip(zs, cut_faulty))
+    return [e.w for e in instance.edges], rows, next_var
+
+
+def _block_only_frac(instance, solve_lp):
+    """``solve_frac`` as it was before its LP: every edge bought must be
+    feasible, then ``solve_lp`` solves the block-only LP."""
+    m = len(instance.edges)
+    if not is_feasible(instance, range(m)):
+        raise Infeasible("instance is infeasible even with every edge bought")
+    x, value = solve_lp(*_block_only_lp(instance))
+    return frac.CapacityVector(tuple(x[:m]), value)
+
+
+def _outcome(solve, *args):
+    try:
+        return solve(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _tableau(num_vars, rows):
+    return num_vars * (len(rows) + num_vars + 1)
+
+
+def test_frac_matches_the_block_only_lp(monkeypatch):
+    # Parallel faulty edges give cuts with many faulty edges, so at k = 2
+    # to 4 some cuts take scenario rows (comb(f, k) <= 2(1 + f)) and some
+    # keep the threshold block, among them f = 6 at k = 2 and 4, where
+    # comb(f, k) is one more than 2(1 + f).
+    real = simplex.solve_lp
+    lp = _record_lp(monkeypatch)
+    rng = random.Random(2402)
+    shapes = Counter()
+    for _ in range(1000):
+        n, k = rng.randint(2, 5), rng.randint(0, 4)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(3)] + [(0, n - 1)]
+        edges = [(*rng.choice(pairs), rng.randint(0, 3), rng.random() < 0.7)
+                 for _ in range(rng.randint(1, 16))]
+        inst = build_instance(rng.random() < 0.5, n, 0, n - 1, k, edges)
+        lp.clear()
+        got = _outcome(solve_frac, inst)
+        assert got == _outcome(_block_only_frac, inst, real)
+        if not lp:
+            shapes["infeasible"] += 1
+            continue
+        _, rows, num_vars = _block_only_lp(inst)
+        # The LP solved is never larger, and a cut keeps its block exactly
+        # when its scenario rows would outnumber the block's rows and
+        # variables together.
+        assert _tableau(lp["num_vars"], lp["rows"]) <= _tableau(num_vars, rows)
+        block = 0
+        for cut in enumerate_cut_edge_sets(inst):
+            f = len(set(cut) & inst.faulty_ids) if k else 0
+            if f > k:
+                kept = comb(f, k) > 2 * (1 + f)
+                block += (1 + f) * kept
+                shapes["block" if kept else "scenario rows"] += 1
+                shapes["f = 6 at k = 2 or 4"] += f == 6 and k in (2, 4)
+        assert lp["num_vars"] == len(edges) + block
+        shapes.update({"directed": inst.directed, "zero weight": 0 in lp["objective"],
+                       "loop": any(e.u == e.v for e in inst.edges)})
+    assert min(shapes.values()) >= 20, shapes
+
+
+def test_seed_8_documents_build_smaller_tableaus(monkeypatch, tmp_path, capsys):
+    # The tableaus of the block-only LP were 246 x 472, 282 x 545,
+    # 123 x 229 and 155 x 292.
+    from ftpath.cli import main, parse_instance
+    lp = _record_lp(monkeypatch)
+    out = tmp_path / "gen"
+    assert main(["gen", "--kind", "random", "--seed", "8", "--n", "8", "--edges", "21",
+                 "--k", "2", "--count", "4", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for i, (before, value) in enumerate([(246 * 472, 20), (282 * 545, 10),
+                                         (123 * 229, 22), (155 * 292, 7)]):
+        assert solve_frac(parse_instance((out / f"random_00{i}.ftp").read_text())).value == value
+        assert _tableau(lp["num_vars"], lp["rows"]) < before
 
 
 @pytest.mark.parametrize("wrong", ["row", "above one", "value"])
@@ -546,17 +641,24 @@ def test_tableau_cap_names_the_size(monkeypatch):
     assert solve_frac(gap_family(30, 2)).value == Fraction(15, 14)
 
 
-def test_tableau_cap_stops_a_valid_document_before_the_simplex(tmp_path, capsys):
-    # 126 minimal cuts, each with more than k faulty edges: a dense
-    # tableau of 2.1e6 entries, refused before the simplex starts.
+def test_tableau_cap_stops_a_valid_document_before_the_simplex(tmp_path, capsys,
+                                                              monkeypatch):
+    # 126 minimal cuts, each with more than k faulty edges: the LP built
+    # from their threshold blocks and scenario rows has a dense tableau
+    # of 1.7e6 entries, refused before the simplex starts.
     from ftpath.cli import main
     out = tmp_path / "gen"
     assert main(["gen", "--kind", "srp", "--seed", "4", "--edges", "30", "--k", "2",
                  "--out", str(out)]) == 0
     capsys.readouterr()
+
+    def not_reached(*args):
+        raise AssertionError("the simplex ran")
+
+    monkeypatch.setattr(simplex, "solve_lp", not_reached)
     code = main(["solve", str(out / "srp_009.ftp"), "--algorithm", "frac"])
     assert (code, capsys.readouterr().err) == (
-        4, "caps exceeded: LP tableau of 1035 rows x 2041 columns exceeds "
+        4, "caps exceeded: LP tableau of 877 rows x 1906 columns exceeds "
            "the cap of 1000000 entries\n")
 
 
