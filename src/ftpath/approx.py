@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 from . import flow
 from .bipath import WrongBudget, _Links, _support
-from .core import (Infeasible, Instance, Solution, RATIO_BOUNDED,
-                   SolverCheckFailed, ValidationError, adjacency, is_feasible)
+from .core import (Infeasible, Instance, Solution, RATIO_BOUNDED, SolverCheckFailed,
+                   ValidationError, _checked_solution, adjacency, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
 from .shortest import (INF, dijkstra_tree, meta_shortest_path,
                        safe_subgraph_distances)
@@ -61,12 +61,8 @@ def approx_kplus1(instance: Instance) -> Solution:
         return Solution(frozenset(), 0, RATIO_BOUNDED, (k + 1, 1))
     net = flow.edge_network(instance, k + 1)
     result = flow.min_cost_flow(net, instance.s, instance.t, k + 1)
-    support = frozenset(_support(net, result))
-    cost = sum(instance.edges[eid].w for eid in support)
-    solution = Solution(support, cost, RATIO_BOUNDED, (k + 1, 1))
-    if not is_feasible(instance, solution.edges):
-        raise SolverCheckFailed("approx-k1 returned an infeasible edge set")
-    return solution
+    return _checked_solution(instance, _support(net, result), RATIO_BOUNDED,
+                             "approx-k1", (k + 1, 1))
 
 
 def approx_k(instance: Instance) -> Solution:
@@ -86,8 +82,6 @@ def approx_k(instance: Instance) -> Solution:
     if k < 1:
         raise WrongBudget("the k-ratio algorithm needs a budget of at least 1")
     _require_feasible(instance)
-    if instance.s == instance.t:
-        return Solution(frozenset(), 0, RATIO_BOUNDED, (k, 1))
 
     def support_weight(net, res):
         return sum(instance.edges[eid].w for eid in _support(net, res))
@@ -104,11 +98,7 @@ def approx_k(instance: Instance) -> Solution:
             raise SolverCheckFailed(
                 f"approx-k link {u}->{v} is not a feasible segment")
         chosen.update(segment)
-    cost = sum(instance.edges[eid].w for eid in chosen)
-    solution = Solution(frozenset(chosen), cost, RATIO_BOUNDED, (k, 1))
-    if not is_feasible(instance, solution.edges):
-        raise SolverCheckFailed("approx-k returned an infeasible edge set")
-    return solution
+    return _checked_solution(instance, chosen, RATIO_BOUNDED, "approx-k", (k, 1))
 
 
 @dataclass(frozen=True)

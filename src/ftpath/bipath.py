@@ -31,8 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import flow
+# is_feasible is not called here; perfbench's tracer wraps it.
 from .core import (Infeasible, Instance, NotApplicable, Solution, OPTIMAL,
-                   SolverCheckFailed, adjacency, is_feasible)
+                   SolverCheckFailed, _checked_solution, adjacency, is_feasible)
 # safe_subgraph_distances is not called here; perfbench's tracer wraps it.
 from .shortest import (INF, _shortest_tree, _two_route_costs, meta_shortest_path,
                        path_edges, safe_subgraph_distances)
@@ -219,8 +220,6 @@ def solve_1ftp(instance: Instance) -> Solution:
             every subgraph.
     """
     links = _one_failure_links(instance)
-    if instance.s == instance.t:
-        return Solution(frozenset(), 0, OPTIMAL)
     total, seq = meta_shortest_path(instance.vertex_count, links.length,
                                     instance.s, instance.t, links.potential())
     if total == INF:
@@ -228,8 +227,4 @@ def solve_1ftp(instance: Instance) -> Solution:
     chosen: set[int] = set()
     for u, v in zip(seq, seq[1:]):
         chosen.update(links.witness(u, v)[1])
-    cost = sum(instance.edges[eid].w for eid in chosen)
-    solution = Solution(frozenset(chosen), cost, OPTIMAL)
-    if not is_feasible(instance, solution.edges):
-        raise SolverCheckFailed("bipath returned an infeasible edge set")
-    return solution
+    return _checked_solution(instance, chosen, OPTIMAL, "bipath")

@@ -3,9 +3,9 @@
 An instance is a weighted multigraph (directed or undirected) with two
 terminals ``s`` and ``t``, a set of *faulty* edges, and a failure budget
 ``k``.  A candidate edge set is feasible when ``s`` stays connected to
-``t`` after the removal of any set of at most ``k`` faulty edges.  The
-solvers in the sibling modules all produce :class:`Solution` values that
-must pass :func:`is_feasible`.
+``t`` after the removal of any set of at most ``k`` faulty edges.  Every
+integral solver returns its :class:`Solution` through one constructor here,
+which raises :class:`SolverCheckFailed` unless :func:`is_feasible` accepts it.
 """
 
 from __future__ import annotations
@@ -310,6 +310,16 @@ def is_feasible(instance: Instance, candidate: Iterable[int]) -> bool:
     scenario; it runs one max-flow computation.
     """
     return infeasibility_witness(instance, candidate) is None
+
+
+def _checked_solution(instance: Instance, edges: Iterable[int], status: str,
+                      solver: str, ratio_bound: tuple[int, int] | None = None) -> Solution:
+    # The one way an integral solver returns its edge set, checked by an
+    # ``if`` (not an assert) so that ``python -O`` keeps the check.
+    ids = frozenset(edges)
+    if not is_feasible(instance, ids):
+        raise SolverCheckFailed(f"{solver} returned an infeasible edge set")
+    return Solution(ids, sum(instance.edges[eid].w for eid in ids), status, ratio_bound)
 
 
 def infeasibility_witness(instance: Instance,

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, groupby
 
-from .core import (CapExceeded, Infeasible, Instance, NotApplicable, Solution, OPTIMAL,
-                   SolverCheckFailed, adjacency, build_instance, is_feasible, reachable)
+# is_feasible is not called here; perfbench's tracer wraps it.
+from .core import (CapExceeded, Infeasible, Instance, NotApplicable, Solution, OPTIMAL, adjacency,
+                   SolverCheckFailed, _checked_solution, build_instance, is_feasible, reachable)
 
 __all__ = ["NotADag", "ConfigurationSpaceTooLarge", "LayeredEdge",
            "LayeredInstance", "Configuration", "Link", "layerize",
@@ -403,8 +404,4 @@ def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solutio
         layered_ids |= link.realizing
         code = parent
     origins = {layered.edges[lid].origin for lid in layered_ids}
-    cost = sum(instance.edges[eid].w for eid in origins)
-    solution = Solution(frozenset(origins), cost, OPTIMAL)
-    if not is_feasible(instance, solution.edges):
-        raise SolverCheckFailed("dag returned an infeasible edge set")
-    return solution
+    return _checked_solution(instance, origins, OPTIMAL, "dag")

@@ -128,8 +128,7 @@ def solve_frac(instance: Instance) -> CapacityVector:
         raise Infeasible("instance is infeasible even with every edge bought")
     cuts = enumerate_cut_edge_sets(instance)
     k = instance.k
-    # With nothing able to fail, a faulty edge counts in a cut like a safe one.
-    faulty = instance.faulty_ids if k else frozenset()
+    faulty = instance.faulty_ids
     masks: set[int] = set()  # plain and scenario rows, as edge bitmasks
     blocks: list[tuple[tuple[int, ...], list[int]]] = []
     for cut in cuts:

@@ -12,8 +12,7 @@ import heapq
 import math
 from typing import Callable, Sequence
 
-from .core import (Infeasible, Instance, Solution, OPTIMAL, SolverCheckFailed,
-                   adjacency, is_feasible)
+from .core import Infeasible, Instance, Solution, OPTIMAL, _checked_solution, adjacency
 
 __all__ = ["dijkstra_tree", "path_edges", "safe_subgraph_distances",
            "meta_shortest_path", "shortest_path_solution"]
@@ -213,8 +212,6 @@ def meta_shortest_path(n: int, length: Callable[[int, int, object], object],
     that a lower bound already rules out.  The result is the same as
     with exact lengths.
     """
-    if s == t:
-        return 0, [s]
     h = [0] * n if potential is None else potential
     dist: list = [INF] * n
     hops: list = [INF] * n
@@ -254,13 +251,8 @@ def shortest_path_solution(instance: Instance) -> Solution:
 
     This is the exact answer when the failure budget is zero.
     """
-    if instance.s == instance.t:
-        return Solution(frozenset(), 0, OPTIMAL)
     dist, via = dijkstra_tree(instance, instance.s, range(len(instance.edges)))
     if dist[instance.t] == INF:
         raise Infeasible("terminals are disconnected")
-    edges = frozenset(path_edges(instance, via, instance.s, instance.t))
-    cost = sum(instance.edges[eid].w for eid in edges)
-    if not is_feasible(instance.with_budget(0), edges):
-        raise SolverCheckFailed("shortest returned no s-t path")
-    return Solution(edges, cost, OPTIMAL)
+    path = path_edges(instance, via, instance.s, instance.t)
+    return _checked_solution(instance.with_budget(0), path, OPTIMAL, "shortest")

@@ -26,7 +26,7 @@ from operator import add
 from typing import NamedTuple, Union
 
 from .core import (BadParameters, Infeasible, Instance, NotApplicable, Solution,
-                   OPTIMAL, SolverCheckFailed, ValidationError, is_feasible)
+                   OPTIMAL, SolverCheckFailed, ValidationError, _checked_solution)
 
 __all__ = ["NotSeriesParallel", "TreeMismatch", "Leaf", "Series", "Parallel",
            "DecompositionNode", "SolutionTable", "decompose_srp",
@@ -428,7 +428,7 @@ def _flatten_tree(instance: Instance, tree: DecompositionNode) -> _Flat:
         else:
             a, b = node.left, node.right
             if isinstance(node, Series):
-                fits = a.v == b.u and (node.u, node.v) == (a.u, b.v)
+                fits = a.v == b.u and (node.u, node.v) == (a.u, b.v) and a.u != b.v
             else:
                 fits = (a.u, a.v) == (b.u, b.v) == (node.u, node.v)
             if not fits:
@@ -487,20 +487,20 @@ def _costs(instance: Instance, flat: _Flat) -> tuple[list, list]:
     return costs[-1], splits
 
 
-def _entry(instance: Instance, flat: _Flat, cost: list, splits: list,
-           j: int) -> tuple[frozenset[int], int] | None:
+def _entry(instance: Instance, flat: _Flat, cost: list, splits: list, j: int,
+           solver: str) -> Solution | None:
     # The root's entry j, its edge set found top-down: a series node
-    # passes its entry to both children, a parallel node splits it.
+    # passes its entry to both children, a parallel node splits it.  The
+    # set is checked at its budget j - 1 and against the table's cost.
     if cost[j] == _INF:
         return None
-    edges, left, right = instance.edges, flat.left, flat.right
-    ids, total = [], 0
+    m, left, right = len(instance.edges), flat.left, flat.right
+    ids = []
     stack = [(len(flat.kind) - 1, j)]
     while stack:
         i, b = stack.pop()
-        if i < len(edges):
+        if i < m:
             ids.append(i)
-            total += edges[i].w
             continue
         split = splits[i]
         x, y = (b, b) if split is None else (split[b], b - split[b])
@@ -508,9 +508,10 @@ def _entry(instance: Instance, flat: _Flat, cost: list, splits: list,
             stack.append((left[i] >> 1, x))
         if y:
             stack.append((right[i] >> 1, y))
-    if total != cost[j]:
-        raise SolverCheckFailed(f"srp edge set weighs {total}, its table entry {cost[j]}")
-    return frozenset(ids), total
+    solution = _checked_solution(instance.with_budget(j - 1), ids, OPTIMAL, solver)
+    if solution.cost != cost[j]:
+        raise SolverCheckFailed(f"srp edge set weighs {solution.cost}, its table entry {cost[j]}")
+    return solution
 
 
 # The most entries, one per budget 0..k, that a SolutionTable may hold.
@@ -521,9 +522,11 @@ def _table(instance: Instance, flat: _Flat) -> SolutionTable:
     if instance.k >= _TABLE_LIMIT:
         raise BadParameters(f"a table for budget k={instance.k} needs {instance.k + 1} "
                             f"entries, above the bound of {_TABLE_LIMIT}")
-    # Budgets past the last entry repeat it.
+    # Each entry is checked at its own budget; budgets past the last repeat it.
     cost, splits = _costs(instance, flat)
-    entries = [_entry(instance, flat, cost, splits, j) for j in range(1, len(cost))]
+    solutions = [_entry(instance, flat, cost, splits, j, f"srp at budget {j - 1}")
+                 for j in range(1, len(cost))]
+    entries = [None if s is None else (s.edges, s.cost) for s in solutions]
     return SolutionTable(tuple(entries + entries[-1:] * (instance.k + 2 - len(cost))))
 
 
@@ -540,14 +543,13 @@ def solve_ftp_srp(instance: Instance, tree: DecompositionNode) -> SolutionTable:
 
 def solve_srp(instance: Instance, tree: DecompositionNode | None = None) -> Solution:
     """Solve at the full budget over ``tree``, else over the reduction (which
-    leaves self-loops out and raises :class:`NotSeriesParallel` when the
-    graph does not reduce)."""
+    leaves self-loops out, answers an undirected ``s == t`` with the empty set
+    and raises :class:`NotSeriesParallel` when the graph does not reduce)."""
+    if tree is None and instance.s == instance.t and not instance.directed:
+        return _checked_solution(instance, (), OPTIMAL, "srp")
     flat = _reduce(instance) if tree is None else _flatten_tree(instance, tree)
     cost, splits = _costs(instance, flat)
-    entry = _entry(instance, flat, cost, splits, len(cost) - 1)
-    if entry is None:
+    solution = _entry(instance, flat, cost, splits, len(cost) - 1, "srp")
+    if solution is None:
         raise Infeasible(f"no solution survives {instance.k} failures")
-    solution = Solution(entry[0], entry[1], OPTIMAL)
-    if not is_feasible(instance, solution.edges):
-        raise SolverCheckFailed("srp returned an infeasible edge set")
     return solution

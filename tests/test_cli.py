@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from ftpath import bipath, cli, dag, flow, shortest, simplex, srp
+from ftpath import bipath, cli, core, dag, flow, simplex, srp
 from ftpath.cli import (EXIT_CAPS, EXIT_EMPTY, EXIT_INFEASIBLE, EXIT_INTERNAL,
                         EXIT_INVALID, EXIT_OK, ParseError, main, parse_dimacs,
                         parse_instance, parse_solution, serialize_instance,
@@ -151,7 +151,7 @@ def test_solve_parse_error_exit_code(tmp_path, capsys):
 
 
 def test_solver_check_failure_exit_code(gap_file, capsys, monkeypatch):
-    monkeypatch.setattr(bipath, "is_feasible", lambda instance, edges: False)
+    monkeypatch.setattr(core, "is_feasible", lambda instance, edges: False)
     with pytest.raises(SolverCheckFailed):
         bipath.solve_1ftp(gap_family(4, 1))
     code, out, err = run_main(["solve", gap_file], capsys)
@@ -161,17 +161,19 @@ def test_solver_check_failure_exit_code(gap_file, capsys, monkeypatch):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("module, k", [(srp, 2), (shortest, 0)],
+@pytest.mark.parametrize("solver, k", [("srp", 2), ("shortest", 0)],
                          ids=["srp", "shortest"])
 def test_srp_and_shortest_check_failure_exit_code(tmp_path, capsys, monkeypatch,
-                                                  module, k):
+                                                  solver, k):
     path = tmp_path / "gap.ftp"
     path.write_text(serialize_instance(gap_family(4, k)))
-    monkeypatch.setattr(module, "is_feasible", lambda instance, edges: False)
+    # Both return through core's checked constructor.
+    monkeypatch.setattr(core, "is_feasible", lambda instance, edges: False)
     code, out, err = run_main(["solve", str(path)], capsys)
     assert code == EXIT_INTERNAL
     assert out == ""
     assert err.startswith("internal error: SolverCheckFailed")
+    assert f"{solver} returned an infeasible edge set" in err
 
 
 def test_frac_check_failure_exit_code(gap_file, capsys, monkeypatch):
@@ -298,6 +300,8 @@ EDGE_SHAPES = {
 }
 _EMPTY_DAG = (EXIT_OK, "ftp-solution v1\nalgorithm: dag\nstatus: optimal\ncost: 0\n"
               "edges: \n", "")
+_EMPTY_SRP = (EXIT_OK, "ftp-solution v1\nalgorithm: srp\nstatus: optimal\ncost: 0\n"
+              "edges: \n", "")
 _EMPTY_APPROX = (EXIT_OK, "ftp-solution v1\nalgorithm: approx-k\nstatus: ratio-bounded\n"
                  "cost: 0\nedges: \nratio-bound: 2/1\n", "")
 _DISCONNECTED = (EXIT_INFEASIBLE, "", "infeasible: terminals are disconnected\n")
@@ -313,7 +317,7 @@ _SMALL_APPROX = (EXIT_OK, "ftp-solution v1\nalgorithm: approx-k\nstatus: ratio-b
 AUTO_ON_EDGE_SHAPES = {
     "cyclic s=t": [_EMPTY_APPROX] * 4,
     "acyclic s=t": [_EMPTY_DAG] * 3 + [_EMPTY_APPROX],
-    "undirected s=t": [_EMPTY_APPROX] * 4,
+    "undirected s=t": [_EMPTY_SRP] * 4,
     "disconnected dag": [_DISCONNECTED] * 2 + [_NO_EDGE_SET] * 2,
     "small dag": [_SMALL_DAG] + [_SMALL_APPROX] * 3,
 }

@@ -276,7 +276,13 @@ def test_parse_decomposition_names_the_fault(text, message):
     (build_instance(False, 3, 0, 2, 1, [(0, 1, 1, False), (0, 1, 1, False)]),
      Parallel(Leaf(0, 0, 1), Leaf(1, 0, 1), 0, 1),
      "root terminals differ from the instance terminals"),
-], ids=["leaf twice", "root off the terminals"])
+    # A series node must join two vertices, as parse_decomposition requires.
+    (build_instance(False, 2, 1, 1, 0, [(1, 0, 1, False), (0, 1, 1, False)]),
+     Series(Leaf(0, 1, 0), Leaf(1, 0, 1), 1, 1), "Series node 1-1 does not fit its children"),
+    (build_instance(False, 3, 0, 2, 0, [(0, 1, 1, False), (1, 0, 1, False), (0, 2, 1, False)]),
+     Series(Series(Leaf(0, 0, 1), Leaf(1, 1, 0), 0, 0), Leaf(2, 0, 2), 0, 2),
+     "Series node 0-0 does not fit its children"),
+], ids=["leaf twice", "root off the terminals", "cycle at s = t", "cycle below the root"])
 def test_given_tree_names_the_fault(inst, tree, message):
     with pytest.raises(TreeMismatch, match=f"^{message}$"):
         solve_ftp_srp(inst, tree)
