@@ -63,9 +63,9 @@ def serialize_instance(instance: Instance) -> str:
              f"s: {instance.s}",
              f"t: {instance.t}",
              f"k: {instance.k}"]
-    for e in instance.edges:
-        flag = "faulty" if e.faulty else "safe"
-        lines.append(f"edge {e.id} {e.u} {e.v} {e.w} {flag}")
+    columns = zip(instance._u, instance._v, instance._w, instance._faulty)
+    for eid, (u, v, w, faulty) in enumerate(columns):
+        lines.append(f"edge {eid} {u} {v} {w} {'faulty' if faulty else 'safe'}")
     return "\n".join(lines) + "\n"
 
 
@@ -353,7 +353,7 @@ def cmd_solve(args) -> int:
     elapsed = time.perf_counter() - started
     if algorithm == "frac":
         lines = ["ftp-fractional v1", "algorithm: frac", f"value: {result.value}"]
-        lines += [f"x {e.id} {result.x[e.id]}" for e in instance.edges]
+        lines += [f"x {eid} {value}" for eid, value in enumerate(result.x)]
         out = "\n".join(lines) + "\n"
     else:
         out = serialize_solution(result, algorithm)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -130,7 +130,7 @@ class SolverCheckFailed(FTPError):
 # Solution status values.
 OPTIMAL = "optimal"
 RATIO_BOUNDED = "ratio-bounded"
-HEURISTIC = "heuristic"
+HEURISTIC = "heuristic"  # reserved: no solver returns it yet
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,7 +152,12 @@ class Instance:
     """A fault-tolerant connection instance.
 
     ``edges[i].id == i`` always holds after validation.  Instances are
-    immutable and safe to share across threads.
+    immutable and safe to share across threads.  The parsers and
+    :func:`build_instance` store private ``u``, ``v``, ``w`` and
+    ``faulty`` columns instead of ``edges``, which is built from them on
+    first read and cached; an instance made with ``edges`` derives its
+    columns on first read.  Equality, hashing and ``repr`` read
+    ``edges``, so both forms behave alike.
     """
 
     directed: bool
@@ -162,20 +167,42 @@ class Instance:
     t: int
     k: int
 
+    def __getattr__(self, name: str):
+        # Runs only for a name missing from __dict__: ``edges`` of a
+        # columnar instance, or the columns of one made with ``edges``.
+        # Any other name, dunders included, is missing, so that pickle
+        # and copy probe an empty instance safely.
+        held = self.__dict__
+        if name == "edges" and "_u" in held:
+            built = _edges_from(held["_u"], held["_v"], held["_w"], held["_faulty"])
+            held["edges"] = built
+            return built
+        if name in _COLUMNS and "edges" in held:
+            edges = held["edges"]
+            for column, attr in zip(_COLUMNS, ("u", "v", "w", "faulty")):
+                held[column] = tuple(getattr(e, attr) for e in edges)
+            return held[name]
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+
     @property
     def faulty_ids(self) -> frozenset[int]:
-        return frozenset(e.id for e in self.edges if e.faulty)
+        return frozenset(compress(range(len(self._faulty)), self._faulty))
 
     def edge(self, edge_id: int) -> Edge:
         return self.edges[edge_id]
 
     def with_terminals(self, s: int, t: int) -> "Instance":
         """Same graph and budget, different terminals."""
-        return Instance(self.directed, self.vertex_count, self.edges, s, t, self.k)
+        return self._with(s=s, t=t)
 
     def with_budget(self, k: int) -> "Instance":
-        return Instance(self.directed, self.vertex_count, self.edges,
-                        self.s, self.t, k)
+        return self._with(k=k)
+
+    def _with(self, **changes) -> "Instance":
+        # A copy of __dict__, so the edges or columns it holds are shared.
+        other = object.__new__(Instance)
+        other.__dict__.update(self.__dict__, **changes)
+        return other
 
 
 @dataclass(frozen=True)
@@ -208,11 +235,8 @@ def build_instance(directed: bool, vertex_count: int, s: int, t: int, k: int,
     subclass if the result is malformed: :class:`BadParameters` for a row
     without exactly four fields, or a ``vertex_count`` or ``k`` that is
     not an int.  The rows are transposed into u, v, w and faulty columns
-    for the one column builder, which the document parsers call directly.
-    It sets each :class:`Edge` field through its slot descriptor's
-    ``__set__``, one column at a time, which skips the dataclass
-    ``__init__`` and its frozen ``__setattr__`` but gives equal objects,
-    and checks the plain-int case whole columns at a time.
+    for the one column builder, which the document parsers call directly
+    and which checks the plain-int case whole columns at a time.
     """
     rows = edges if type(edges) in (list, tuple) else list(edges)
     if not set(map(type, rows)) <= {tuple, list}:
@@ -221,22 +245,41 @@ def build_instance(directed: bool, vertex_count: int, s: int, t: int, k: int,
         pos = next(pos for pos, row in enumerate(rows) if len(row) != 4)
         raise BadParameters(f"edge row {pos} has {len(rows[pos])} fields, not 4")
     return _from_columns(directed, vertex_count, s, t, k,
-                         *(list(map(itemgetter(i), rows)) for i in range(4)))
+                         *(tuple(map(itemgetter(i), rows)) for i in range(4)))
 
 
+_COLUMNS = ("_u", "_v", "_w", "_faulty")
 _SETTERS = tuple(Edge.__dict__[name].__set__ for name in ("id", "u", "v", "w", "faulty"))
 _drain = deque(maxlen=0).extend
+# The ints every built edge takes its id from, so that the edges of all
+# instances share one int per id.  Grown by replacement, never in place.
+_IDS: tuple[int, ...] = ()
 
 
 def _from_columns(directed: bool, vertex_count: int, s: int, t: int, k: int,
-                  us: list, vs: list, ws: list, faulty: list) -> Instance:
-    # The one edge builder; the four columns have one entry per edge.
-    built = list(map(object.__new__, repeat(Edge, len(us))))
-    for setter, column in zip(_SETTERS, (range(len(us)), us, vs, ws, map(bool, faulty))):
-        _drain(map(setter, built, column))
-    inst = Instance(bool(directed), vertex_count, tuple(built), s, t, k)
-    _validate(inst, (us, vs, ws))
+                  us: Iterable, vs: Iterable, ws: Iterable, faulty: Iterable) -> Instance:
+    # The one builder from columns, which have one entry per edge; the
+    # edges are built only when read.
+    inst = object.__new__(Instance)
+    inst.__dict__.update(directed=bool(directed), vertex_count=vertex_count, s=s, t=t, k=k,
+                         _u=tuple(us), _v=tuple(vs), _w=tuple(ws),
+                         _faulty=tuple(map(bool, faulty)))
+    _validate(inst, (inst._u, inst._v, inst._w))
     return inst
+
+
+def _edges_from(us: tuple, vs: tuple, ws: tuple, faulty: tuple) -> tuple[Edge, ...]:
+    # Each Edge field is set through its slot descriptor's ``__set__``,
+    # one column at a time, which skips the dataclass ``__init__`` and its
+    # frozen ``__setattr__`` but gives equal objects.
+    global _IDS
+    ids = _IDS
+    if len(ids) < len(us):
+        ids = _IDS = ids + tuple(range(len(ids), len(us)))
+    built = list(map(object.__new__, repeat(Edge, len(us))))
+    for setter, column in zip(_SETTERS, (ids, us, vs, ws, faulty)):
+        _drain(map(setter, built, column))
+    return tuple(built)
 
 
 def validate(instance: Instance) -> None:
@@ -267,7 +310,7 @@ def _validate(instance: Instance, columns: tuple | None) -> None:
     for name, v in (("s", instance.s), ("t", instance.t)):
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < instance.vertex_count:
             raise BadEndpoint(f"terminal {name}={v} is not a vertex id")
-    if columns is not None and instance.edges:
+    if columns is not None and columns[0]:
         us, vs, ws = columns
         if (set(map(type, us)) | set(map(type, vs)) | set(map(type, ws)) == {int}
                 and 0 <= min(us) and 0 <= min(vs) and 0 <= min(ws)
@@ -295,8 +338,9 @@ def _validate(instance: Instance, columns: tuple | None) -> None:
 def check_candidate(instance: Instance, candidate: Iterable[int]) -> frozenset[int]:
     """Normalize a candidate edge-id set, raising :class:`UnknownEdgeId`."""
     ids = frozenset(candidate)
+    m = len(instance._u)
     for eid in ids:
-        if not isinstance(eid, int) or not 0 <= eid < len(instance.edges):
+        if isinstance(eid, bool) or not isinstance(eid, int) or not 0 <= eid < m:
             raise UnknownEdgeId(f"candidate references unknown edge id {eid!r}")
     return ids
 
@@ -319,7 +363,7 @@ def _checked_solution(instance: Instance, edges: Iterable[int], status: str,
     ids = frozenset(edges)
     if not is_feasible(instance, ids):
         raise SolverCheckFailed(f"{solver} returned an infeasible edge set")
-    return Solution(ids, sum(instance.edges[eid].w for eid in ids), status, ratio_bound)
+    return Solution(ids, sum(map(instance._w.__getitem__, ids)), status, ratio_bound)
 
 
 def infeasibility_witness(instance: Instance,

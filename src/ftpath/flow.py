@@ -91,17 +91,17 @@ def edge_network(instance: Instance, safe_cap: int,
     at least as cheap and lexicographically smaller), and a minimum cut
     never crosses both, so one edge stays one capacity budget.
     """
-    edges = instance.edges
-    ids = range(len(edges)) if edge_ids is None else sorted(edge_ids)
+    us, vs, ws, faulty = instance._u, instance._v, instance._w, instance._faulty
+    ids = range(len(us)) if edge_ids is None else sorted(edge_ids)
     arcs = []
     for eid in ids:
-        e = edges[eid]
-        if e.u == e.v:
+        u, v = us[eid], vs[eid]
+        if u == v:
             continue
-        cap = 1 if e.faulty else safe_cap
-        arcs.append(Arc(e.u, e.v, cap, e.w, e.id))
+        cap = 1 if faulty[eid] else safe_cap
+        arcs.append(Arc(u, v, cap, ws[eid], eid))
         if not instance.directed:
-            arcs.append(Arc(e.v, e.u, cap, e.w, e.id))
+            arcs.append(Arc(v, u, cap, ws[eid], eid))
     return FlowNetwork(instance.vertex_count, tuple(arcs))
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from operator import mul
 
 from . import flow, oracle, simplex
 from .core import (BadParameters, CapExceeded, Infeasible, Instance,
@@ -76,8 +77,8 @@ def enumerate_cut_edge_sets(instance: Instance) -> list[tuple[int, ...]]:
     order = [v for v in range(instance.vertex_count) if v not in (s, t)] + [s] + [t] * (t != s)
     bit = {v: 1 << i for i, v in enumerate(order)}
     # An undirected edge is two opposite arcs; loops never cross.
-    arcs = [(bit[a], bit[b], e.id) for e in instance.edges
-            for a, b in ((e.u, e.v), (e.v, e.u))[:2 - instance.directed]]
+    arcs = [(bit[a], bit[b], eid) for eid, (u, v) in enumerate(zip(instance._u, instance._v))
+            for a, b in ((u, v), (v, u))[:2 - instance.directed]]
     out, into = dict.fromkeys(bit.values(), 0), dict.fromkeys(bit.values(), 0)
     for a, b, _ in arcs:
         out[a] |= b
@@ -115,7 +116,7 @@ def solve_frac(instance: Instance) -> CapacityVector:
         Infeasible: even buying every edge is infeasible.
         TooLargeForExactLP: the cut enumeration or LP would be too big.
     """
-    m = len(instance.edges)
+    m = len(instance._w)
     if instance.s == instance.t:
         return CapacityVector((Fraction(0),) * m, Fraction(0))
     # Are there more than MAX_CUT_ENUMERATION s-sides, 2**(n - 2)?  Compared
@@ -169,8 +170,7 @@ def solve_frac(instance: Instance) -> CapacityVector:
         rows.append(({**dict.fromkeys(cut, 1), theta: -k, **dict.fromkeys(zs, -1)}, 1))
         rows += (({z: 1, theta: 1, eid: -1}, 0) for z, eid in zip(zs, cut_faulty))
 
-    objective = [e.w for e in instance.edges]
-    x, value = simplex.solve_lp(objective, rows, num_vars)
+    x, value = simplex.solve_lp(list(instance._w), rows, num_vars)
     _check_solution(instance, rows, x, value)
     return CapacityVector(tuple(x[:m]), value)
 
@@ -189,11 +189,11 @@ def _check_solution(instance: Instance, rows, x: list[Fraction], value: Fraction
     if any(v < 0 for v in scaled) or any(
             sum(a * scaled[j] for j, a in coeffs.items()) < b * scale for coeffs, b in rows):
         raise SolverCheckFailed("frac LP solution violates a cut row")
-    cost = sum(e.w * scaled[e.id] for e in instance.edges)
+    cost = sum(map(mul, instance._w, scaled))
     if cost != value * scale:
         raise SolverCheckFailed(
             f"frac LP value {value} differs from the cost {Fraction(cost, scale)} of its x")
-    if any(scaled[e.id] > scale for e in instance.edges):
+    if any(v > scale for v in scaled[:len(instance._w)]):
         raise SolverCheckFailed("frac LP solution puts an edge above capacity 1")
 
 

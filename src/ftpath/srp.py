@@ -102,12 +102,11 @@ def _reduce(instance: Instance) -> _Flat:
     s, t, n = instance.s, instance.t, instance.vertex_count
     if s == t:
         raise NotSeriesParallel("terminals coincide", ())
-    if not instance.edges:
+    nu, nv = list(instance._u), list(instance._v)
+    m = len(nu)
+    if not m:
         raise NotSeriesParallel("graph has no edges", ())
-    m = len(instance.edges)
     kind, left, right = [_LEAF] * m, [0] * m, [0] * m
-    nu = [e.u for e in instance.edges]
-    nv = [e.v for e in instance.edges]
     # The live node of each vertex pair (key min*n+max) and the edge
     # groups that share a pair.  A loop carries no s-t flow and stays an
     # unmerged leaf.
@@ -457,7 +456,7 @@ def _costs(instance: Instance, flat: _Flat) -> tuple[list, list]:
     # Leaves of one weight and kind share a row, as no row is changed; a
     # faulty leaf's key is ~w.  A node with f faulty leaves costs the same
     # at every budget from f on, so rows stop at budget min(k, |M|).
-    keys = [~e.w if e.faulty else e.w for e in instance.edges]
+    keys = [~w if f else w for w, f in zip(instance._w, instance._faulty)]
     width = min(instance.k, sum(key < 0 for key in keys)) + 2
     rows = {key: [0, ~key] + [_INF] * (width - 2) if key < 0 else [0] + [key] * (width - 1)
             for key in set(keys)}
@@ -494,7 +493,7 @@ def _entry(instance: Instance, flat: _Flat, cost: list, splits: list, j: int,
     # set is checked at its budget j - 1 and against the table's cost.
     if cost[j] == _INF:
         return None
-    m, left, right = len(instance.edges), flat.left, flat.right
+    m, left, right = len(instance._u), flat.left, flat.right
     ids = []
     stack = [(len(flat.kind) - 1, j)]
     while stack:

@@ -1,0 +1,195 @@
+"""The columnar ``Instance``: edges built on first read, columns on demand.
+
+The parsers and ``build_instance`` store u, v, w and faulty columns and
+build ``edges`` only when it is read; an instance made with ``edges``
+derives its columns when they are read.  Both forms must compare, hash,
+print, copy and pickle alike, and the ``srp`` and ``frac`` paths from a
+document to an answer must not build the edges at all.
+"""
+
+import copy
+import dataclasses
+import pickle
+import random
+import sys
+import threading
+
+from ftpath import core, frac, srp
+from ftpath.cli import (EXIT_INFEASIBLE, EXIT_OK, main, parse_dimacs, parse_instance,
+                        serialize_instance)
+from ftpath.core import Edge, Instance, build_instance, is_feasible
+
+from conftest import random_instance, random_srp_instance
+
+def _seeded(count, seed):
+    rng = random.Random(seed)
+    return [random_instance(rng, n_max=6, m_max=14) for _ in range(count)]
+
+
+def _dimacs(inst):
+    return "".join([f"p ftp {inst.vertex_count} {len(inst.edges)} {int(inst.directed)} {inst.k}\n",
+                    f"n s {inst.s + 1}\nn t {inst.t + 1}\n"]
+                   + [f"a {e.u + 1} {e.v + 1} {e.w} {int(e.faulty)}\n" for e in inst.edges])
+
+
+def _makers(inst):
+    # Each maker gives a fresh instance equal to ``inst``, nothing read yet.
+    text, dimacs = serialize_instance(inst), _dimacs(inst)
+    rows = [(e.u, e.v, e.w, e.faulty) for e in inst.edges]
+    edges = tuple(Edge(e.id, e.u, e.v, e.w, e.faulty) for e in inst.edges)
+    return [
+        lambda: parse_instance(text),
+        lambda: parse_dimacs(dimacs),
+        lambda: build_instance(inst.directed, inst.vertex_count, inst.s, inst.t, inst.k, rows),
+        lambda: Instance(inst.directed, inst.vertex_count, edges, inst.s, inst.t, inst.k),
+    ]
+
+
+def _columns(inst):
+    return tuple(getattr(inst, name) for name in core._COLUMNS)
+
+
+def _built(text):
+    inst = parse_instance(text)
+    inst.edges  # noqa: B018 - builds and caches the edges
+    return inst
+
+
+def _answer(solve, inst):
+    try:
+        return solve(inst)
+    except core.Infeasible:
+        return None
+
+
+def test_every_builder_gives_equal_columns_and_edges_in_either_order():
+    for inst in _seeded(40, 2601):
+        expected_edges = tuple(inst.edges)
+        expected_columns = (tuple(e.u for e in expected_edges), tuple(e.v for e in expected_edges),
+                            tuple(e.w for e in expected_edges),
+                            tuple(e.faulty for e in expected_edges))
+        for make in _makers(inst):
+            edges_first = make()
+            assert edges_first.edges == expected_edges
+            assert _columns(edges_first) == expected_columns
+            columns_first = make()
+            assert _columns(columns_first) == expected_columns
+            assert columns_first.edges == expected_edges
+            assert all(type(e) is Edge for e in columns_first.edges)
+            assert [e.id for e in columns_first.edges] == list(range(len(expected_edges)))
+            assert all(type(f) is bool for f in columns_first._faulty)
+
+
+def test_never_built_behaves_as_built():
+    for inst in _seeded(15, 2602):
+        text = serialize_instance(inst)
+        built = _built(text)
+
+        def fresh():
+            other = parse_instance(text)
+            assert "edges" not in vars(other)
+            return other
+
+        assert fresh() == built and built == fresh()
+        assert hash(fresh()) == hash(built)
+        assert repr(fresh()) == repr(built)
+        assert dataclasses.replace(fresh(), k=inst.k + 1) == dataclasses.replace(built, k=inst.k + 1)
+        assert dataclasses.replace(fresh()) == built
+        copies = [copy.copy(fresh()), copy.deepcopy(fresh())]
+        copies += [pickle.loads(pickle.dumps(fresh(), protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:
+            assert "edges" not in vars(other)
+            assert _columns(other) == _columns(built)
+            assert other == built and hash(other) == hash(built)
+        for other in (fresh().with_budget(inst.k + 2), fresh().with_terminals(inst.t, inst.s)):
+            assert "edges" not in vars(other)
+            assert other.edges == built.edges
+        assert fresh().with_budget(inst.k + 2) == built.with_budget(inst.k + 2)
+        assert fresh().with_terminals(inst.t, inst.s) == built.with_terminals(inst.t, inst.s)
+        assert fresh().faulty_ids == built.faulty_ids
+
+
+def test_srp_and_frac_paths_build_no_edges():
+    rng = random.Random(2603)
+    texts = [serialize_instance(random_srp_instance(rng, leaves=rng.randint(1, 14), k=2))
+             for _ in range(20)]
+    texts += [serialize_instance(inst) for inst in _seeded(20, 2604)]
+    answered = 0
+    for i, text in enumerate(texts):
+        solvers = [frac.solve_frac] + [srp.solve_srp] * (i < 20)
+        for solve in solvers:
+            inst = parse_instance(text)
+            answer = _answer(solve, inst)
+            feasible = is_feasible(inst, range(len(inst._u)))
+            assert serialize_instance(inst) == text
+            assert "edges" not in vars(inst)
+            built = _built(text)
+            assert (answer, feasible) == (_answer(solve, built),
+                                          is_feasible(built, range(len(built.edges))))
+            answered += answer is not None
+    assert answered > 20
+
+
+def test_cli_solves_srp_and_frac_without_edges(tmp_path, monkeypatch, capsys):
+    rng = random.Random(2605)
+    paths = []
+    for i in range(6):
+        path = tmp_path / f"srp_{i}.ftp"
+        path.write_text(serialize_instance(random_srp_instance(rng, leaves=6 + 3 * i, k=2)))
+        paths.append(str(path))
+    argvs = [["solve", path, *extra] for path in paths
+             for extra in ([], ["--algorithm", "srp"], ["--algorithm", "frac"])]
+    expected = []
+    for argv in argvs:
+        expected.append((main(argv), capsys.readouterr()))
+
+    def refuse(*columns):
+        raise AssertionError("an Edge was built")
+
+    monkeypatch.setattr(core, "_edges_from", refuse)
+    for argv, (code, out) in zip(argvs, expected):
+        assert (main(argv), capsys.readouterr()) == (code, out), argv
+    assert {code for code, _ in expected} <= {EXIT_OK, EXIT_INFEASIBLE}
+    assert EXIT_OK in {code for code, _ in expected}
+
+
+def test_threads_read_equal_edges_with_shared_ids():
+    # More threads than cores and a short switch interval, while other
+    # threads grow the shared ids: every reader must see ids 0..m-1.
+    big_m = len(core._IDS) + 300
+    big = build_instance(False, 2, 0, 1, 1, [(0, 1, 1, False)] * big_m)
+    assert [e.id for e in big.edges] == list(range(big_m))
+    assert len(core._IDS) >= big_m
+    m = big_m - 100
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(5):
+            inst = build_instance(False, 3, 0, 2, 1, [(i % 3, (i + 1) % 3, i, i % 2 == 0)
+                                                       for i in range(m)])
+            growers = [build_instance(False, 2, 0, 1, 0, [(0, 1, 0, True)] * (big_m + 50 * j))
+                       for j in range(1, 3)]
+            barrier = threading.Barrier(6)
+            seen = []
+
+            def read(target):
+                barrier.wait()
+                seen.append((target, target.edges))
+
+            threads = [threading.Thread(target=read, args=(target,))
+                       for target in [inst] * 4 + growers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(seen) == 6
+            for target, edges in seen:
+                assert [e.id for e in edges] == list(range(len(target._u)))
+            ours = [edges for target, edges in seen if target is inst]
+            assert len(ours) == 4 and all(edges == ours[0] for edges in ours)
+            # Ids are shared with the larger instance, not made per instance.
+            assert all(a.id is b.id for a, b in zip(ours[0], big.edges)), round_
+    finally:
+        sys.setswitchinterval(interval)

@@ -190,6 +190,17 @@ def test_is_feasible_unknown_edge():
         is_feasible(inst, {3})
 
 
+def test_bool_edge_ids_are_unknown():
+    # True == 1 and False == 0, but a bool names no edge, as it names no terminal.
+    path = build_instance(False, 3, 0, 2, 0, [(0, 1, 1, False), (1, 2, 1, False)])
+    assert is_feasible(path, [0, 1])
+    for candidate in ([False, True], [0, True], [False, 1]):
+        with pytest.raises(UnknownEdgeId, match="unknown edge id (True|False)"):
+            is_feasible(path, candidate)
+    with pytest.raises(UnknownEdgeId):
+        infeasibility_witness(path, {True})
+
+
 def test_is_feasible_same_terminals():
     inst = build_instance(False, 2, 0, 0, 3, [(0, 1, 1, True)])
     assert is_feasible(inst, set())
