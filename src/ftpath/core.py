@@ -339,6 +339,10 @@ def check_candidate(instance: Instance, candidate: Iterable[int]) -> frozenset[i
     """Normalize a candidate edge-id set, raising :class:`UnknownEdgeId`."""
     ids = frozenset(candidate)
     m = len(instance._u)
+    # Plain in-range ints are accepted whole-set; otherwise the loop
+    # names the first bad id.
+    if set(map(type, ids)) == {int} and 0 <= min(ids) and max(ids) < m:
+        return ids
     for eid in ids:
         if isinstance(eid, bool) or not isinstance(eid, int) or not 0 <= eid < m:
             raise UnknownEdgeId(f"candidate references unknown edge id {eid!r}")
@@ -373,22 +377,51 @@ def infeasibility_witness(instance: Instance,
     The scenario is a set of at most ``k`` faulty candidate edges whose
     removal leaves no ``s``-``t`` path in the candidate.  By
     max-flow/min-cut, none exists iff the max ``s``-``t`` flow through
-    the candidate with capacity 1 on faulty edges and ``k+2`` (effectively
-    unlimited) on safe edges is at least ``k+1``.  Otherwise the minimum
-    cut has capacity at most ``k``, so it crosses faulty edges only, and
-    those edges are the returned scenario.
+    the candidate with capacity 1 on faulty edges and ``k+1`` on safe
+    edges is at least ``k+1``.  Otherwise every minimum cut has capacity
+    at most ``k``, so it crosses faulty edges only, and the edges leaving
+    the residual s side are the returned scenario.
+
+    The flow runs in ``flow._residual_flow`` on arrays built straight
+    from the candidate's columns: arc ``2i`` is the i-th non-loop
+    candidate edge, ``u -> v``, and arc ``2i + 1`` its residual twin,
+    ``v -> u``, with capacity 0 when the instance is directed and the
+    edge's own otherwise, so one pair carries an undirected edge either
+    way within one capacity budget.  Every maximum flow leaves the same
+    residual s side, the smallest source side of a minimum cut, and a
+    cut's capacity is the same here as in any network that models an
+    undirected edge by two opposite arcs or gives safe edges more than
+    ``k``; so the scenario does not depend on those choices.
     """
     from . import flow
 
     ids = check_candidate(instance, candidate)
-    if instance.s == instance.t:
+    s, t, k = instance.s, instance.t, instance.k
+    if s == t:
         return None
-    k = instance.k
-    net = flow.edge_network(instance, k + 2, ids)
-    result = flow.max_flow(net, instance.s, instance.t, k + 1)
-    if result.value > k:
+    us, vs, faulty = instance._u, instance._v, instance._faulty
+    edges = [eid for eid in ids if us[eid] != vs[eid]]
+    tails, heads = [us[eid] for eid in edges], [vs[eid] for eid in edges]
+    caps = [1 if faulty[eid] else k + 1 for eid in edges]
+    count = 2 * len(edges)
+    head, tail, cap = [0] * count, [0] * count, [0] * count
+    head[::2] = tail[1::2] = heads
+    head[1::2] = tail[::2] = tails
+    cap[::2] = caps
+    if not instance.directed:
+        cap[1::2] = caps
+    out: list[list[int]] = [[] for _ in range(instance.vertex_count)]
+    for a, u in enumerate(tail):
+        out[u].append(a)
+    side = flow._residual_flow(out, head, cap, s, t, k + 1)[1]
+    if side is None:
         return None
-    return frozenset(net.arcs[i].origin for i in result.min_cut)
+    inside = set(side)
+    if instance.directed:
+        return frozenset(eid for eid, u, v in zip(edges, tails, heads)
+                         if u in inside and v not in inside)
+    return frozenset(eid for eid, u, v in zip(edges, tails, heads)
+                     if (u in inside) != (v in inside))
 
 
 def scenario_count(instance: Instance) -> int:

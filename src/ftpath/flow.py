@@ -6,9 +6,12 @@ over asymptotics: shortest augmenting paths for max-flow, successive
 shortest paths for min-cost flow.  Max-flow is exact on integer and
 ``Fraction`` capacities; min-cost flow is integral and deterministic,
 returning the lexicographically smallest optimal per-arc flow vector.
-Both push their paths through one augmenting step, ``_augment``.  The
-min cut is read off max-flow's last breadth-first search, which drains
-its queue exactly over the residual s side.
+One residual search, ``_residual_flow``, serves both :func:`max_flow`
+and the feasibility check in ``core``, which hands it flat arrays built
+straight from an instance's columns, with no :class:`FlowNetwork`.  Its
+last breadth-first search drains its queue exactly over the residual s
+side, which gives the min cut.  ``_augment`` pushes min-cost flow's
+paths.
 
 Min-cost flow searches are Dijkstra searches on reduced costs (Johnson
 potentials; Edmonds & Karp 1972, Tomizawa 1971).  A network memoizes,
@@ -19,7 +22,6 @@ solvers make from one source run that first search once.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -142,6 +144,48 @@ def _augment(arcs, caps, flows, parent, s: int, t: int, push) -> tuple:
     return push, path
 
 
+def _residual_flow(out: list[list[int]], head: list[int], cap: list, s: int,
+                   t: int, cap_at) -> tuple:
+    """Shortest augmenting paths on flat residual arrays, up to ``cap_at``.
+
+    Arc ``2i`` is arc i and arc ``2i + 1`` its residual twin, so
+    ``a ^ 1`` is the twin of ``a`` and ``head[a ^ 1]`` its tail.
+    ``out[v]`` lists the arc ids leaving ``v`` and ``cap`` holds each
+    arc's residual capacity, which the search updates in place: each
+    augmentation pushes the path's bottleneck, or the units still
+    missing if fewer.  Returns the flow value and, when it is below
+    ``cap_at``, the residual s side that the last search drained, as a
+    list of vertices; otherwise ``None`` in its place.
+    """
+    value = 0
+    while value < cap_at:
+        parent = [-1] * len(out)
+        parent[s] = -2
+        reached = [s]
+        for u in reached:
+            for a in out[u]:
+                v = head[a]
+                if parent[v] == -1 and cap[a]:
+                    parent[v] = a
+                    reached.append(v)
+            if parent[t] != -1:
+                break
+        else:
+            return value, reached
+        push, v, path = cap_at - value, t, []
+        while v != s:
+            a = parent[v]
+            path.append(a)
+            if cap[a] < push:
+                push = cap[a]
+            v = head[a ^ 1]
+        for a in path:
+            cap[a] -= push
+            cap[a ^ 1] += push
+        value += push
+    return value, None
+
+
 def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
     """Maximum s-t flow, never pushing more than ``cap_at`` units.
 
@@ -160,29 +204,22 @@ def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
         raise ValueError("cap_at must be non-negative")
     arcs = net.arcs
     _check_capacities(arcs)
-    # Unlimited arcs can never carry more than cap_at units here.
-    caps = [cap_at if a.capacity is None else a.capacity for a in arcs]
-    flows = [0] * len(arcs)
-    adj = _adjacency(net)
-    value = 0
+    out: list[list[int]] = [[] for _ in range(net.vertex_count)]
+    head, cap = [], []
+    for i, a in enumerate(arcs):
+        if a.tail != a.head:
+            out[a.tail].append(2 * i)
+            out[a.head].append(2 * i + 1)
+        head += (a.head, a.tail)
+        # Unlimited arcs can never carry more than cap_at units here.
+        cap += (cap_at if a.capacity is None else a.capacity, 0)
+    value, side = _residual_flow(out, head, cap, s, t, cap_at)
     min_cut = None
-    while value < cap_at:
-        parent: dict[int, tuple[int, bool]] = {s: (-1, True)}
-        queue = deque([s])
-        while queue and t not in parent:
-            u = queue.popleft()
-            for idx, v, fwd in adj[u]:
-                residual = caps[idx] - flows[idx] if fwd else flows[idx]
-                if v not in parent and residual > 0:
-                    parent[v] = (idx, fwd)
-                    queue.append(v)
-        if t not in parent:
-            # The queue drained: ``parent`` holds the residual s side.
-            min_cut = tuple(i for i, a in enumerate(arcs)
-                            if a.tail in parent and a.head not in parent)
-            break
-        value += _augment(arcs, caps, flows, parent, s, t, cap_at - value)[0]
-    return FlowResult(value=value, flows=tuple(flows), min_cut=min_cut)
+    if side is not None:
+        side = set(side)
+        min_cut = tuple(i for i, a in enumerate(arcs)
+                        if a.tail in side and a.head not in side)
+    return FlowResult(value=value, flows=tuple(cap[1::2]), min_cut=min_cut)
 
 
 def _plan(net: FlowNetwork, amount: int) -> _Plan:

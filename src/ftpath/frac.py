@@ -28,6 +28,7 @@ from math import comb, lcm
 from operator import mul
 
 from . import flow, oracle, simplex
+# is_feasible is not called here; perfbench's tracer wraps it.
 from .core import (BadParameters, CapExceeded, Infeasible, Instance,
                    SolverCheckFailed, build_instance, is_feasible)
 
@@ -113,20 +114,19 @@ def solve_frac(instance: Instance) -> CapacityVector:
     ``x`` is the lexicographically smallest optimal vector by edge id.
 
     Raises:
-        Infeasible: even buying every edge is infeasible.
+        Infeasible: even buying every edge is infeasible, which an empty
+            scenario row shows.
         TooLargeForExactLP: the cut enumeration or LP would be too big.
     """
     m = len(instance._w)
     if instance.s == instance.t:
         return CapacityVector((Fraction(0),) * m, Fraction(0))
     # Are there more than MAX_CUT_ENUMERATION s-sides, 2**(n - 2)?  Compared
-    # by exponent, and before the flow below allocates per-vertex lists, so
-    # a huge vertex count is refused at once.
+    # by exponent, and before anything allocates per-vertex lists, so a
+    # huge vertex count is refused at once.
     if instance.vertex_count - 2 > MAX_CUT_ENUMERATION.bit_length() - 1:
         raise TooLargeForExactLP(
             f"{instance.vertex_count} vertices give too many cuts to enumerate")
-    if not is_feasible(instance, range(m)):
-        raise Infeasible("instance is infeasible even with every edge bought")
     cuts = enumerate_cut_edge_sets(instance)
     k = instance.k
     faulty = instance.faulty_ids
@@ -142,6 +142,10 @@ def solve_frac(instance: Instance) -> CapacityVector:
                          for failed in combinations(cut_faulty, fail))
         else:
             blocks.append((cut, cut_faulty))
+    # The empty row: a minimal cut of at most k edges, all faulty, or the
+    # empty cut of disconnected terminals.
+    if 0 in masks:
+        raise Infeasible("instance is infeasible even with every edge bought")
     kept: list[int] = []
     for mask in sorted(masks, key=lambda mask: (mask.bit_count(), mask)):
         if all(mask & low != low for low in kept):

@@ -413,14 +413,15 @@ def test_check_pipeline(tmp_path, gap_file, capsys):
 
 def test_check_infeasible_runs_one_max_flow(tmp_path, gap_file, capsys,
                                             monkeypatch):
+    # The check runs the flow search that max_flow shares, without max_flow.
     calls = []
-    original = flow.max_flow
+    original = flow._residual_flow
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(flow, "max_flow", counting)
+    monkeypatch.setattr(flow, "_residual_flow", counting)
     bad = tmp_path / "bad.ftps"
     bad.write_text("ftp-solution v1\nedges: 0\n")
     code, out, _ = run_main(["check", gap_file, str(bad)], capsys)

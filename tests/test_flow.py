@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from ftpath.core import Infeasible
-from ftpath.flow import Arc, FlowNetwork, FlowResult, balanced_flow, max_flow, min_cost_flow
+from ftpath.core import Infeasible, build_instance, infeasibility_witness
+from ftpath.flow import (Arc, FlowNetwork, FlowResult, balanced_flow, edge_network, max_flow,
+                         min_cost_flow)
 
 from conftest import exhaustive_min_cost_flow, min_cut_by_bipartition
 
@@ -337,3 +338,79 @@ def test_max_flow_matches_reference_on_seeded_networks():
     got = max_flow(net, 0, 3, 10)
     assert got == _reference_max_flow(net, 0, 3, 10)
     assert got.value == 2 and got.flows == (1, 0, 1, 1, 1, 1, 1)
+
+
+def _arc_max_flow(net: FlowNetwork, s: int, t: int, cap_at):
+    # max_flow as it was on Arc tuples before the shared residual search:
+    # tuple adjacency lists, dict parents, and the cut read off the last
+    # search's parents.
+    arcs = net.arcs
+    caps = [cap_at if a.capacity is None else a.capacity for a in arcs]
+    flows = [0] * len(arcs)
+    adj = [[] for _ in range(net.vertex_count)]
+    for i, a in enumerate(arcs):
+        if a.tail != a.head:
+            adj[a.tail].append((i, a.head, True))
+            adj[a.head].append((i, a.tail, False))
+    value, min_cut = 0, None
+    while value < cap_at:
+        parent = {s: (-1, True)}
+        queue = deque([s])
+        while queue and t not in parent:
+            u = queue.popleft()
+            for idx, v, fwd in adj[u]:
+                residual = caps[idx] - flows[idx] if fwd else flows[idx]
+                if v not in parent and residual > 0:
+                    parent[v] = (idx, fwd)
+                    queue.append(v)
+        if t not in parent:
+            min_cut = tuple(i for i, a in enumerate(arcs)
+                            if a.tail in parent and a.head not in parent)
+            break
+        push, path, v = cap_at - value, [], t
+        while v != s:
+            idx, fwd = parent[v]
+            path.append((idx, fwd))
+            room = caps[idx] - flows[idx] if fwd else flows[idx]
+            if room < push:
+                push = room
+            v = arcs[idx].tail if fwd else arcs[idx].head
+        for idx, fwd in path:
+            flows[idx] += push if fwd else -push
+        value += push
+    return FlowResult(value=value, flows=tuple(flows), min_cut=min_cut)
+
+
+def test_residual_search_matches_arc_max_flow_and_witness():
+    # The one residual search against the Arc-based method it replaced:
+    # max_flow on networks mixing unlimited, zero, int and Fraction
+    # capacities, and the feasibility witness against the min cut of the
+    # instance's edge network, on multigraphs with loops, candidate
+    # subsets, s = t and budgets up to 10**11.
+    rng = random.Random(2701)
+    capacities = (None, 0, 1, 2, 3, Fraction(1, 2), Fraction(5, 3))
+    for _ in range(1500):
+        n = rng.randint(2, 6)
+        arcs = tuple(Arc(rng.randrange(n), rng.randrange(n), rng.choice(capacities))
+                     for _ in range(rng.randint(0, 12)))
+        net = FlowNetwork(n, arcs)
+        s, t = rng.sample(range(n), 2)
+        for cap_at in (0, 1, 2, Fraction(7, 2), 10**11):
+            assert max_flow(net, s, t, cap_at) == _arc_max_flow(net, s, t, cap_at)
+    infeasible = 0
+    for number in range(3000):
+        n = rng.randint(1, 6)
+        rows = [(rng.randrange(n), rng.randrange(n), 1, rng.random() < 0.6)
+                for _ in range(rng.randint(0, 10))]
+        k = (0, 1, 2, 3, 10**11)[number % 5]
+        inst = build_instance(number % 2 == 0, n, rng.randrange(n), rng.randrange(n), k, rows)
+        ids = rng.sample(range(len(rows)), rng.randint(0, len(rows)))
+        expected = None
+        if inst.s != inst.t:
+            edge_net = edge_network(inst, k + 2, ids)
+            result = max_flow(edge_net, inst.s, inst.t, k + 1)
+            if result.value <= k:
+                expected = frozenset(edge_net.arcs[i].origin for i in result.min_cut)
+        assert infeasibility_witness(inst, ids) == expected
+        infeasible += expected is not None
+    assert infeasible > 1000
