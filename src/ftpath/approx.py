@@ -41,7 +41,7 @@ class NotFeasible(ValidationError):
 
 
 def _require_feasible(instance: Instance) -> None:
-    if not is_feasible(instance, range(len(instance.edges))):
+    if not is_feasible(instance, range(len(instance._u))):
         raise Infeasible("instance is infeasible even with every edge bought")
 
 
@@ -84,7 +84,7 @@ def approx_k(instance: Instance) -> Solution:
     _require_feasible(instance)
 
     def support_weight(net, res):
-        return sum(instance.edges[eid].w for eid in _support(net, res))
+        return sum(map(instance._w.__getitem__, _support(net, res)))
 
     links = _Links(instance, safe_cap=k, units=k + 1, weight=support_weight)
     total, seq = meta_shortest_path(instance.vertex_count, links.length,

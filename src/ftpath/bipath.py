@@ -103,7 +103,7 @@ class _Links:
     def __init__(self, instance: Instance, safe_cap: int, units: int, weight):
         self.instance, self.units, self.weight = instance, units, weight
         self.net = flow.edge_network(instance, safe_cap)
-        safe = [e.id for e in instance.edges if not e.faulty]
+        safe = [eid for eid, faulty in enumerate(instance._faulty) if not faulty]
         self.safe_adj = adjacency(instance, safe)
         self.all_adj = adjacency(instance)
         self.all_radj = adjacency(instance, reverse=True) if instance.directed else self.all_adj

@@ -514,8 +514,11 @@ def cmd_gen(args) -> int:
         raise ParseError(f"gen --kind {args.kind} needs --n of at least 2")
     if args.kind == "srp" and args.edges < 1:
         raise ParseError("gen --kind srp needs --edges of at least 1")
-    if args.max_w < 0:
-        raise ParseError("gen --max-w must be at least 0")
+    for name in ("count", "edges", "k", "max_w"):
+        if getattr(args, name) < 0:
+            raise ParseError(f"gen --{name.replace('_', '-')} must be at least 0")
+    if not 0 <= args.faulty_prob <= 1:
+        raise ParseError("gen --faulty-prob must be between 0 and 1")
     rng = random.Random(args.seed)
     written = 0
     with _file_errors("write", args.out):

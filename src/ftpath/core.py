@@ -382,16 +382,16 @@ def infeasibility_witness(instance: Instance,
     at most ``k``, so it crosses faulty edges only, and the edges leaving
     the residual s side are the returned scenario.
 
-    The flow runs in ``flow._residual_flow`` on arrays built straight
-    from the candidate's columns: arc ``2i`` is the i-th non-loop
-    candidate edge, ``u -> v``, and arc ``2i + 1`` its residual twin,
-    ``v -> u``, with capacity 0 when the instance is directed and the
-    edge's own otherwise, so one pair carries an undirected edge either
-    way within one capacity budget.  Every maximum flow leaves the same
-    residual s side, the smallest source side of a minimum cut, and a
-    cut's capacity is the same here as in any network that models an
-    undirected edge by two opposite arcs or gives safe edges more than
-    ``k``; so the scenario does not depend on those choices.
+    The flow runs in ``flow._residual_flow`` on the arrays that
+    ``flow._residual_arrays`` builds from the candidate's columns: each
+    edge ``u -> v`` is an arc with a twin ``v -> u`` of capacity 0 when
+    the instance is directed and the edge's own otherwise, so one pair
+    carries an undirected edge either way within one capacity budget.
+    Every maximum flow leaves the same residual s side, the smallest
+    source side of a minimum cut, and a cut's capacity is the same here
+    as in any network that models an undirected edge by two opposite
+    arcs or gives safe edges more than ``k``; so the scenario does not
+    depend on those choices.
     """
     from . import flow
 
@@ -400,27 +400,18 @@ def infeasibility_witness(instance: Instance,
     if s == t:
         return None
     us, vs, faulty = instance._u, instance._v, instance._faulty
-    edges = [eid for eid in ids if us[eid] != vs[eid]]
-    tails, heads = [us[eid] for eid in edges], [vs[eid] for eid in edges]
-    caps = [1 if faulty[eid] else k + 1 for eid in edges]
-    count = 2 * len(edges)
-    head, tail, cap = [0] * count, [0] * count, [0] * count
-    head[::2] = tail[1::2] = heads
-    head[1::2] = tail[::2] = tails
-    cap[::2] = caps
-    if not instance.directed:
-        cap[1::2] = caps
-    out: list[list[int]] = [[] for _ in range(instance.vertex_count)]
-    for a, u in enumerate(tail):
-        out[u].append(a)
+    tails, heads = [us[eid] for eid in ids], [vs[eid] for eid in ids]
+    caps = [1 if faulty[eid] else k + 1 for eid in ids]
+    out, head, cap = flow._residual_arrays(instance.vertex_count, tails, heads, caps,
+                                           None if instance.directed else caps)
     side = flow._residual_flow(out, head, cap, s, t, k + 1)[1]
     if side is None:
         return None
     inside = set(side)
     if instance.directed:
-        return frozenset(eid for eid, u, v in zip(edges, tails, heads)
+        return frozenset(eid for eid, u, v in zip(ids, tails, heads)
                          if u in inside and v not in inside)
-    return frozenset(eid for eid, u, v in zip(edges, tails, heads)
+    return frozenset(eid for eid, u, v in zip(ids, tails, heads)
                      if (u in inside) != (v in inside))
 
 
@@ -455,16 +446,17 @@ def adjacency(instance: Instance, edge_ids: Iterable[int] | None = None,
     appears from both ends; ``reverse`` flips directed arcs (for backward
     searches).
     """
-    edges, directed = instance.edges, instance.directed
-    ids = range(len(edges)) if edge_ids is None else sorted(edge_ids)
+    us, vs, ws, directed = instance._u, instance._v, instance._w, instance.directed
+    if reverse and directed:
+        us, vs = vs, us
+    ids = range(len(us)) if edge_ids is None else sorted(edge_ids)
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(instance.vertex_count)]
     for eid in ids:
-        e = edges[eid]
-        u, v = (e.v, e.u) if reverse and directed else (e.u, e.v)
+        u, v = us[eid], vs[eid]
         if u != v:
-            adj[u].append((v, e.w, eid))
+            adj[u].append((v, ws[eid], eid))
             if not directed:
-                adj[v].append((u, e.w, eid))
+                adj[v].append((u, ws[eid], eid))
     return adj
 
 

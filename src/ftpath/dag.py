@@ -207,8 +207,9 @@ def layerize(instance: Instance) -> LayeredInstance:
         # No s-t path at all; a two-layer shell with no edges.
         return LayeredInstance(instance, ((0,), (1,)), ())
     kept = [v for v in order if v in relevant]
-    kept_edges = [e for e in instance.edges
-                  if e.u in relevant and e.v in relevant and e.u != e.v]
+    us, vs, ws, faulty = instance._u, instance._v, instance._w, instance._faulty
+    kept_edges = [eid for eid, (u, v) in enumerate(zip(us, vs))
+                  if u in relevant and v in relevant and u != v]
     r = depth[t] + 1
     layer_members: list[list[int]] = [[] for _ in range(r)]
     vertex_of = {v: i for i, v in enumerate(kept)}
@@ -216,18 +217,18 @@ def layerize(instance: Instance) -> LayeredInstance:
         layer_members[depth[v]].append(vertex_of[v])
     next_vertex = len(kept)
     edges: list[LayeredEdge] = []
-    for e in kept_edges:
-        i, j = depth[e.u], depth[e.v]
-        chain = [vertex_of[e.u]]
+    for eid in kept_edges:
+        i, j = depth[us[eid]], depth[vs[eid]]
+        chain = [vertex_of[us[eid]]]
         for layer in range(i + 1, j):
             layer_members[layer].append(next_vertex)
             chain.append(next_vertex)
             next_vertex += 1
-        chain.append(vertex_of[e.v])
+        chain.append(vertex_of[vs[eid]])
         for step, (a, b) in enumerate(zip(chain, chain[1:])):
             edges.append(LayeredEdge(
                 id=len(edges), layer=i + step, tail=a, head=b,
-                w=e.w if step == 0 else 0, faulty=e.faulty, origin=e.id))
+                w=ws[eid] if step == 0 else 0, faulty=faulty[eid], origin=eid))
     if layer_members[0] != [vertex_of[s]] or layer_members[r - 1] != [vertex_of[t]]:
         raise SolverCheckFailed("layerize did not put s alone in the first "
                                 "layer and t alone in the last")

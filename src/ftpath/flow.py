@@ -6,18 +6,18 @@ over asymptotics: shortest augmenting paths for max-flow, successive
 shortest paths for min-cost flow.  Max-flow is exact on integer and
 ``Fraction`` capacities; min-cost flow is integral and deterministic,
 returning the lexicographically smallest optimal per-arc flow vector.
-One residual search, ``_residual_flow``, serves both :func:`max_flow`
-and the feasibility check in ``core``, which hands it flat arrays built
-straight from an instance's columns, with no :class:`FlowNetwork`.  Its
-last breadth-first search drains its queue exactly over the residual s
-side, which gives the min cut.  ``_augment`` pushes min-cost flow's
-paths.
+Both run on one residual layout, the flat arrays of
+``_residual_arrays``, where arc ``2i`` is arc i and ``2i + 1`` its twin.
+One residual search, ``_residual_flow``, serves :func:`max_flow` and the
+feasibility check in ``core``, which builds the arrays from an
+instance's columns; its last search drains exactly the residual s side,
+which gives the min cut.
 
 Min-cost flow searches are Dijkstra searches on reduced costs (Johnson
 potentials; Edmonds & Karp 1972, Tomizawa 1971).  A network memoizes,
-per flow amount, its packed arc weights and the first shortest-path tree
-of every source queried, so the pair queries that the link-graph
-solvers make from one source run that first search once.
+per flow amount, its residual arrays, packed arc weights and the first
+shortest-path tree of every source queried, so the pair queries that the
+link-graph solvers make from one source run that first search once.
 """
 
 from __future__ import annotations
@@ -48,10 +48,13 @@ class Arc(NamedTuple):
 
 
 class _Plan(NamedTuple):
-    # min_cost_flow state for one network and one amount.
-    caps: list[int]
-    packed: list[int]
-    adj: list[list[tuple[int, int, bool]]]
+    # min_cost_flow state for one network and one amount: the residual
+    # arrays with the capacity template that every call copies, and the
+    # packed weight of each residual arc, negated on the twins.
+    out: list[list[int]]
+    head: list[int]
+    cap: list[int]
+    weight: list[int]
     trees: dict[int, tuple[list, list]]  # source -> first (dist, parent)
 
 
@@ -107,55 +110,62 @@ def edge_network(instance: Instance, safe_cap: int,
     return FlowNetwork(instance.vertex_count, tuple(arcs))
 
 
-def _check_capacities(arcs) -> None:
-    for i, a in enumerate(arcs):
-        if a.capacity is not None and a.capacity < 0:
-            raise ValueError(f"arc {i} has negative capacity")
+def _residual_arrays(n: int, tails: list, heads: list, caps: list,
+                     twin_caps: list | None = None) -> tuple[list, list, list]:
+    """The residual arrays ``(out, head, cap)`` of arcs ``tails[i] -> heads[i]``.
 
+    Arc ``2i`` is arc i, of capacity ``caps[i]``, and arc ``2i + 1`` its
+    twin ``heads[i] -> tails[i]``, of capacity ``twin_caps[i]``, or 0
+    without ``twin_caps``; so ``a ^ 1`` is the twin of ``a`` and
+    ``head[a ^ 1]`` its tail.  ``out[v]`` lists the arc ids leaving
+    ``v`` in id order.  A loop's arcs sit there too: they lead back to a
+    vertex that a search has already reached.
 
-def _adjacency(net: FlowNetwork) -> list[list[tuple[int, int, bool]]]:
-    # (arc index, other end, is_forward) per vertex, in arc-index order
-    # for determinism
-    adj: list[list[tuple[int, int, bool]]] = [[] for _ in range(net.vertex_count)]
-    for i, a in enumerate(net.arcs):
-        if a.tail == a.head:
-            continue
-        adj[a.tail].append((i, a.head, True))
-        adj[a.head].append((i, a.tail, False))
-    return adj
-
-
-def _augment(arcs, caps, flows, parent, s: int, t: int, push) -> tuple:
-    """Push along the ``(arc, is_forward)`` parents from ``s`` to ``t``.
-
-    ``push`` drops to the least residual capacity on the path; returns
-    the units pushed and the path's steps, from ``t`` back.
+    Raises:
+        ValueError: a capacity in ``caps`` is negative.
     """
+    if min(caps, default=0) < 0:
+        first = next(i for i, c in enumerate(caps) if c < 0)
+        raise ValueError(f"arc {first} has negative capacity")
+    count = 2 * len(caps)
+    head, tail, cap = [0] * count, [0] * count, [0] * count
+    head[::2] = tail[1::2] = heads
+    head[1::2] = tail[::2] = tails
+    cap[::2] = caps
+    if twin_caps is not None:
+        cap[1::2] = twin_caps
+    out: list[list[int]] = [[] for _ in range(n)]
+    for a, u in enumerate(tail):
+        out[u].append(a)
+    return out, head, cap
+
+
+def _push_path(head: list[int], cap: list, parent: list, s: int, t: int, push):
+    # Pushes ``push`` units, or the bottleneck if fewer, along the parent
+    # arcs from s to t, twins included; returns the units pushed.
     path, v = [], t
     while v != s:
-        idx, fwd = step = parent[v]
-        path.append(step)
-        room = caps[idx] - flows[idx] if fwd else flows[idx]
-        if room < push:
-            push = room
-        v = arcs[idx].tail if fwd else arcs[idx].head
-    for idx, fwd in path:
-        flows[idx] += push if fwd else -push
-    return push, path
+        a = parent[v]
+        path.append(a)
+        if cap[a] < push:
+            push = cap[a]
+        v = head[a ^ 1]
+    for a in path:
+        cap[a] -= push
+        cap[a ^ 1] += push
+    return push
 
 
 def _residual_flow(out: list[list[int]], head: list[int], cap: list, s: int,
                    t: int, cap_at) -> tuple:
-    """Shortest augmenting paths on flat residual arrays, up to ``cap_at``.
+    """Shortest augmenting paths on residual arrays, up to ``cap_at``.
 
-    Arc ``2i`` is arc i and arc ``2i + 1`` its residual twin, so
-    ``a ^ 1`` is the twin of ``a`` and ``head[a ^ 1]`` its tail.
-    ``out[v]`` lists the arc ids leaving ``v`` and ``cap`` holds each
-    arc's residual capacity, which the search updates in place: each
-    augmentation pushes the path's bottleneck, or the units still
-    missing if fewer.  Returns the flow value and, when it is below
-    ``cap_at``, the residual s side that the last search drained, as a
-    list of vertices; otherwise ``None`` in its place.
+    ``(out, head, cap)`` are as :func:`_residual_arrays` builds them, and
+    the search updates ``cap`` in place: each augmentation pushes the
+    path's bottleneck, or the units still missing if fewer.  Returns the
+    flow value and, when it is below ``cap_at``, the residual s side
+    that the last search drained, as a list of vertices; otherwise
+    ``None`` in its place.
     """
     value = 0
     while value < cap_at:
@@ -172,17 +182,7 @@ def _residual_flow(out: list[list[int]], head: list[int], cap: list, s: int,
                 break
         else:
             return value, reached
-        push, v, path = cap_at - value, t, []
-        while v != s:
-            a = parent[v]
-            path.append(a)
-            if cap[a] < push:
-                push = cap[a]
-            v = head[a ^ 1]
-        for a in path:
-            cap[a] -= push
-            cap[a ^ 1] += push
-        value += push
+        value += _push_path(head, cap, parent, s, t, cap_at - value)
     return value, None
 
 
@@ -203,16 +203,10 @@ def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
     if cap_at < 0:
         raise ValueError("cap_at must be non-negative")
     arcs = net.arcs
-    _check_capacities(arcs)
-    out: list[list[int]] = [[] for _ in range(net.vertex_count)]
-    head, cap = [], []
-    for i, a in enumerate(arcs):
-        if a.tail != a.head:
-            out[a.tail].append(2 * i)
-            out[a.head].append(2 * i + 1)
-        head += (a.head, a.tail)
-        # Unlimited arcs can never carry more than cap_at units here.
-        cap += (cap_at if a.capacity is None else a.capacity, 0)
+    # Unlimited arcs can never carry more than cap_at units here.
+    out, head, cap = _residual_arrays(
+        net.vertex_count, [a.tail for a in arcs], [a.head for a in arcs],
+        [cap_at if a.capacity is None else a.capacity for a in arcs])
     value, side = _residual_flow(out, head, cap, s, t, cap_at)
     min_cut = None
     if side is not None:
@@ -223,39 +217,39 @@ def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
 
 
 def _plan(net: FlowNetwork, amount: int) -> _Plan:
-    plans = net._plans
-    plan = plans.get(amount)
-    if plan is not None:
-        return plan
-    arcs = net.arcs
-    # Checked before anything is memoized: a bad network never gets a
-    # plan, so every call on it raises again.
-    _check_capacities(arcs)
-    for i, a in enumerate(arcs):
-        if a.cost < 0:
-            raise ValueError(f"arc {i} has negative cost")
-    m = len(arcs)
-    base = amount + 2
-    big_w = base ** (m + 2)
-    packed = [a.cost * big_w + base ** (m - i) for i, a in enumerate(arcs)]
-    caps = [amount if a.capacity is None else a.capacity for a in arcs]
-    plan = plans[amount] = _Plan(caps, packed, _adjacency(net), {})
+    plan = net._plans.get(amount)
+    if plan is None:
+        arcs = net.arcs
+        # Checked before anything is memoized: a bad network never gets
+        # a plan, so every call on it raises again.
+        out, head, cap = _residual_arrays(
+            net.vertex_count, [a.tail for a in arcs], [a.head for a in arcs],
+            [amount if a.capacity is None else a.capacity for a in arcs])
+        for i, a in enumerate(arcs):
+            if a.cost < 0:
+                raise ValueError(f"arc {i} has negative cost")
+        m, base = len(arcs), amount + 2
+        big_w = base ** (m + 2)
+        packed = [a.cost * big_w + base ** (m - i) for i, a in enumerate(arcs)]
+        weight = [x for w in packed for x in (w, -w)]
+        plan = net._plans[amount] = _Plan(out, head, cap, weight, {})
     return plan
 
 
-def _dijkstra(plan: _Plan, flows: list[int], pot: list[int], s: int,
+def _dijkstra(plan: _Plan, cap: list[int], pot: list[int], s: int,
               t: int | None = None) -> tuple[list, list, list[bool]]:
     """Shortest residual paths from ``s`` on reduced costs.
 
-    The reduced cost of a residual arc ``u -> v`` is its packed weight
-    (negated when it cancels flow) plus ``pot[u] - pot[v]``, which the
-    caller keeps non-negative.  Stops once ``t`` is settled; returns the
-    distances, the ``(arc, is_forward)`` parents and the settled flags.
+    An arc ``a`` of ``plan`` is residual while ``cap[a]`` is nonzero;
+    its reduced cost from ``u`` to ``v`` is its packed weight plus
+    ``pot[u] - pot[v]``, which the caller keeps non-negative.  Stops
+    once ``t`` is settled; returns the distances, the parent arc ids and
+    the settled flags.
     """
-    caps, packed, adj = plan.caps, plan.packed, plan.adj
-    n = len(adj)
+    out, head, weight = plan.out, plan.head, plan.weight
+    n = len(out)
     dist: list[int | None] = [None] * n
-    parent: list[tuple[int, bool] | None] = [None] * n
+    parent = [-1] * n
     done = [False] * n
     dist[s] = 0
     heap = [(0, s)]
@@ -267,21 +261,15 @@ def _dijkstra(plan: _Plan, flows: list[int], pot: list[int], s: int,
         if u == t:
             break
         du = d + pot[u]
-        for idx, v, fwd in adj[u]:
-            if done[v]:
+        for a in out[u]:
+            v = head[a]
+            if done[v] or not cap[a]:
                 continue
-            if fwd:
-                if flows[idx] >= caps[idx]:
-                    continue
-                nd = du + packed[idx] - pot[v]
-            else:
-                if not flows[idx]:
-                    continue
-                nd = du - packed[idx] - pot[v]
+            nd = du + weight[a] - pot[v]
             dv = dist[v]
             if dv is None or nd < dv:
                 dist[v] = nd
-                parent[v] = (idx, fwd)
+                parent[v] = a
                 heappush(heap, (nd, v))
     return dist, parent, done
 
@@ -302,9 +290,10 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
     the path's bottleneck, its least residual capacity or the units still
     missing if fewer.  Packed weights are positive, so every search is a
     Dijkstra search on reduced costs kept non-negative by potentials.
-    The packed weights, the residual adjacency and the first search from
+    The residual arrays, the packed weights and the first search from
     each source, which is the same for every target, are memoized on
-    ``net`` per ``amount``; a target that first tree does not reach is
+    ``net`` per ``amount``; each call augments a copy of the memoized
+    capacities, and a target that first tree does not reach is
     infeasible without another search.
 
     Raises:
@@ -317,27 +306,23 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
         raise ValueError("amount must be non-negative")
     arcs = net.arcs
     plan = _plan(net, amount)
-    flows = [0] * len(arcs)
     if amount == 0:
-        return FlowResult(value=0, flows=tuple(flows), total_cost=0)
+        return FlowResult(value=0, flows=(0,) * len(arcs), total_cost=0)
     tree = plan.trees.get(s)
     if tree is None:
-        dist, parent, _ = _dijkstra(plan, flows, [0] * net.vertex_count, s)
+        dist, parent, _ = _dijkstra(plan, plan.cap, [0] * net.vertex_count, s)
         tree = plan.trees[s] = (dist, parent)
     dist, parent = tree
     pot = [0 if d is None else d for d in dist]
-    caps = plan.caps
-    total = pushed = 0
+    cap = plan.cap[:]
+    pushed = 0
     done = None  # None while dist is the first tree
     while True:
         if dist[t] is None:
             raise Infeasible(
                 f"only {pushed} of {amount} flow units fit",
                 max_achievable=pushed)
-        push, path = _augment(arcs, caps, flows, parent, s, t, amount - pushed)
-        total += push * sum(arcs[idx].cost if fwd else -arcs[idx].cost
-                            for idx, fwd in path)
-        pushed += push
+        pushed += _push_path(plan.head, cap, parent, s, t, amount - pushed)
         if pushed == amount:
             break
         if done is not None:
@@ -347,8 +332,10 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
             reach = dist[t]
             pot = [p + (d if ok else reach)
                    for p, d, ok in zip(pot, dist, done)]
-        dist, parent, done = _dijkstra(plan, flows, pot, s, t)
-    return FlowResult(value=amount, flows=tuple(flows), total_cost=total)
+        dist, parent, done = _dijkstra(plan, cap, pot, s, t)
+    flows = cap[1::2]
+    return FlowResult(value=amount, flows=tuple(flows),
+                      total_cost=sum(a.cost * f for a, f in zip(arcs, flows)))
 
 
 def balanced_flow(net: FlowNetwork) -> FlowResult | None:

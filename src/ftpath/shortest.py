@@ -153,6 +153,7 @@ def _two_route_costs(adj: list, radj: list, dist: list, via: list, source: int,
 
 def path_edges(instance: Instance, via: Sequence, source: int, target: int) -> tuple[int, ...]:
     """Edge ids along the tree path from ``source`` back from ``target``."""
+    us, vs = instance._u, instance._v
     out = []
     v = target
     while v != source:
@@ -160,8 +161,7 @@ def path_edges(instance: Instance, via: Sequence, source: int, target: int) -> t
         if eid is None:
             raise ValueError(f"vertex {target} is unreachable from {source}")
         out.append(eid)
-        e = instance.edges[eid]
-        v = e.u if (instance.directed or e.v == v) else e.v
+        v = us[eid] if (instance.directed or vs[eid] == v) else vs[eid]
     return tuple(reversed(out))
 
 
@@ -172,7 +172,7 @@ def safe_subgraph_distances(instance: Instance) -> tuple[list[list], dict]:
     safe edges only and ``witness[(u, v)]`` the realizing edge-id tuple
     for each finite pair.
     """
-    adj = adjacency(instance, [e.id for e in instance.edges if not e.faulty])
+    adj = adjacency(instance, [eid for eid, faulty in enumerate(instance._faulty) if not faulty])
     n = instance.vertex_count
     dist: list[list] = []
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
@@ -251,7 +251,7 @@ def shortest_path_solution(instance: Instance) -> Solution:
 
     This is the exact answer when the failure budget is zero.
     """
-    dist, via = dijkstra_tree(instance, instance.s, range(len(instance.edges)))
+    dist, via = dijkstra_tree(instance, instance.s, range(len(instance._u)))
     if dist[instance.t] == INF:
         raise Infeasible("terminals are disconnected")
     path = path_edges(instance, via, instance.s, instance.t)

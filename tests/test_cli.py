@@ -871,6 +871,34 @@ def test_gen_rejects_negative_max_w(tmp_path, capsys):
     assert err == "invalid input: gen --max-w must be at least 0\n"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--count", "-3"], "gen --count must be at least 0"),
+    (["--edges", "-2"], "gen --edges must be at least 0"),
+    (["--kind", "dag", "--edges", "-2"], "gen --edges must be at least 0"),
+    (["--k", "-1"], "gen --k must be at least 0"),
+    (["--kind", "gap", "--k", "-1"], "gen --k must be at least 0"),
+    (["--faulty-prob", "7"], "gen --faulty-prob must be between 0 and 1"),
+    (["--faulty-prob", "-0.5"], "gen --faulty-prob must be between 0 and 1"),
+    (["--faulty-prob", "nan"], "gen --faulty-prob must be between 0 and 1"),
+])
+def test_gen_rejects_out_of_range_values(tmp_path, capsys, flags, message):
+    # Refused before the output directory is made, as --max-w is.
+    out_dir = tmp_path / "g"
+    code, out, err = run_main(["gen", *flags, "--out", str(out_dir)], capsys)
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
+    assert not out_dir.exists()
+
+
+def test_gen_accepts_the_ends_of_each_range(tmp_path, capsys):
+    for flags in (["--count", "0"], ["--edges", "0"], ["--faulty-prob", "0"],
+                  ["--faulty-prob", "1"]):
+        out_dir = tmp_path / "_".join(flags)
+        code, out, _ = run_main(["gen", "--count", "1", *flags, "--out", str(out_dir)], capsys)
+        written = 0 if flags == ["--count", "0"] else 1
+        assert (code, out) == (EXIT_OK, f"wrote {written} instances to {out_dir}\n")
+        assert len(list(out_dir.iterdir())) == written
+
+
 def test_internal_value_error_exits_5(gap_file, capsys, monkeypatch):
     def broken(instance):
         raise ValueError("bug")

@@ -3,8 +3,8 @@
 The parsers and ``build_instance`` store u, v, w and faulty columns and
 build ``edges`` only when it is read; an instance made with ``edges``
 derives its columns when they are read.  Both forms must compare, hash,
-print, copy and pickle alike, and the ``srp`` and ``frac`` paths from a
-document to an answer must not build the edges at all.
+print, copy and pickle alike, and no solver's path from a document to an
+answer, nor ``check``'s, may build the edges at all.
 """
 
 import copy
@@ -15,11 +15,11 @@ import sys
 import threading
 
 from ftpath import core, frac, srp
-from ftpath.cli import (EXIT_INFEASIBLE, EXIT_OK, main, parse_dimacs, parse_instance,
-                        serialize_instance)
+from ftpath.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main, parse_dimacs,
+                        parse_instance, serialize_instance)
 from ftpath.core import Edge, Instance, build_instance, is_feasible
 
-from conftest import random_instance, random_srp_instance
+from conftest import random_dag_instance, random_instance, random_srp_instance
 
 def _seeded(count, seed):
     rng = random.Random(seed)
@@ -152,6 +152,46 @@ def test_cli_solves_srp_and_frac_without_edges(tmp_path, monkeypatch, capsys):
         assert (main(argv), capsys.readouterr()) == (code, out), argv
     assert {code for code, _ in expected} <= {EXIT_OK, EXIT_INFEASIBLE}
     assert EXIT_OK in {code for code, _ in expected}
+
+
+def test_cli_solves_and_checks_general_and_dag_without_edges(tmp_path, monkeypatch, capsys):
+    # bipath, approx-k, approx-k1 and dag, and auto, which runs shortest at
+    # k = 0, bipath at k = 1 and dag or srp, else approx-k, above; then
+    # check on every integral answer.
+    rng = random.Random(2806)
+    insts = [random_instance(rng, n_max=7, m_max=14, k=k, ensure_backbone=True,
+                             faulty_prob=0.3) for k in (0, 1, 1, 1, 1, 1, 1, 2, 2, 2)]
+    insts += [random_dag_instance(rng, n_max=7, m_max=14, k=k, faulty_prob=0.3)
+              for k in (1, 2, 2, 2, 2, 3)]
+    argvs = []
+    for i, inst in enumerate(insts):
+        path = tmp_path / f"doc_{i}.ftp"
+        path.write_text(serialize_instance(inst))
+        algorithms = ["auto", "approx-k1"] + ["bipath"] * (inst.k == 1)
+        algorithms += ["approx-k"] * (inst.k >= 1) + ["dag"] * inst.directed
+        argvs += [["solve", str(path), "--algorithm", name] for name in algorithms]
+    expected, solved = [], set()
+    for argv in argvs:
+        code, out = main(argv), capsys.readouterr()
+        expected.append((argv, code, out))
+        if code == EXIT_OK:
+            solution = tmp_path / f"answer_{len(expected)}.sol"
+            solution.write_text(out.out)
+            check = ["check", argv[1], str(solution)]
+            expected.append((check, main(check), capsys.readouterr()))
+            assert expected[-1][2].out == "feasible\n", argv
+            solved.add((argv[3], out.out.split("algorithm: ")[1].split()[0]))
+
+    def refuse(*columns):
+        raise AssertionError("an Edge was built")
+
+    monkeypatch.setattr(core, "_edges_from", refuse)
+    for argv, code, out in expected:
+        assert (main(argv), capsys.readouterr()) == (code, out), argv
+    # dag refuses a cyclic document with exit 3, after layerize has read it.
+    assert {code for _, code, _ in expected} == {EXIT_OK, EXIT_INFEASIBLE, EXIT_INVALID}
+    assert {("auto", "shortest"), ("auto", "bipath"), ("auto", "dag"), ("bipath", "bipath"),
+            ("approx-k", "approx-k"), ("approx-k1", "approx-k1"), ("dag", "dag")} <= solved
 
 
 def test_threads_read_equal_edges_with_shared_ids():

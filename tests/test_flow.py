@@ -1,3 +1,4 @@
+import heapq
 import random
 from collections import deque
 from fractions import Fraction
@@ -209,6 +210,11 @@ def test_min_cost_flow_negative_cost_raises_on_every_call():
     for _ in range(2):
         with pytest.raises(ValueError, match="negative cost"):
             min_cost_flow(net, 0, 1, 1)
+    # A negative capacity is refused the same way, before any plan is kept.
+    net = FlowNetwork(2, (Arc(0, 1, 1, 1), Arc(0, 1, -1, 1)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="arc 1 has negative capacity"):
+            min_cost_flow(net, 0, 1, 1)
 
 
 def test_min_cost_flow_target_outside_first_tree():
@@ -414,3 +420,120 @@ def test_residual_search_matches_arc_max_flow_and_witness():
         assert infeasibility_witness(inst, ids) == expected
         infeasible += expected is not None
     assert infeasible > 1000
+
+
+def _tuple_min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int):
+    # min_cost_flow as it was before it ran on the twin-arc arrays, kept
+    # as a reference: (arc, other end, is_forward) adjacency tuples,
+    # (arc, is_forward) parents, a flow vector beside the capacities and
+    # the cost summed along each path.  No memo: every call starts afresh.
+    arcs = net.arcs
+    for i, a in enumerate(arcs):
+        if a.capacity is not None and a.capacity < 0:
+            raise ValueError(f"arc {i} has negative capacity")
+    for i, a in enumerate(arcs):
+        if a.cost < 0:
+            raise ValueError(f"arc {i} has negative cost")
+    m, base = len(arcs), amount + 2
+    packed = [a.cost * base ** (m + 2) + base ** (m - i) for i, a in enumerate(arcs)]
+    caps = [amount if a.capacity is None else a.capacity for a in arcs]
+    adj = [[] for _ in range(net.vertex_count)]
+    for i, a in enumerate(arcs):
+        if a.tail != a.head:
+            adj[a.tail].append((i, a.head, True))
+            adj[a.head].append((i, a.tail, False))
+    flows = [0] * m
+    if amount == 0:
+        return FlowResult(value=0, flows=tuple(flows), total_cost=0)
+
+    def search(pot, target):
+        dist, parent, done = [None] * len(adj), [None] * len(adj), [False] * len(adj)
+        dist[s], heap = 0, [(0, s)]
+        while heap:
+            d, u = heapq.heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            if u == target:
+                break
+            for idx, v, fwd in adj[u]:
+                if done[v] or not (flows[idx] < caps[idx] if fwd else flows[idx]):
+                    continue
+                nd = d + pot[u] + (packed[idx] if fwd else -packed[idx]) - pot[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v], parent[v] = nd, (idx, fwd)
+                    heapq.heappush(heap, (nd, v))
+        return dist, parent, done
+
+    dist, parent, _ = search([0] * len(adj), None)
+    pot = [0 if d is None else d for d in dist]
+    total = pushed = 0
+    done = None
+    while True:
+        if dist[t] is None:
+            raise Infeasible(f"only {pushed} of {amount} flow units fit",
+                             max_achievable=pushed)
+        push, path, v = amount - pushed, [], t
+        while v != s:
+            idx, fwd = parent[v]
+            path.append((idx, fwd))
+            push = min(push, caps[idx] - flows[idx] if fwd else flows[idx])
+            v = arcs[idx].tail if fwd else arcs[idx].head
+        for idx, fwd in path:
+            flows[idx] += push if fwd else -push
+        total += push * sum(arcs[idx].cost if fwd else -arcs[idx].cost for idx, fwd in path)
+        pushed += push
+        if pushed == amount:
+            return FlowResult(value=amount, flows=tuple(flows), total_cost=total)
+        if done is not None:
+            pot = [p + (d if ok else dist[t]) for p, d, ok in zip(pot, dist, done)]
+        dist, parent, done = search(pot, t)
+
+
+def _reference_networks(rng: random.Random, count: int):
+    # A network whose cheapest second unit cancels the first unit on
+    # 1 -> 2, then ``count`` drawn ones with self-loops, zero and
+    # unlimited capacities, and parallel and antiparallel arcs.
+    yield FlowNetwork(4, (Arc(0, 1, 1, 1), Arc(1, 2, 1, 1), Arc(2, 3, 1, 1),
+                          Arc(0, 2, 1, 3), Arc(1, 3, 1, 3), Arc(0, 3, 1, 6)))
+    for _ in range(count):
+        n = rng.randint(2, 6)
+        arcs = []
+        for _ in range(rng.randint(0, 14)):
+            roll = rng.random()
+            cap = rng.choice((None, 0, 1, 1, 2, 3, 10**9))
+            if arcs and roll < 0.3:
+                a = rng.choice(arcs)
+                tail, head = (a.tail, a.head) if roll < 0.15 else (a.head, a.tail)
+            else:
+                tail = rng.randrange(n)
+                head = tail if roll > 0.85 else rng.randrange(n)
+            arcs.append(Arc(tail, head, cap, rng.randint(0, 9)))
+        yield FlowNetwork(n, tuple(arcs))
+
+
+def test_min_cost_flow_matches_tuple_adjacency_reference():
+    # One network answers shuffled (s, t, amount) queries, so the plan's
+    # memoized arrays and first trees are reused, against the reference
+    # that rebuilds everything per call.
+    rng = random.Random(2801)
+    outcomes = set()
+    for net in _reference_networks(rng, 400):
+        n = net.vertex_count
+        queries = [(s, t, amount) for s in range(n) for t in range(n) if s != t
+                   for amount in (0, 1, 2, 3, 10**9)]
+        rng.shuffle(queries)
+        for s, t, amount in queries:
+            try:
+                expected = _tuple_min_cost_flow(net, s, t, amount)
+            except Infeasible as err:
+                with pytest.raises(Infeasible) as got:
+                    min_cost_flow(net, s, t, amount)
+                assert got.value.max_achievable == err.max_achievable
+                outcomes.add("infeasible")
+            else:
+                assert min_cost_flow(net, s, t, amount) == expected
+                outcomes.add(amount if amount < 2 else "more")
+    assert outcomes == {0, 1, "more", "infeasible"}
+    trap = next(_reference_networks(rng, 0))
+    assert min_cost_flow(trap, 0, 3, 2) == FlowResult(2, (1, 0, 1, 1, 1, 0), 8)
