@@ -57,8 +57,6 @@ def approx_kplus1(instance: Instance) -> Solution:
     """
     _require_feasible(instance)
     k = instance.k
-    if instance.s == instance.t:
-        return Solution(frozenset(), 0, RATIO_BOUNDED, (k + 1, 1))
     net = flow.edge_network(instance, k + 1)
     result = flow.min_cost_flow(net, instance.s, instance.t, k + 1)
     return _checked_solution(instance, _support(net, result), RATIO_BOUNDED,
@@ -129,8 +127,6 @@ def induced_flow(instance: Instance, solution) -> InducedFlow:
     if not is_feasible(instance, ids):
         raise NotFeasible("edge set fails the feasibility check")
     k = instance.k
-    if instance.s == instance.t:
-        return InducedFlow(k + 1, {}, frozenset(), frozenset())
     net = flow.edge_network(instance, k + 1, ids)
     result = flow.min_cost_flow(net, instance.s, instance.t, k + 1)
     edge_flow: dict[int, int] = {}
@@ -167,8 +163,6 @@ def segment_decomposition(instance: Instance, solution) -> SegmentDecomposition:
     """
     ids = frozenset(solution)
     induced = induced_flow(instance, ids)
-    if instance.s == instance.t:
-        return SegmentDecomposition((instance.s,), ())
     dist, _ = dijkstra_tree(instance, instance.s, ids)
     cuts = {instance.s, instance.t}
     for eid in induced.bridge_edges:

@@ -153,16 +153,14 @@ class _Links:
         """
         entry = self.entries.get((u, v))
         if entry is None:
-            res, pair_d = None, 0
-            if u != v:
-                try:
-                    res = flow.min_cost_flow(self.net, u, v, self.units)
-                    pair_d = self.weight(self.net, res)
-                except Infeasible:
-                    pair_d = INF
-                if pair_d < self._c2(u)[v]:
-                    raise SolverCheckFailed(
-                        f"link {u}->{v} weighs {pair_d}, below its bound")
+            try:
+                res = flow.min_cost_flow(self.net, u, v, self.units)
+                pair_d = self.weight(self.net, res)
+            except Infeasible:
+                res, pair_d = None, INF
+            if pair_d < self._c2(u)[v]:
+                raise SolverCheckFailed(
+                    f"link {u}->{v} weighs {pair_d}, below its bound")
             entry = self.entries[(u, v)] = (self._tree(u)[0][v], pair_d, res)
         return entry
 

@@ -383,26 +383,34 @@ def infeasibility_witness(instance: Instance,
     the residual s side are the returned scenario.
 
     The flow runs in ``flow._residual_flow`` on the arrays that
-    ``flow._residual_arrays`` builds from the candidate's columns: each
-    edge ``u -> v`` is an arc with a twin ``v -> u`` of capacity 0 when
-    the instance is directed and the edge's own otherwise, so one pair
+    ``flow._residual_arrays`` builds from the candidate's columns, sized
+    by the candidate C: an instance of more than ``2|C| + 2`` vertices
+    numbers only the ones C touches, and ``s`` and ``t``.  Each edge
+    ``u -> v`` is an arc with a twin ``v -> u`` of capacity 0 when the
+    instance is directed and the edge's own otherwise, so one pair
     carries an undirected edge either way within one capacity budget.
     Every maximum flow leaves the same residual s side, the smallest
     source side of a minimum cut, and a cut's capacity is the same here
     as in any network that models an undirected edge by two opposite
-    arcs or gives safe edges more than ``k``; so the scenario does not
-    depend on those choices.
+    arcs or gives safe edges more than ``k``; so the scenario depends on
+    none of these choices, the numbering included.
     """
     from . import flow
 
     ids = check_candidate(instance, candidate)
     s, t, k = instance.s, instance.t, instance.k
-    if s == t:
-        return None
     us, vs, faulty = instance._u, instance._v, instance._faulty
     tails, heads = [us[eid] for eid in ids], [vs[eid] for eid in ids]
+    n = instance.vertex_count
+    # Up to 2|C| + 2 vertices the arrays are no longer than the candidate's
+    # own, so only a larger instance numbers the vertices C touches.
+    if n > 2 * len(ids) + 2:
+        touched = {s, t, *tails, *heads}
+        number = dict(zip(touched, range(len(touched))))
+        tails, heads = list(map(number.__getitem__, tails)), list(map(number.__getitem__, heads))
+        n, s, t = len(touched), number[s], number[t]
     caps = [1 if faulty[eid] else k + 1 for eid in ids]
-    out, head, cap = flow._residual_arrays(instance.vertex_count, tails, heads, caps,
+    out, head, cap = flow._residual_arrays(n, tails, heads, caps,
                                            None if instance.directed else caps)
     side = flow._residual_flow(out, head, cap, s, t, k + 1)[1]
     if side is None:

@@ -192,8 +192,6 @@ def layerize(instance: Instance) -> LayeredInstance:
     adj = adjacency(instance)
     order = _topological_order(adj)
     s, t = instance.s, instance.t
-    if s == t:
-        return LayeredInstance(instance, ((0,),), ())
     # Longest-path depths from s in linear time.  The predecessors that s
     # reaches of a vertex on an s-t path lie on one too, so its depth is
     # the same over the relevant vertices alone.
@@ -387,9 +385,7 @@ def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solutio
     layered = layerize(instance)
     k = instance.k
     _check_budget(layered, k, cap)
-    if instance.s == instance.t:
-        return Solution(frozenset(), 0, OPTIMAL)
-    if not layered.edges:
+    if not layered.edges and instance.s != instance.t:
         raise Infeasible("terminals are disconnected")
     best, bits = _route_tables(layered, k), (k + 1).bit_length()
     code = k + 1  # all units at t

@@ -11,7 +11,8 @@ Both run on one residual layout, the flat arrays of
 One residual search, ``_residual_flow``, serves :func:`max_flow` and the
 feasibility check in ``core``, which builds the arrays from an
 instance's columns; its last search drains exactly the residual s side,
-which gives the min cut.
+which gives the min cut.  At ``s = t`` both return the amount asked for
+along the empty path, with every arc's flow 0.
 
 Min-cost flow searches are Dijkstra searches on reduced costs (Johnson
 potentials; Edmonds & Karp 1972, Tomizawa 1971).  A network memoizes,
@@ -196,10 +197,9 @@ def max_flow(net: FlowNetwork, s: int, t: int, cap_at: int) -> FlowResult:
 
     Capacities and ``cap_at`` may be ``Fraction``s: the result is exact,
     and shortest augmenting paths (Edmonds & Karp 1972) terminate
-    whatever the capacities.
+    whatever the capacities.  At ``s = t`` it returns ``cap_at`` with
+    every arc's flow 0 and ``min_cut`` ``None``.
     """
-    if s == t:
-        raise ValueError("max_flow requires distinct terminals")
     if cap_at < 0:
         raise ValueError("cap_at must be non-negative")
     arcs = net.arcs
@@ -294,14 +294,13 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
     each source, which is the same for every target, are memoized on
     ``net`` per ``amount``; each call augments a copy of the memoized
     capacities, and a target that first tree does not reach is
-    infeasible without another search.
+    infeasible without another search.  At ``s = t`` the whole amount
+    takes the empty path: every arc carries 0, at ``total_cost`` 0.
 
     Raises:
         Infeasible: fewer than ``amount`` units fit; ``max_achievable``
             carries the true maximum.
     """
-    if s == t:
-        raise ValueError("min_cost_flow requires distinct terminals")
     if amount < 0:
         raise ValueError("amount must be non-negative")
     arcs = net.arcs

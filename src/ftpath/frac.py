@@ -208,9 +208,12 @@ def gap_family(D: int, k: int) -> Instance:
     D/(D-k), so the ratio approaches k+1 as D grows.
 
     Raises:
-        BadParameters: ``D < k+1`` (the family would be infeasible).
+        BadParameters: ``k < 0``, or ``D < k+1`` (the family would be
+            infeasible).
     """
-    if k < 0 or D < k + 1:
+    if k < 0:
+        raise BadParameters(f"failure budget k={k} is negative")
+    if D < k + 1:
         raise BadParameters(f"need D >= k+1, got D={D}, k={k}")
     return build_instance(False, 2, 0, 1, k, [(0, 1, 1, True)] * D)
 

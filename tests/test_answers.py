@@ -75,7 +75,10 @@ _DAG = build_instance(True, 3, 0, 2, 1, [(0, 1, 1, True), (0, 1, 1, True),
     (srp.solve_srp, _SP, "srp"),
     (shortest_path_solution, gap_family(3, 0), "shortest"),
     (lambda inst: srp.solve_ftp_srp(inst, srp.decompose_srp(inst)), _SP, "srp at budget 0"),
-], ids=["bipath", "approx-k1", "approx-k", "dag", "srp", "shortest", "solve_ftp_srp"])
+    (approx.approx_kplus1, _s_is_t(False, 2), "approx-k1"),
+    (dag.solve_kftp_dag, _s_is_t(True, 2), "dag"),
+], ids=["bipath", "approx-k1", "approx-k", "dag", "srp", "shortest", "solve_ftp_srp",
+        "approx-k1 at s = t", "dag at s = t"])
 def test_every_integral_solver_checks_its_answer(monkeypatch, solve, instance, name):
     monkeypatch.setattr(core, "is_feasible", lambda instance, edges: False)
     with pytest.raises(SolverCheckFailed, match=f"^{name} returned an infeasible edge set$"):

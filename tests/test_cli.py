@@ -691,6 +691,15 @@ def test_gap_command(capsys):
     assert "ratio: 3/2" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gap", "4", "-1"], "failure budget k=-1 is negative"),
+    (["gap", "2", "2"], "need D >= k+1, got D=2, k=2"),
+], ids=["negative k", "D below k+1"])
+def test_gap_command_refuses_bad_parameters(capsys, argv, message):
+    code, out, err = run_main(argv, capsys)
+    assert (code, out, err) == (EXIT_INVALID, "", f"invalid input: {message}\n")
+
+
 def test_bench_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -746,6 +755,14 @@ def test_bench_empty_dir(tmp_path, capsys):
     code, _, err = run_main(["bench", str(corpus), str(tmp_path / "t.txt")], capsys)
     assert code == EXIT_EMPTY
     assert "no instances" in err
+
+
+def test_bench_missing_dir(tmp_path, capsys):
+    table = tmp_path / "t.txt"
+    code, out, err = run_main(["bench", str(tmp_path / "missing"), str(table)], capsys)
+    assert (code, out) == (EXIT_INVALID, "")
+    assert err.startswith("cannot read corpus directory: ")
+    assert not table.exists()
 
 
 def test_gen_deterministic(tmp_path, capsys):

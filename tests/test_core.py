@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import pathlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -341,6 +342,24 @@ def test_infeasibility_witness_names_the_failing_edges():
     assert infeasibility_witness(inst.with_budget(1), {0, 1, 2}) is None
     with pytest.raises(UnknownEdgeId):
         infeasibility_witness(inst, {3})
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_witness_memory_is_sized_by_the_candidate(directed):
+    # Only the vertices the candidate touches, and s and t, are numbered,
+    # so a check on a million-vertex instance allocates nothing per vertex.
+    inst = build_instance(directed, 10**6, 999_999, 123_456, 1,
+                          [(999_999, 5, 1, True), (5, 123_456, 1, False)])
+    tracemalloc.start()
+    try:
+        answers = [infeasibility_witness(inst, {0, 1}), infeasibility_witness(inst, {1}),
+                   infeasibility_witness(inst.with_budget(0), {0, 1}),
+                   is_feasible(inst.with_budget(0), {0, 1})]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answers == [frozenset({0}), frozenset(), None, True]
+    assert peak < 2**20
 
 
 def test_no_bare_assert_in_package():

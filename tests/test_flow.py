@@ -537,3 +537,30 @@ def test_min_cost_flow_matches_tuple_adjacency_reference():
     assert outcomes == {0, 1, "more", "infeasible"}
     trap = next(_reference_networks(rng, 0))
     assert min_cost_flow(trap, 0, 3, 2) == FlowResult(2, (1, 0, 1, 1, 1, 0), 8)
+
+
+def test_flows_at_s_equal_t_are_zero():
+    # A vertex sends itself any amount along the empty path: on networks
+    # with loops and parallel arcs, both primitives return the amount with
+    # every arc at 0, and the first tree an s = t query memoizes serves
+    # the later queries from that source as a fresh network's would.
+    rng = random.Random(2901)
+    for net in _reference_networks(rng, 150):
+        n, zero = net.vertex_count, (0,) * len(net.arcs)
+        for v in range(n):
+            for amount in (0, 1, 2, 3, 10**9):
+                assert max_flow(net, v, v, amount) == FlowResult(amount, zero)
+                assert min_cost_flow(net, v, v, amount) == FlowResult(amount, zero, 0)
+            assert max_flow(net, v, v, Fraction(5, 2)) == FlowResult(Fraction(5, 2), zero)
+        fresh = FlowNetwork(n, net.arcs)
+        for s, t, amount in [(s, t, a) for s in range(n) for t in range(n) for a in (1, 2, 3)]:
+            assert _query(net, s, t, amount) == _query(fresh, s, t, amount)
+
+
+@pytest.mark.parametrize("s, t", [(0, 1), (1, 1)])
+def test_negative_cap_at_and_amount_raise(s, t):
+    net = FlowNetwork(2, (Arc(0, 1, 1, 1), Arc(1, 1, 1, 1)))
+    with pytest.raises(ValueError, match="^cap_at must be non-negative$"):
+        max_flow(net, s, t, -1)
+    with pytest.raises(ValueError, match="^amount must be non-negative$"):
+        min_cost_flow(net, s, t, -1)

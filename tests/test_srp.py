@@ -126,6 +126,15 @@ def test_faulty_leaf_table():
     assert table.entries[2] is None
 
 
+def test_table_solution_raises_at_an_infeasible_budget():
+    inst = build_instance(False, 2, 0, 1, 2, [(0, 1, 5, True)])
+    table = solve_ftp_srp(inst, decompose_srp(inst))
+    assert table.solution(0) == Solution(frozenset({0}), 5)
+    for budget in (1, 2):
+        with pytest.raises(Infeasible, match=f"^no solution survives {budget} failures$"):
+            table.solution(budget)
+
+
 def test_safe_leaf_table():
     inst = build_instance(False, 2, 0, 1, 2, [(0, 1, 5, False)])
     table = solve_ftp_srp(inst, decompose_srp(inst))
