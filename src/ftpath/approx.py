@@ -165,10 +165,10 @@ def segment_decomposition(instance: Instance, solution) -> SegmentDecomposition:
     induced = induced_flow(instance, ids)
     dist, _ = dijkstra_tree(instance, instance.s, ids)
     cuts = {instance.s, instance.t}
+    us, vs = instance._u, instance._v
     for eid in induced.bridge_edges:
-        e = instance.edges[eid]
-        cuts.add(e.u)
-        cuts.add(e.v)
+        cuts.add(us[eid])
+        cuts.add(vs[eid])
     ordered = tuple(sorted(cuts, key=lambda v: (dist[v], v)))
     position = {v: i for i, v in enumerate(ordered)}
     # Blocks: expand from each cut vertex, stopping at cut vertices;
@@ -187,12 +187,12 @@ def segment_decomposition(instance: Instance, solution) -> SegmentDecomposition:
                     stack.append(v)
     segments: list[set[int]] = [set() for _ in range(len(ordered) - 1)]
     for eid in sorted(ids):
-        e = instance.edges[eid]
-        if e.u in cuts and e.v in cuts:
-            if e.u != e.v:
-                segments[min(position[e.u], position[e.v])].add(eid)
+        u, v = us[eid], vs[eid]
+        if u in cuts and v in cuts:
+            if u != v:
+                segments[min(position[u], position[v])].add(eid)
         else:
-            anchor = e.v if e.u in cuts else e.u
+            anchor = v if u in cuts else u
             if anchor in block:
                 segments[block[anchor]].add(eid)
     return SegmentDecomposition(ordered, tuple(frozenset(seg) for seg in segments))

@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from . import __version__, approx, bipath, dag, frac, oracle, srp
 from .core import (DEFAULT_SCENARIO_CAP, CapExceeded, Infeasible, Instance,
-                   NotApplicable, Solution, ValidationError, _from_columns,
-                   build_instance, infeasibility_witness, reachable)
+                   NotApplicable, Solution, ValidationError, _from_columns, _witness,
+                   build_instance)
 from .shortest import shortest_path_solution
 
 __all__ = ["main", "parse_instance", "serialize_instance", "parse_solution",
@@ -368,11 +368,10 @@ def cmd_check(args) -> int:
     with (_file_errors("read", args.solution),
           open(args.solution, "r", encoding="utf-8") as handle):
         candidate = parse_solution(handle.read())
-    scenario = infeasibility_witness(instance, candidate)
+    scenario, side = _witness(instance, candidate)
     if scenario is None:
         sys.stdout.write("feasible\n")
         return EXIT_OK
-    side = reachable(instance, instance.s, candidate - scenario)
     sys.stdout.write("infeasible\n")
     sys.stdout.write("witness-scenario: " + " ".join(str(e) for e in sorted(scenario)) + "\n")
     sys.stdout.write("witness-cut-side: " + " ".join(str(v) for v in sorted(side)) + "\n")
@@ -602,6 +601,9 @@ def main(argv=None) -> int:
             return EXIT_INVALID
         raise
     try:
+        for name in ("cap_scenarios", "cap_configs"):
+            if getattr(args, name, 0) < 0:
+                raise ParseError(f"--{name.replace('_', '-')} must be at least 0")
         return args.func(args)
     except Infeasible as exc:
         sys.stderr.write(f"infeasible: {exc}\n")

@@ -13,8 +13,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, compress, repeat
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -151,13 +152,15 @@ class Edge:
 class Instance:
     """A fault-tolerant connection instance.
 
-    ``edges[i].id == i`` always holds after validation.  Instances are
-    immutable and safe to share across threads.  The parsers and
-    :func:`build_instance` store private ``u``, ``v``, ``w`` and
-    ``faulty`` columns instead of ``edges``, which is built from them on
-    first read and cached; an instance made with ``edges`` derives its
-    columns on first read.  Equality, hashing and ``repr`` read
-    ``edges``, so both forms behave alike.
+    Instances are immutable and safe to share across threads.  Their one
+    stored form is four private columns, ``_u``, ``_v``, ``_w`` and
+    ``_faulty`` (as bools), which every solver reads; edge ``i`` has id
+    ``i``.  The parsers and :func:`build_instance` store only the
+    columns, and ``edges`` is built from them on first read and cached.
+    An instance made with ``edges`` derives its columns at construction
+    and raises :class:`DuplicateEdgeId` unless ``edges[i].id == i``.
+    Equality, hashing and ``repr`` read ``edges``, so both forms behave
+    alike.
     """
 
     directed: bool
@@ -167,22 +170,15 @@ class Instance:
     t: int
     k: int
 
-    def __getattr__(self, name: str):
-        # Runs only for a name missing from __dict__: ``edges`` of a
-        # columnar instance, or the columns of one made with ``edges``.
-        # Any other name, dunders included, is missing, so that pickle
-        # and copy probe an empty instance safely.
-        held = self.__dict__
-        if name == "edges" and "_u" in held:
-            built = _edges_from(held["_u"], held["_v"], held["_w"], held["_faulty"])
-            held["edges"] = built
-            return built
-        if name in _COLUMNS and "edges" in held:
-            edges = held["edges"]
-            for column, attr in zip(_COLUMNS, ("u", "v", "w", "faulty")):
-                held[column] = tuple(getattr(e, attr) for e in edges)
-            return held[name]
-        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def __post_init__(self):
+        edges = self.edges
+        for pos, e in enumerate(edges):
+            if e.id != pos:
+                raise DuplicateEdgeId(
+                    f"edge at position {pos} has id {e.id}; ids must be 0..m-1 in order")
+        us, vs, ws, faulty = (tuple(map(attrgetter(name), edges))
+                              for name in ("u", "v", "w", "faulty"))
+        self.__dict__.update(_u=us, _v=vs, _w=ws, _faulty=tuple(map(bool, faulty)))
 
     @property
     def faulty_ids(self) -> frozenset[int]:
@@ -203,6 +199,14 @@ class Instance:
         other = object.__new__(Instance)
         other.__dict__.update(self.__dict__, **changes)
         return other
+
+
+# Set after the decorator, so that ``edges`` stays a field without a
+# default.  A non-data descriptor: the ``edges`` that an instance made
+# with edges holds in its ``__dict__`` wins over it.
+Instance.edges = cached_property(lambda self: _edges_from(self._u, self._v, self._w,
+                                                          self._faulty))
+Instance.edges.__set_name__(Instance, "edges")
 
 
 @dataclass(frozen=True)
@@ -264,7 +268,7 @@ def _from_columns(directed: bool, vertex_count: int, s: int, t: int, k: int,
     inst.__dict__.update(directed=bool(directed), vertex_count=vertex_count, s=s, t=t, k=k,
                          _u=tuple(us), _v=tuple(vs), _w=tuple(ws),
                          _faulty=tuple(map(bool, faulty)))
-    _validate(inst, (inst._u, inst._v, inst._w))
+    validate(inst)
     return inst
 
 
@@ -285,21 +289,16 @@ def _edges_from(us: tuple, vs: tuple, ws: tuple, faulty: tuple) -> tuple[Edge, .
 def validate(instance: Instance) -> None:
     """Check every structural invariant; raise on the first violation.
 
+    Reads the columns only, so it builds no :class:`Edge`.  Edge ids are
+    positions by construction (see :class:`Instance`).
+
     Raises:
-        DuplicateEdgeId: ids are not exactly ``0 .. len(edges)-1`` in order.
         BadEndpoint: an endpoint or terminal is a bool or outside ``[0, vertex_count)``.
         NegativeWeight: an edge has a negative or non-integer cost.
         OverflowRisk: a cost or the total cost does not fit in 63 bits.
         BadParameters: ``vertex_count`` or ``k`` is not an int (a bool is
             not one), ``vertex_count < 1`` or ``k < 0``.
     """
-    _validate(instance, None)
-
-
-def _validate(instance: Instance, columns: tuple | None) -> None:
-    # ``columns`` holds the u, v and w columns of edges whose ids are
-    # their positions.  If every value there is a plain int in range, the
-    # edges are valid; otherwise the loop finds the first violation.
     for name, value in (("vertex_count", instance.vertex_count), ("k", instance.k)):
         if not isinstance(value, int) or isinstance(value, bool):
             raise BadParameters(f"{name} must be an int, got {value!r}")
@@ -310,29 +309,27 @@ def _validate(instance: Instance, columns: tuple | None) -> None:
     for name, v in (("s", instance.s), ("t", instance.t)):
         if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < instance.vertex_count:
             raise BadEndpoint(f"terminal {name}={v} is not a vertex id")
-    if columns is not None and columns[0]:
-        us, vs, ws = columns
-        if (set(map(type, us)) | set(map(type, vs)) | set(map(type, ws)) == {int}
-                and 0 <= min(us) and 0 <= min(vs) and 0 <= min(ws)
-                and max(max(us), max(vs)) < instance.vertex_count
-                and sum(ws) <= MAX_COST):
-            return
+    # If every value is a plain int in range, the edges are valid;
+    # otherwise the loop finds the first violation.
+    us, vs, ws = instance._u, instance._v, instance._w
+    if us and (set(map(type, us)) | set(map(type, vs)) | set(map(type, ws)) == {int}
+               and 0 <= min(us) and 0 <= min(vs) and 0 <= min(ws)
+               and max(max(us), max(vs)) < instance.vertex_count
+               and sum(ws) <= MAX_COST):
+        return
     total = 0
-    for pos, e in enumerate(instance.edges):
-        if e.id != pos:
-            raise DuplicateEdgeId(
-                f"edge at position {pos} has id {e.id}; ids must be 0..m-1 in order")
-        for endpoint in (e.u, e.v):
+    for eid, (u, v, w) in enumerate(zip(us, vs, ws)):
+        for endpoint in (u, v):
             if (isinstance(endpoint, bool) or not isinstance(endpoint, int)
                     or not 0 <= endpoint < instance.vertex_count):
-                raise BadEndpoint(f"edge {e.id} endpoint {endpoint} is not a vertex id")
-        if not isinstance(e.w, int) or isinstance(e.w, bool) or e.w < 0:
-            raise NegativeWeight(f"edge {e.id} has cost {e.w!r}")
-        if e.w > MAX_COST:
-            raise OverflowRisk(f"edge {e.id} cost {e.w} exceeds 63 bits")
-        total += e.w
+                raise BadEndpoint(f"edge {eid} endpoint {endpoint} is not a vertex id")
+        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+            raise NegativeWeight(f"edge {eid} has cost {w!r}")
+        if w > MAX_COST:
+            raise OverflowRisk(f"edge {eid} cost {w} exceeds 63 bits")
+        total += w
         if total > MAX_COST:
-            raise OverflowRisk(f"running cost total overflows 63 bits at edge {e.id}")
+            raise OverflowRisk(f"running cost total overflows 63 bits at edge {eid}")
 
 
 def check_candidate(instance: Instance, candidate: Iterable[int]) -> frozenset[int]:
@@ -395,32 +392,43 @@ def infeasibility_witness(instance: Instance,
     arcs or gives safe edges more than ``k``; so the scenario depends on
     none of these choices, the numbering included.
     """
+    return _witness(instance, candidate)[0]
+
+
+def _witness(instance: Instance, candidate: Iterable[int]) -> tuple:
+    # The scenario and the residual s side of the flow that found it, in
+    # the instance's vertex ids, or ``(None, None)`` when the candidate is
+    # feasible.  The side is the smallest min-cut source side, which is
+    # the set of vertices ``s`` reaches over the candidate less the
+    # scenario.
     from . import flow
 
     ids = check_candidate(instance, candidate)
     s, t, k = instance.s, instance.t, instance.k
     us, vs, faulty = instance._u, instance._v, instance._faulty
     tails, heads = [us[eid] for eid in ids], [vs[eid] for eid in ids]
-    n = instance.vertex_count
+    n, names = instance.vertex_count, None
     # Up to 2|C| + 2 vertices the arrays are no longer than the candidate's
     # own, so only a larger instance numbers the vertices C touches.
     if n > 2 * len(ids) + 2:
-        touched = {s, t, *tails, *heads}
-        number = dict(zip(touched, range(len(touched))))
+        names = list({s, t, *tails, *heads})
+        number = dict(zip(names, range(len(names))))
         tails, heads = list(map(number.__getitem__, tails)), list(map(number.__getitem__, heads))
-        n, s, t = len(touched), number[s], number[t]
+        n, s, t = len(names), number[s], number[t]
     caps = [1 if faulty[eid] else k + 1 for eid in ids]
     out, head, cap = flow._residual_arrays(n, tails, heads, caps,
                                            None if instance.directed else caps)
     side = flow._residual_flow(out, head, cap, s, t, k + 1)[1]
     if side is None:
-        return None
+        return None, None
     inside = set(side)
     if instance.directed:
-        return frozenset(eid for eid, u, v in zip(ids, tails, heads)
-                         if u in inside and v not in inside)
-    return frozenset(eid for eid, u, v in zip(ids, tails, heads)
-                     if (u in inside) != (v in inside))
+        scenario = frozenset(eid for eid, u, v in zip(ids, tails, heads)
+                             if u in inside and v not in inside)
+    else:
+        scenario = frozenset(eid for eid, u, v in zip(ids, tails, heads)
+                             if (u in inside) != (v in inside))
+    return scenario, side if names is None else list(map(names.__getitem__, side))
 
 
 def scenario_count(instance: Instance) -> int:

@@ -225,13 +225,11 @@ def rounding_vector(x: CapacityVector, instance: Instance) -> tuple[Fraction, ..
     clipped at one.  The result dominates an integral (k+1)-unit flow,
     which is how the k+1 bound on the integrality gap arises.
     """
-    k = instance.k
-    scale = Fraction(k + 1)
+    scale = Fraction(instance.k + 1)
     out = []
-    for e in instance.edges:
-        xe = x.x[e.id]
-        ye = scale * xe
-        if e.faulty:
+    for eid, faulty in enumerate(instance._faulty):
+        ye = scale * x.x[eid]
+        if faulty:
             ye = min(Fraction(1), ye)
         out.append(ye)
     return tuple(out)
@@ -244,8 +242,8 @@ def fractional_max_flow(instance: Instance, capacities, banned=frozenset()) -> F
     """
     if instance.s == instance.t:
         raise ValueError("terminals must differ")
-    ids = [e.id for e in instance.edges
-           if e.id not in banned and Fraction(capacities[e.id]) > 0]
+    ids = [eid for eid in range(len(instance._u))
+           if eid not in banned and Fraction(capacities[eid]) > 0]
     arcs = tuple(a._replace(capacity=Fraction(capacities[a.origin]))
                  for a in flow.edge_network(instance, 1, ids).arcs)
     total = sum(a.capacity for a in arcs)

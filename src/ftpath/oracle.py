@@ -45,11 +45,11 @@ class OracleResult:
 
 def _build_adjacency(instance: Instance, ids: Iterable[int]) -> list[list[tuple[int, int]]]:
     adj: list[list[tuple[int, int]]] = [[] for _ in range(instance.vertex_count)]
+    us, vs = instance._u, instance._v
     for eid in ids:
-        e = instance.edges[eid]
-        adj[e.u].append((e.v, eid))
+        adj[us[eid]].append((vs[eid], eid))
         if not instance.directed:
-            adj[e.v].append((e.u, eid))
+            adj[vs[eid]].append((us[eid], eid))
     return adj
 
 
@@ -89,7 +89,7 @@ def _feasible_maximal(instance: Instance, ids: tuple[int, ...],
                       cap: int) -> bool:
     # Survival is monotone in the failure set, so only maximal failure
     # sets inside the candidate need checking.
-    faulty_in = [eid for eid in ids if instance.edges[eid].faulty]
+    faulty_in = [eid for eid in ids if instance._faulty[eid]]
     size = min(instance.k, len(faulty_in))
     if math.comb(len(faulty_in), size) > cap:
         raise ScenarioSpaceTooLarge(math.comb(len(faulty_in), size), cap)
@@ -114,7 +114,7 @@ def brute_force_opt(instance: Instance, *, edge_cap: int = DEFAULT_EDGE_CAP,
         InstanceTooLargeForOracle: more than ``edge_cap`` edges.
         ScenarioSpaceTooLarge: too many failure sets to check.
     """
-    m = len(instance.edges)
+    m = len(instance._u)
     if m > edge_cap:
         raise InstanceTooLargeForOracle(f"{m} edges exceed the cap of {edge_cap}")
     if instance.s == instance.t:
@@ -126,8 +126,8 @@ def brute_force_opt(instance: Instance, *, edge_cap: int = DEFAULT_EDGE_CAP,
     k = instance.k
     # Edges sorted by (cost, id); subsets are generated over positions in
     # this order, each subset exactly once.
-    order = sorted(range(m), key=lambda eid: (instance.edges[eid].w, eid))
-    costs = [instance.edges[eid].w for eid in order]
+    order = sorted(range(m), key=lambda eid: (instance._w[eid], eid))
+    costs = [instance._w[eid] for eid in order]
 
     def key(positions: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
         total = sum(costs[p] for p in positions)
@@ -140,7 +140,7 @@ def brute_force_opt(instance: Instance, *, edge_cap: int = DEFAULT_EDGE_CAP,
         explored += 1
         # An all-faulty candidate with at most k edges can never survive
         # its own worst failure set; skip the scenario sweep for those.
-        n_safe = sum(1 for eid in ids if not instance.edges[eid].faulty)
+        n_safe = sum(1 for eid in ids if not instance._faulty[eid])
         plausible = bool(ids) and (n_safe > 0 or len(ids) > k)
         if plausible and _feasible_maximal(instance, ids, scenario_cap):
             return OracleResult(Solution(frozenset(ids), total, OPTIMAL), explored)

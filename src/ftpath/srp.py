@@ -236,14 +236,14 @@ def decompose_srp(instance: Instance) -> DecompositionNode:
             tree node can hold, is refused with itself as the remainder.
     """
     kind, left, right, flip = _reduce(instance)
-    for e in instance.edges:
-        if e.u == e.v:
-            raise NotSeriesParallel(f"edge e{e.id} is a self-loop at vertex {e.u}",
-                                    ((e.u, e.v, (e.id,)),))
+    for eid, (u, v) in enumerate(zip(instance._u, instance._v)):
+        if u == v:
+            raise NotSeriesParallel(f"edge e{eid} is a self-loop at vertex {u}",
+                                    ((u, v, (eid,)),))
     # Top-down, a node is flipped when its parent's use of it is.
     flips = bytearray(len(kind))
     flips[-1] = flip
-    for i in range(len(kind) - 1, len(instance.edges) - 1, -1):
+    for i in range(len(kind) - 1, len(instance._u) - 1, -1):
         flips[left[i] >> 1] = flips[i] ^ (left[i] & 1)
         flips[right[i] >> 1] = flips[i] ^ (right[i] & 1)
     root = _build(instance, kind, left, right, flips)
@@ -257,8 +257,8 @@ def _build(instance: Instance, kind: list[int], left: list[int], right: list[int
            flips: bytearray) -> DecompositionNode:
     # Bottom-up dataclasses; a flipped leaf runs v-u, a flipped series
     # node swaps its children.
-    built: list = [Leaf(e.id, e.v, e.u) if flips[e.id] else Leaf(e.id, e.u, e.v)
-                   for e in instance.edges]
+    built: list = [Leaf(eid, v, u) if flip else Leaf(eid, u, v)
+                   for eid, (u, v, flip) in enumerate(zip(instance._u, instance._v, flips))]
     for i in range(len(built), len(kind)):
         first, second = built[left[i] >> 1], built[right[i] >> 1]
         if kind[i] == _PARALLEL:
@@ -299,7 +299,8 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
     # Open compositions are [kind, left-or-None] frames, so expressions
     # may nest arbitrarily deep without recursion.  ``done`` is the last
     # finished value, or None while a value is expected.
-    m = len(instance.edges)
+    us, vs = instance._u, instance._v
+    m = len(us)
     kind, left, right = [_LEAF] * m, [0] * m, [0] * m
     leaf_ids: list[int] = []
     frames: list[list] = []
@@ -328,13 +329,13 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
             raise TreeMismatch(f"leaf references unknown edge e{eid}")
     if sorted(leaf_ids) != list(range(m)):
         raise TreeMismatch("tree leaves do not partition the edge set")
-    for e in instance.edges:
-        if e.u == e.v:
-            raise TreeMismatch(f"leaf e{e.id} is a self-loop at vertex {e.u}")
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        if u == v:
+            raise TreeMismatch(f"leaf e{eid} is a self-loop at vertex {u}")
 
     # Bottom-up, the (u, v) each node can join; top-down, the smallest
     # series midpoint that meets the node's ends.
-    ends = [{(e.u, e.v), (e.v, e.u)} for e in instance.edges]
+    ends = [{(u, v), (v, u)} for u, v in zip(us, vs)]
     for i in range(m, len(kind)):
         lc, rc = ends[left[i] >> 1], ends[right[i] >> 1]
         if kind[i] == _SERIES:
@@ -354,8 +355,8 @@ def parse_decomposition(text: str, instance: Instance) -> DecompositionNode:
             mid = min(b for x, b in ends[l] if x == a and (b, d) in ends[r])
             goal[l], goal[r] = (a, mid), (mid, d)
     flips = bytearray(len(kind))
-    for e in instance.edges:
-        flips[e.id] = goal[e.id] != (e.u, e.v)
+    for eid, (u, v) in enumerate(zip(us, vs)):
+        flips[eid] = goal[eid] != (u, v)
     return _build(instance, kind, left, right, flips)
 
 
@@ -403,8 +404,8 @@ class SolutionTable:
 
 def _flatten_tree(instance: Instance, tree: DecompositionNode) -> _Flat:
     # The tree's post-order as flat arrays, checking every node on the way.
-    edges = instance.edges
-    m = len(edges)
+    us, vs = instance._u, instance._v
+    m = len(us)
     kind, left, right = [_LEAF] * m, [0] * m, [0] * m
     seen = bytearray(m)
     done: list[int] = []
@@ -412,16 +413,17 @@ def _flatten_tree(instance: Instance, tree: DecompositionNode) -> _Flat:
     while stack:
         node, expanded = stack.pop()
         if isinstance(node, Leaf):
-            if not 0 <= node.edge < m or seen[node.edge]:
+            eid = node.edge
+            if not 0 <= eid < m or seen[eid]:
                 raise TreeMismatch("tree leaves do not partition the edge set")
-            e = edges[node.edge]
-            if e.u == e.v:
-                raise TreeMismatch(f"leaf e{e.id} is a self-loop at vertex {e.u}")
-            if {node.u, node.v} != {e.u, e.v}:
-                raise TreeMismatch(f"leaf e{e.id} joins {node.u}-{node.v}, "
-                                   f"but the edge joins {e.u}-{e.v}")
-            seen[e.id] = 1
-            done.append(e.id * 2 + (node.u != e.u))
+            u, v = us[eid], vs[eid]
+            if u == v:
+                raise TreeMismatch(f"leaf e{eid} is a self-loop at vertex {u}")
+            if {node.u, node.v} != {u, v}:
+                raise TreeMismatch(f"leaf e{eid} joins {node.u}-{node.v}, "
+                                   f"but the edge joins {u}-{v}")
+            seen[eid] = 1
+            done.append(eid * 2 + (node.u != u))
         elif not expanded:
             stack += ((node, True), (node.right, False), (node.left, False))
         else:

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -428,6 +429,79 @@ def test_check_infeasible_runs_one_max_flow(tmp_path, gap_file, capsys,
     assert code == EXIT_OK
     assert out == "infeasible\nwitness-scenario: 0\nwitness-cut-side: 0\n"
     assert len(calls) == 1
+
+
+def test_check_cut_side_is_what_s_reaches_without_the_scenario(tmp_path, capsys):
+    # The printed side is the residual s side of the check's own flow; the
+    # reference is a search over the candidate less the scenario.  Extra
+    # isolated vertices make the check number only the touched vertices.
+    rng = random.Random(3002)
+    seen = dict.fromkeys(("directed", "undirected", "loop", "parallel", "numbered"), 0)
+    path, sol = tmp_path / "i.ftp", tmp_path / "s.ftps"
+    for _ in range(400):
+        n, directed = rng.randint(2, 6), rng.random() < 0.5
+        rows = [(rng.randrange(n), rng.randrange(n), rng.randint(0, 3), rng.random() < 0.6)
+                for _ in range(rng.randint(1, 9))]
+        inst = build_instance(directed, n + rng.choice((0, 0, 30)), rng.randrange(n),
+                              rng.randrange(n), rng.randint(0, 2), rows)
+        candidate = frozenset(eid for eid in range(len(rows)) if rng.random() < 0.7)
+        path.write_text(serialize_instance(inst))
+        sol.write_text("ftp-solution v1\nedges: " + " ".join(map(str, sorted(candidate))) + "\n")
+        code, out, err = run_main(["check", str(path), str(sol)], capsys)
+        assert (code, err) == (EXIT_OK, "")
+        scenario = core.infeasibility_witness(inst, candidate)
+        if scenario is None:
+            assert out == "feasible\n"
+            continue
+        side = core.reachable(inst, inst.s, candidate - scenario)
+        assert out == ("infeasible\n"
+                       f"witness-scenario: {' '.join(map(str, sorted(scenario)))}\n"
+                       f"witness-cut-side: {' '.join(map(str, sorted(side)))}\n")
+        ends = [(inst._u[eid], inst._v[eid]) for eid in candidate]
+        seen["directed" if directed else "undirected"] += 1
+        seen["loop"] += any(u == v for u, v in ends)
+        seen["parallel"] += len(set(map(frozenset, ends))) < len(ends)
+        seen["numbered"] += inst.vertex_count > 2 * len(candidate) + 2
+    assert min(seen.values()) >= 20, seen
+
+
+def test_check_of_a_huge_vertex_count_allocates_nothing_per_vertex(tmp_path, capsys):
+    path, sol = tmp_path / "huge.ftp", tmp_path / "huge.ftps"
+    path.write_text("ftp-instance v1\ndirected: false\nvertices: 30000000\ns: 0\nt: 2\n"
+                    "k: 1\nedge 0 0 1 1 faulty\nedge 1 1 2 1 safe\n")
+    sol.write_text("ftp-solution v1\nedges: 0 1\n")
+    tracemalloc.start()
+    try:
+        result = run_main(["check", str(path), str(sol)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (EXIT_OK, "infeasible\nwitness-scenario: 0\nwitness-cut-side: 0\n", "")
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("option, algorithm", [("--cap-scenarios", "oracle"),
+                                               ("--cap-configs", "dag")])
+def test_negative_caps_are_usage_errors(tmp_path, capsys, option, algorithm):
+    path = tmp_path / "d.ftp"
+    path.write_text(serialize_instance(build_instance(True, 3, 0, 2, 1, [
+        (0, 1, 1, True), (1, 2, 1, False), (0, 2, 3, True)])))
+    corpus, table = tmp_path / "corpus", tmp_path / "table.txt"
+    corpus.mkdir()
+    (corpus / "d.ftp").write_text(path.read_text())
+    message = f"invalid input: {option} must be at least 0\n"
+    for cap in ("-1", "-100"):
+        for argv in (["solve", str(path), "--algorithm", algorithm],
+                     ["bench", str(corpus), str(table)]):
+            assert run_main([*argv, option, cap], capsys) == (EXIT_INVALID, "", message)
+    assert not table.exists()
+    # A cap of 0 is a cap: the solver refuses, and bench records the skip.
+    code, out, err = run_main(["solve", str(path), "--algorithm", algorithm, option, "0"],
+                              capsys)
+    assert (code, out) == (EXIT_CAPS, "") and err.startswith("caps exceeded: ")
+    code, out, _ = run_main(["bench", str(corpus), str(table), option, "0"], capsys)
+    assert code == EXIT_OK
+    assert any(line.split()[1:3] == [algorithm, "SKIPPED(caps:"] for line in out.splitlines())
 
 
 def test_parser_built_once_per_process(gap_file, capsys, monkeypatch):

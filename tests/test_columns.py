@@ -1,10 +1,11 @@
-"""The columnar ``Instance``: edges built on first read, columns on demand.
+"""The columnar ``Instance``: columns always, edges built on first read.
 
 The parsers and ``build_instance`` store u, v, w and faulty columns and
 build ``edges`` only when it is read; an instance made with ``edges``
-derives its columns when they are read.  Both forms must compare, hash,
+derives its columns at construction.  Both forms must compare, hash,
 print, copy and pickle alike, and no solver's path from a document to an
-answer, nor ``check``'s, may build the edges at all.
+answer, nor ``check``'s, nor any library call in the package, may build
+the edges at all.
 """
 
 import copy
@@ -14,7 +15,9 @@ import random
 import sys
 import threading
 
-from ftpath import core, frac, srp
+import pytest
+
+from ftpath import approx, core, frac, oracle, srp
 from ftpath.cli import (EXIT_INFEASIBLE, EXIT_INVALID, EXIT_OK, main, parse_dimacs,
                         parse_instance, serialize_instance)
 from ftpath.core import Edge, Instance, build_instance, is_feasible
@@ -233,3 +236,76 @@ def test_threads_read_equal_edges_with_shared_ids():
             assert all(a.id is b.id for a, b in zip(ours[0], big.edges)), round_
     finally:
         sys.setswitchinterval(interval)
+
+
+def _outcome(call, inst):
+    # ``(True, result)``, or ``(False, (error type, message))``.
+    try:
+        return True, call(inst)
+    except (core.FTPError, ValueError) as exc:
+        return False, (type(exc), str(exc))
+
+
+def _library_calls(built):
+    # Each in-package reader that works on the columns, with the inputs
+    # it needs taken from the instance with edges built.
+    calls = {
+        "validate": core.validate,
+        "brute_force_opt": oracle.brute_force_opt,
+        "brute_force_feasible":
+            lambda inst: oracle.brute_force_feasible(inst, range(0, len(inst._u), 2)),
+        "decompose_srp": srp.decompose_srp,
+    }
+    ok, tree = _outcome(srp.decompose_srp, built)
+    if ok:
+        text = srp.format_decomposition(tree)
+        calls["parse_decomposition"] = lambda inst: srp.parse_decomposition(text, inst)
+        calls["solve_ftp_srp"] = lambda inst: srp.solve_ftp_srp(inst, tree)
+    ok, x = _outcome(frac.solve_frac, built)
+    if ok:
+        calls["rounding_vector"] = lambda inst: frac.rounding_vector(x, inst)
+        calls["fractional_max_flow"] = lambda inst: frac.fractional_max_flow(
+            inst, x.x, frozenset(sorted(inst.faulty_ids)[:inst.k]))
+    best = oracle.brute_force_opt(built).best
+    answer = range(len(built._u)) if best is None else best.edges
+    calls["induced_flow"] = lambda inst: approx.induced_flow(inst, answer)
+    calls["segment_decomposition"] = lambda inst: approx.segment_decomposition(inst, answer)
+    return calls
+
+
+def test_library_calls_read_the_columns_only(monkeypatch):
+    rng = random.Random(3001)
+    insts = [random_srp_instance(rng, leaves=rng.randint(1, 9), k=rng.randint(0, 2))
+             for _ in range(14)]
+    insts += [random_instance(rng, n_max=5, m_max=9, ensure_backbone=True) for _ in range(14)]
+    cases = []
+    for inst in insts:
+        text = serialize_instance(inst)
+        built = _built(text)
+        cases += [(text, name, call, _outcome(call, built))
+                  for name, call in _library_calls(built).items()]
+
+    def refuse(*columns):
+        raise AssertionError("an Edge was built")
+
+    monkeypatch.setattr(core, "_edges_from", refuse)
+    answered = dict.fromkeys((name for _, name, _, _ in cases), 0)
+    for text, name, call, expected in cases:
+        inst = parse_instance(text)
+        assert _outcome(call, inst) == expected, (name, text)
+        assert "edges" not in vars(inst), name
+        answered[name] += expected[0]
+    assert len(answered) == 10
+    assert min(answered.values()) >= 3, answered
+
+
+def test_misnumbered_ids_raise_at_construction():
+    edges = (Edge(0, 0, 1, 1, False), Edge(2, 1, 2, 1, True), Edge(1, 1, 2, 1, False))
+    with pytest.raises(core.DuplicateEdgeId) as caught:
+        Instance(False, 3, edges, 0, 2, 1)
+    assert str(caught.value) == "edge at position 1 has id 2; ids must be 0..m-1 in order"
+    # The id check comes first, before any other field is looked at.
+    with pytest.raises(core.DuplicateEdgeId):
+        Instance(False, -1, (Edge(1, 0, 9, -1, False),), 0, 2, 1)
+    inst = Instance(False, 3, edges[:1], 0, 2, 1)
+    assert "edges" in vars(inst) and _columns(inst) == ((0,), (1,), (1,), (False,))
