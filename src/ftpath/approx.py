@@ -7,11 +7,11 @@ the guarantee to k times the optimum.  The second is the link graph of
 the exact k=1 solver (``bipath``) with three parameters changed: the
 safe-edge capacity is k (not 2 or 1), each link carries k+1 flow units
 (not 2), and a link weighs its flow's support, each edge counted once
-(not the flow's cost).  As there, a link is computed only when the
-goal-directed (A*) meta shortest path first reads it, and its flow only
-when a lower bound cannot decide it.  No support edge carries more than
-k of the k+1 units, so every u-v cut crosses at least 2 support edges,
-and the support holds 2 edge-disjoint u-v routes (Menger).  It therefore weighs
+(not the flow's cost).  As there, a link's flow runs only when its
+lower bound reaches the top of the lazy A* meta search's queue and
+cannot decide the link.  No support edge carries more than k of the k+1
+units, so every u-v cut crosses at least 2 support edges, and the
+support holds 2 edge-disjoint u-v routes (Menger).  It therefore weighs
 at least ``c2``, the min cost of 2 edge-disjoint routes, which
 ``bipath``'s table takes for every target of a source from one
 Suurballe-Tarjan pass with every capacity 1; ``c2`` is at least twice
@@ -86,7 +86,8 @@ def approx_k(instance: Instance) -> Solution:
 
     links = _Links(instance, safe_cap=k, units=k + 1, weight=support_weight)
     total, seq = meta_shortest_path(instance.vertex_count, links.length,
-                                    instance.s, instance.t, links.potential())
+                                    instance.s, instance.t, links.potential(),
+                                    bound=links.bound)
     if total == INF:
         raise Infeasible("no link decomposition connects the terminals")
     chosen: set[int] = set()

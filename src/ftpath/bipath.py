@@ -7,23 +7,22 @@ link length, the cheaper of (a) a shortest path using safe edges only
 and (b) a cheapest pair of routes carrying two flow units, finds a
 shortest s-t path in the complete "link" graph over those lengths and
 expands each chosen link back into concrete edges.  Link lengths are
-computed on first read, so only the links leaving vertices that the
-meta shortest path settles before ``t`` are ever computed.  That search
-is goal-directed: A* on ``d1(v -> t)``, the distance to ``t`` over every
-edge, settles only vertices whose distance plus ``d1`` to ``t`` is at
-most the route's length, and reads no link into a vertex cut off from t.
+computed on demand by a goal-directed meta search: A* on ``d1(v -> t)``,
+the distance to ``t`` over every edge, settles only vertices whose
+distance plus ``d1`` to ``t`` is at most the route's length, and reads
+no link into a vertex cut off from t.
 
-Most of those reads need no flow.  The two-route cost ``c2`` of every
-target of a source comes from one extra Dijkstra pass over the source's
-shortest-path tree (Suurballe & Tarjan, "A quick method for finding
-shortest pairs of disjoint paths", Networks 14, 1984), and here it is
-the flow link's exact length.  So a safe path no longer than ``c2``
-wins without a flow, and a link whose ``c2`` exceeds the slack the meta
-path offers cannot relax anything.  The flow, which gives the link's
-edges, runs only for a link that will relax its target.  Twice ``d1``,
-the u-v distance over every edge, is a free lower bound on ``c2`` that
-decides most pairs before the pass runs.  The bounds are exact, so
-every answer is the one the full table gives.
+That search is lazy.  Settling a source reads only a lower bound on
+each link: the safe distance, or the two-route cost ``c2``, which one
+extra Dijkstra pass over the source's shortest-path tree gives for
+every target (Suurballe & Tarjan, "A quick method for finding shortest
+pairs of disjoint paths", Networks 14, 1984) and which here is the flow
+link's exact length.  Twice ``d1``, the u-v distance over every edge,
+is a free lower bound on ``c2`` that decides most pairs before the pass
+runs.  A safe path no longer than ``c2`` wins without a flow; any other
+link runs its flow, which gives its edges, only when its bound reaches
+the top of the search's queue.  The bounds are exact, so every answer
+is the one the full table gives.
 """
 
 from __future__ import annotations
@@ -97,7 +96,8 @@ class _Links:
     which is free once ``d1`` is built, so the pass runs only for a
     source with a pair that ``2 * d1`` does not decide.  A safe distance
     of at most ``lb`` wins without a flow, and ``length`` skips the flow
-    of a pair whose bound exceeds the caller's ``limit``.
+    of a pair whose bound exceeds the caller's ``limit``.  ``bound``
+    runs no flow, so the lazy meta search can put ``length`` off.
     """
 
     def __init__(self, instance: Instance, safe_cap: int, units: int, weight):
@@ -164,6 +164,10 @@ class _Links:
             entry = self.entries[(u, v)] = (self._tree(u)[0][v], pair_d, res)
         return entry
 
+    def bound(self, u: int, v: int, limit=INF):
+        """A lower bound on the link's length, above ``limit`` if it is."""
+        return min(self._bounds(u, v, limit))
+
     def length(self, u: int, v: int, limit=INF):
         """The link's length, or ``INF`` if a bound puts it above ``limit``."""
         safe_d, lb = self._bounds(u, v, limit)
@@ -219,7 +223,8 @@ def solve_1ftp(instance: Instance) -> Solution:
     """
     links = _one_failure_links(instance)
     total, seq = meta_shortest_path(instance.vertex_count, links.length,
-                                    instance.s, instance.t, links.potential())
+                                    instance.s, instance.t, links.potential(),
+                                    bound=links.bound)
     if total == INF:
         raise Infeasible("no single-failure-tolerant route exists")
     chosen: set[int] = set()

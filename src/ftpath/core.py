@@ -185,7 +185,9 @@ class Instance:
         return frozenset(compress(range(len(self._faulty)), self._faulty))
 
     def edge(self, edge_id: int) -> Edge:
-        return self.edges[edge_id]
+        """Edge ``edge_id``, built from the columns (``-1`` is the last)."""
+        i = range(len(self._u))[edge_id]
+        return Edge(i, self._u[i], self._v[i], self._w[i], self._faulty[i])
 
     def with_terminals(self, s: int, t: int) -> "Instance":
         """Same graph and budget, different terminals."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
+from operator import mul
 from typing import NamedTuple
 
 from .core import Infeasible, Instance
@@ -50,12 +51,13 @@ class Arc(NamedTuple):
 
 class _Plan(NamedTuple):
     # min_cost_flow state for one network and one amount: the residual
-    # arrays with the capacity template that every call copies, and the
-    # packed weight of each residual arc, negated on the twins.
+    # arrays with the capacity template that every call copies, each
+    # residual arc's packed weight (negated on twins) and the arc costs.
     out: list[list[int]]
     head: list[int]
     cap: list[int]
     weight: list[int]
+    costs: tuple[int, ...]
     trees: dict[int, tuple[list, list]]  # source -> first (dist, parent)
 
 
@@ -225,14 +227,15 @@ def _plan(net: FlowNetwork, amount: int) -> _Plan:
         out, head, cap = _residual_arrays(
             net.vertex_count, [a.tail for a in arcs], [a.head for a in arcs],
             [amount if a.capacity is None else a.capacity for a in arcs])
-        for i, a in enumerate(arcs):
-            if a.cost < 0:
+        costs = tuple(a.cost for a in arcs)
+        for i, c in enumerate(costs):
+            if c < 0:
                 raise ValueError(f"arc {i} has negative cost")
         m, base = len(arcs), amount + 2
         big_w = base ** (m + 2)
-        packed = [a.cost * big_w + base ** (m - i) for i, a in enumerate(arcs)]
+        packed = [c * big_w + base ** (m - i) for i, c in enumerate(costs)]
         weight = [x for w in packed for x in (w, -w)]
-        plan = net._plans[amount] = _Plan(out, head, cap, weight, {})
+        plan = net._plans[amount] = _Plan(out, head, cap, weight, costs, {})
     return plan
 
 
@@ -334,7 +337,7 @@ def min_cost_flow(net: FlowNetwork, s: int, t: int, amount: int) -> FlowResult:
         dist, parent, done = _dijkstra(plan, cap, pot, s, t)
     flows = cap[1::2]
     return FlowResult(value=amount, flows=tuple(flows),
-                      total_cost=sum(a.cost * f for a, f in zip(arcs, flows)))
+                      total_cost=sum(map(mul, plan.costs, flows)))
 
 
 def balanced_flow(net: FlowNetwork) -> FlowResult | None:

@@ -186,7 +186,8 @@ def safe_subgraph_distances(instance: Instance) -> tuple[list[list], dict]:
 
 
 def meta_shortest_path(n: int, length: Callable[[int, int, object], object],
-                       s: int, t: int, potential: Sequence | None = None
+                       s: int, t: int, potential: Sequence | None = None,
+                       bound: Callable[[int, int, object], object] | None = None
                        ) -> tuple[object, list[int]]:
     """Shortest s-t path in the complete graph with lengths ``length(u, v, limit)``.
 
@@ -204,24 +205,44 @@ def meta_shortest_path(n: int, length: Callable[[int, int, object], object],
     Callers may compute lengths on demand: each ``(u, v)`` is read at
     most once, only after ``u`` is settled, never for a settled ``v``,
     never for a ``v`` of infinite potential (one that cannot reach
-    ``t``) and never once ``t`` is settled.  With or without a
-    potential, ``limit`` is the largest length that could still relax
-    ``v`` (``math.inf`` while ``v`` is unreached): ``length`` must
-    return the exact length when it is at most ``limit``, and may return
-    any larger value otherwise, so a caller can skip computing a link
-    that a lower bound already rules out.  The result is the same as
-    with exact lengths.
+    ``t``) and never once ``t`` is settled.  ``limit`` is the largest
+    length that could still relax ``v`` (``math.inf`` while ``v`` is
+    unreached): ``length`` must return the exact length when it is at
+    most ``limit``, and may return any larger value otherwise, so a
+    caller can skip computing a link that a lower bound rules out.
+
+    ``bound(u, v, limit)``, if given, obeys ``length``'s contract with a
+    lower bound in place of the exact length, and settling ``u`` reads it
+    instead, queueing a link entry keyed as the label it could give
+    ``v``; ``length(u, v)`` is read only when that entry pops with ``v``
+    unsettled (lazy search: Dellin & Srinivasa, ICAPS 2016).  The result
+    is unchanged: an entry's key is at most its exact label's and it pops
+    before a vertex label of equal key, so every link that could improve
+    ``v``'s label is read before ``v`` settles.  An entry keyed above
+    ``t``'s final key never pops.
     """
     h = [0] * n if potential is None else potential
     dist: list = [INF] * n
     hops: list = [INF] * n
-    pred: list = [None] * n
+    pred: list = [INF] * n
     done = [False] * n
     dist[s], hops[s] = 0, 0
-    heap = [(h[s], 0, 0, s)] if h[s] != INF else []
+    # Entries (key, dist, hops, 1, v, -1) label v; (..., 0, v, u) are links.
+    heap = [(h[s], 0, 0, 1, s, -1)] if h[s] != INF else []
+
+    def relax(u, v, ell):
+        d, hv = dist[u] + ell, hops[u] + 1
+        if ell != INF and (d, hv, u) < (dist[v], hops[v], pred[v]):
+            if (d, hv) < (dist[v], hops[v]):
+                heapq.heappush(heap, (d + h[v], d, hv, 1, v, -1))
+            dist[v], hops[v], pred[v] = d, hv, u
+
     while heap:
-        _, du, hu, u = heapq.heappop(heap)
+        _, du, hu, label, u, p = heapq.heappop(heap)
         if done[u]:
+            continue
+        if not label:  # the link p -> u is at the top: read its length
+            relax(p, u, length(p, u, dist[u] - dist[p]))
             continue
         done[u] = True
         if u == t:
@@ -229,14 +250,12 @@ def meta_shortest_path(n: int, length: Callable[[int, int, object], object],
         for v in range(n):
             if done[v] or h[v] == INF:
                 continue
-            ell = length(u, v, dist[v] - du)
-            if ell == INF:
+            if bound is None:
+                relax(u, v, length(u, v, dist[v] - du))
                 continue
-            old_pred = pred[v] if pred[v] is not None else INF
-            if (du + ell, hu + 1, u) < (dist[v], hops[v], old_pred):
-                if (du + ell, hu + 1) < (dist[v], hops[v]):
-                    heapq.heappush(heap, (du + ell + h[v], du + ell, hu + 1, v))
-                dist[v], hops[v], pred[v] = du + ell, hu + 1, u
+            b = bound(u, v, dist[v] - du)
+            if b != INF and (du + b, hu + 1, u) < (dist[v], hops[v], pred[v]):
+                heapq.heappush(heap, (du + b + h[v], du + b, hu + 1, 0, v, u))
     if dist[t] == INF:
         return INF, []
     seq = [t]

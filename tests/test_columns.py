@@ -309,3 +309,21 @@ def test_misnumbered_ids_raise_at_construction():
         Instance(False, -1, (Edge(1, 0, 9, -1, False),), 0, 2, 1)
     inst = Instance(False, 3, edges[:1], 0, 2, 1)
     assert "edges" in vars(inst) and _columns(inst) == ((0,), (1,), (1,), (False,))
+
+
+def test_edge_builds_one_edge_from_the_columns():
+    rng = random.Random(3011)
+    for inst in _seeded(30, 3011):
+        m = len(inst.edges)
+        for parsed in (parse_instance(serialize_instance(inst)), parse_dimacs(_dimacs(inst))):
+            for i in [*range(m), -1, -m]:
+                got = parsed.edge(i)
+                assert "edges" not in vars(parsed)
+                assert type(got) is Edge and got == parsed.edges[i]
+                del parsed.__dict__["edges"]
+            for i in (m, -m - 1, m + rng.randint(1, 5)):
+                with pytest.raises(IndexError):
+                    parsed.edge(i)
+        # An instance made with edges answers from its columns alike.
+        made = Instance(inst.directed, inst.vertex_count, inst.edges, inst.s, inst.t, inst.k)
+        assert [made.edge(i) for i in range(-m, m)] == [*inst.edges, *inst.edges]

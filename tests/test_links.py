@@ -4,8 +4,8 @@
 shortest path reads it.  These tests pin that this changes nothing: an
 eager reference that fills every pair first, then runs the same meta
 shortest path, must give the same edge sets, costs and ``Infeasible``
-messages.  They also pin the reading and ``limit`` contracts of
-``meta_shortest_path`` that make the lazy table possible, the lower
+messages.  They also pin the reading, ``limit`` and ``bound`` contracts
+of ``meta_shortest_path`` that make the lazy table possible, the lower
 bound on a flow link's weight (``c2``, the min cost of 2 unit routes,
 checked against ``min_cost_flow``), and that the solvers really skip
 the links they never read and the flows that bound decides.  The meta
@@ -75,8 +75,9 @@ def _plain_meta_shortest_path(n, length, s, t):
 
 
 def _plain_search(monkeypatch):
-    # Let both solvers run the reference search, dropping the potential.
-    def plain(n, length, s, t, potential=None):
+    # Let both solvers run the reference search over exact lengths,
+    # dropping the potential and the lower bound.
+    def plain(n, length, s, t, potential=None, bound=None):
         return _plain_meta_shortest_path(n, length, s, t)
 
     monkeypatch.setattr(bipath, "meta_shortest_path", plain)
@@ -343,19 +344,19 @@ def _far_vertices_instance(k):
 @pytest.mark.parametrize("solver,k", [(solve_1ftp, 1), (approx_k, 1), (approx_k, 2)])
 def test_links_from_vertices_settled_after_t_are_never_computed(solver, k, monkeypatch):
     inst = _far_vertices_instance(k)
-    sources = []
+    pairs = []
     original = flow.min_cost_flow
 
     def recording(net, s, t, amount):
-        sources.append(s)
+        pairs.append((s, t))
         return original(net, s, t, amount)
 
     monkeypatch.setattr(flow, "min_cost_flow", recording)
     solution = solver(inst)
     assert solution.edges == frozenset(range(k + 2))
-    n = inst.vertex_count
-    assert len(sources) < n * (n - 1)
-    assert set(sources) == {0, 1}
+    # Only the route's one flow link runs its flow: the bound of 0 -> 2
+    # keys it after t settles.
+    assert pairs == [(1, 2)]
 
 
 def _all_pairs(table):
@@ -485,6 +486,90 @@ def test_meta_shortest_path_limit_contract():
 
         assert meta_shortest_path(n, bounded, s, t) == meta_shortest_path(n, exact, s, t)
     assert skipped >= 300
+
+
+@pytest.mark.parametrize("potential", [False, True])
+def test_lazy_meta_search_reading_contract(potential):
+    # Random admissible bounds: the exact length, the length less a
+    # random amount, or 0, and INF only where the length is INF.  Above
+    # ``limit`` either call may also answer any larger value.
+    rng = random.Random(43 + potential)
+    unread = evaluated = 0
+    for _ in range(500):
+        n = rng.randint(2, 9)
+        s, t = rng.sample(range(n), 2)
+        table = [[rng.choice((0, 1, 1, 2, 3, INF)) for _ in range(n)] for _ in range(n)]
+        lower = [[ell if ell == INF else rng.choice((ell, max(0, ell - rng.randint(0, 3)), 0))
+                  for ell in row] for row in table]
+        h = _potentials(rng, table, t) if potential else [0] * n
+        events = []
+
+        def loose(value, limit):
+            return rng.choice((value, INF, limit + rng.randint(1, 3)))
+
+        def bound(u, v, limit):
+            b = lower[u][v] if table[u][v] <= limit else loose(lower[u][v], limit)
+            events.append(("bound", u, v, b))
+            return b
+
+        def length(u, v, limit):
+            events.append(("length", u, v, None))
+            return table[u][v] if table[u][v] <= limit else loose(table[u][v], limit)
+
+        found = meta_shortest_path(n, length, s, t, h if potential else None, bound=bound)
+        assert found == _plain_meta_shortest_path(n, lambda u, v, limit: table[u][v], s, t)
+        true = _all_pairs(table)[s]
+        bounds = [(u, v) for kind, u, v, _ in events if kind == "bound"]
+        lengths = [(u, v) for kind, u, v, _ in events if kind == "length"]
+        assert len(set(bounds)) == len(bounds) and len(set(lengths)) == len(lengths)
+        settled, read = [], {}
+        for kind, u, v, b in events:
+            if kind == "bound":
+                if not settled or settled[-1] != u:
+                    assert u not in settled
+                    settled.append(u)
+                assert v not in settled and h[v] != INF
+                read[(u, v)] = b
+                continue
+            assert (u, v) in read and v not in settled
+            # The entry's key reached the top before t's final label.
+            assert true[u] + read[(u, v)] + h[v] <= true[t]
+            evaluated += lower[u][v] < table[u][v]
+        assert t not in settled
+        # Settling u reads the bound of every unsettled v that can reach t.
+        for i, u in enumerate(settled):
+            assert [v for a, v in bounds if a == u] == [
+                v for v in range(n) if v not in settled[:i + 1] and h[v] != INF]
+        keys = [true[u] + h[u] for u in settled]
+        assert keys == sorted(keys) and all(key <= true[t] for key in keys)
+        unread += len(bounds) - len(lengths)
+    assert unread >= 2000 and evaluated >= 1000
+
+
+def test_lazy_links_run_few_flows_on_the_general_corpus(monkeypatch):
+    # The solvers' flows run only for links whose bound reaches the top
+    # of the queue, with the answers of the plain search over exact
+    # lengths.
+    instances = _general_corpus((3, 4), monkeypatch)
+    original = flow.min_cost_flow
+    calls = 0
+
+    def counting(net, s, t, amount):
+        nonlocal calls
+        calls += 1
+        return original(net, s, t, amount)
+
+    monkeypatch.setattr(flow, "min_cost_flow", counting)
+
+    def solve_all():
+        return [_outcome(solve_1ftp if inst.k == 1 else approx_k, inst) for inst in instances]
+
+    lazy, lazy_calls = solve_all(), calls
+    _plain_search(monkeypatch)
+    assert solve_all() == lazy
+    # About 1.5 flows per solve, against about 7.9 with each link's flow
+    # run when its source settles.
+    assert lazy_calls < 2.5 * len(instances)
 
 
 def _c2_rows(instance, cap):
