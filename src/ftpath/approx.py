@@ -9,14 +9,15 @@ safe-edge capacity is k (not 2 or 1), each link carries k+1 flow units
 (not 2), and a link weighs its flow's support, each edge counted once
 (not the flow's cost).  As there, a link's flow runs only when its
 lower bound reaches the top of the lazy A* meta search's queue and
-cannot decide the link.  No support edge carries more than k of the k+1
-units, so every u-v cut crosses at least 2 support edges, and the
-support holds 2 edge-disjoint u-v routes (Menger).  It therefore weighs
-at least ``c2``, the min cost of 2 edge-disjoint routes, which
-``bipath``'s table takes for every target of a source from one
-Suurballe-Tarjan pass with every capacity 1; ``c2`` is at least twice
-the distance d1 over all edges.  A safe path no longer than ``c2`` wins
-without a flow.
+cannot decide the link; the A* potential is ``d2(v -> t)``, the
+distance to t with faulty edges doubled, which no support undercuts.
+No support edge carries more than k of the k+1 units, so every u-v cut
+crosses at least 2 support edges, and the support holds 2 edge-disjoint
+u-v routes (Menger).  It therefore weighs at least ``c2``, the min
+cost of 2 edge-disjoint routes, which ``bipath``'s table takes for
+every target of a source from one Suurballe-Tarjan pass with every
+capacity 1; ``c2`` is at least twice the distance d1 over all edges.  A
+safe path no longer than ``c2`` wins without a flow.
 """
 
 from __future__ import annotations

@@ -7,10 +7,11 @@ link length, the cheaper of (a) a shortest path using safe edges only
 and (b) a cheapest pair of routes carrying two flow units, finds a
 shortest s-t path in the complete "link" graph over those lengths and
 expands each chosen link back into concrete edges.  Link lengths are
-computed on demand by a goal-directed meta search: A* on ``d1(v -> t)``,
-the distance to ``t`` over every edge, settles only vertices whose
-distance plus ``d1`` to ``t`` is at most the route's length, and reads
-no link into a vertex cut off from t.
+computed on demand by a goal-directed meta search: A* on ``d2(v -> t)``,
+the distance to ``t`` over every edge with each faulty edge's weight
+doubled, settles only vertices whose distance plus ``d2`` to ``t`` is
+at most the route's length, and reads no link into a vertex cut off
+from t.
 
 That search is lazy.  Settling a source reads only a lower bound on
 each link: the safe distance, or the two-route cost ``c2``, which one
@@ -21,13 +22,15 @@ link's exact length.  Twice ``d1``, the u-v distance over every edge,
 is a free lower bound on ``c2`` that decides most pairs before the pass
 runs.  A safe path no longer than ``c2`` wins without a flow; any other
 link runs its flow, which gives its edges, only when its bound reaches
-the top of the search's queue.  The bounds are exact, so every answer
-is the one the full table gives.
+the top of the search's queue, and the flow network is built for the
+first such flow.  The bounds are exact, so every answer is the one the
+full table gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import flow
 # is_feasible is not called here; perfbench's tracer wraps it.
@@ -81,7 +84,9 @@ class _Links:
     ``weight(net, result)`` gives the length of a pair's flow link; a
     safe path wins ties.  The safe shortest-path tree of a source, and
     its tree ``d1`` over all edges, are built when a pair from it is
-    first read; a pair's flow only when a bound cannot settle the pair.
+    first read; a pair's flow only when a bound cannot settle the pair,
+    and ``net`` with the first flow.  ``potential`` is ``d2(v -> t)``,
+    which doubles faulty edges and lies below every link.
 
     The bound ``lb``: a flow link weighs at least ``c2``, the min cost
     of 2 unit routes from u to v, which ``shortest._two_route_costs``
@@ -102,35 +107,49 @@ class _Links:
 
     def __init__(self, instance: Instance, safe_cap: int, units: int, weight):
         self.instance, self.units, self.weight = instance, units, weight
-        self.net = flow.edge_network(instance, safe_cap)
+        self.safe_cap = safe_cap
         safe = [eid for eid, faulty in enumerate(instance._faulty) if not faulty]
         self.safe_adj = adjacency(instance, safe)
         self.all_adj = adjacency(instance)
         self.all_radj = adjacency(instance, reverse=True) if instance.directed else self.all_adj
         # Tree edges that may carry both units of a 2-unit link.
         self.doubled = frozenset(safe) if units == 2 and safe_cap >= 2 else frozenset()
-        self.trees: dict[int, tuple] = {}  # u -> (dist, via, d1, d1 via)
+        self.trees: dict[int, tuple] = {}  # u -> (dist, via, d1, d1 via, d1 pred)
         self.two_route: dict[int, list] = {}  # u -> c2 row
         self.entries: dict[tuple[int, int], tuple] = {}
 
+    @cached_property
+    def net(self) -> flow.FlowNetwork:
+        """The flow network, built when ``entry`` runs the first flow."""
+        return flow.edge_network(self.instance, self.safe_cap)
+
     def potential(self) -> list:
-        """``d1(v -> t)`` of every v, a consistent potential for the links:
-        each is at least ``d1(u, v)``, as safe paths and ``c2`` are."""
-        return _shortest_tree(self.all_radj, self.instance.t)[0]
+        """``d2(v -> t)``, the distance to t with every faulty edge's
+        weight doubled: a consistent potential, as no link from u to v is
+        below the metric ``d2(u, v)``.  A safe link is a path of safe
+        edges, which ``d2`` does not double.  A flow link's support holds
+        two u-v routes P1 and P2, as ``c2`` does, and ``c(P1) + c(P2) >=
+        2 * min c(Pi) >= d2(u, v)``, for ``bipath``'s flow cost and for
+        ``approx_k``'s support weight alike.  ``d2 >= d1``, so A* settles
+        fewer sources than on ``d1``, and ``d2`` is infinite where ``d1`` is.
+        """
+        faulty = self.instance._faulty
+        doubled = [[(x, w << faulty[e], e) for x, w, e in row] for row in self.all_radj]
+        return _shortest_tree(doubled, self.instance.t)[0]
 
     def _tree(self, u: int) -> tuple:
         tree = self.trees.get(u)
         if tree is None:
-            tree = self.trees[u] = (*_shortest_tree(self.safe_adj, u),
-                                    *_shortest_tree(self.all_adj, u))
+            dist, via, _ = _shortest_tree(self.safe_adj, u)
+            tree = self.trees[u] = (dist, via, *_shortest_tree(self.all_adj, u))
         return tree
 
     def _c2(self, u: int) -> list:
         row = self.two_route.get(u)
         if row is None:
-            _, _, d1, via = self._tree(u)
+            _, _, d1, via, pred = self._tree(u)
             row = self.two_route[u] = _two_route_costs(
-                self.all_adj, self.all_radj, d1, via, u, self.doubled)
+                self.all_adj, self.all_radj, d1, via, pred, u, self.doubled)
         return row
 
     def _bounds(self, u: int, v: int, limit=INF) -> tuple:
@@ -139,7 +158,7 @@ class _Links:
         The bound is ``2 * d1`` where that decides the pair against the
         safe distance or ``limit``, and ``c2`` otherwise.
         """
-        dist, _, d1, _ = self._tree(u)
+        dist, _, d1, _, _ = self._tree(u)
         safe_d, lb = dist[v], 2 * d1[v]
         if safe_d <= lb or lb > limit:
             return safe_d, lb

@@ -27,42 +27,49 @@ def dijkstra_tree(instance: Instance, source: int, edge_ids) -> tuple[list, list
     ``v`` on the reconstructed path (``None`` at the source and for
     unreachable vertices).
     """
-    return _shortest_tree(adjacency(instance, edge_ids), source)
+    return _shortest_tree(adjacency(instance, edge_ids), source)[:2]
 
 
-def _shortest_tree(adj: list, source: int) -> tuple[list, list]:
-    # dijkstra_tree on prebuilt core.adjacency lists, which a caller may reuse.
+def _shortest_tree(adj: list, source: int) -> tuple[list, list, list]:
+    # dijkstra_tree on prebuilt core.adjacency lists, which a caller may
+    # reuse, plus pred: pred[v] is the tail of via[v], -1 where that is None.
     n = len(adj)
     dist: list = [INF] * n
     hops: list = [INF] * n
     via: list = [None] * n
+    pred = [-1] * n
     done = [False] * n
     dist[source], hops[source] = 0, 0
     heap: list[tuple] = [(0, 0, source)]
+    push, pop = heapq.heappush, heapq.heappop
     while heap:
-        d, h, u = heapq.heappop(heap)
+        d, h, u = pop(heap)
         if done[u]:
             continue
         done[u] = True
+        h += 1
         for v, w, eid in adj[u]:
             if done[v]:
                 continue
-            old_eid = via[v] if via[v] is not None else INF
-            if (d + w, h + 1, eid) < (dist[v], hops[v], old_eid):
-                dist[v], hops[v], via[v] = d + w, h + 1, eid
-                heapq.heappush(heap, (d + w, h + 1, v))
-    return dist, via
+            # (d + w, h, eid) < (dist[v], hops[v], via[v]); via[v] is set
+            # wherever dist[v] is finite, as the source is done first.
+            dv = d + w
+            old = dist[v]
+            if dv < old or dv == old and (h < hops[v] or h == hops[v] and eid < via[v]):
+                dist[v], hops[v], via[v], pred[v] = dv, h, eid, u
+                push(heap, (dv, h, v))
+    return dist, via, pred
 
 
-def _two_route_costs(adj: list, radj: list, dist: list, via: list, source: int,
-                     doubled) -> list:
+def _two_route_costs(adj: list, radj: list, dist: list, via: list, parent: list,
+                     source: int, doubled) -> list:
     """Min cost of two unit routes from ``source`` to every vertex.
 
     The network has one unit arc per ``core.adjacency`` entry over all
     edges (``radj`` lists them by head), except that the tree edge into
     a vertex may carry a second unit when its id is in ``doubled``.
-    ``(dist, via)`` is a shortest-path tree over the same arcs, such as
-    ``_shortest_tree(adj, source)``.  Entry ``v`` is the cost of a
+    ``(dist, via, parent)`` is a shortest-path tree over the same arcs,
+    such as ``_shortest_tree(adj, source)``.  Entry ``v`` is the cost of a
     minimum-cost 2-unit source-v flow, ``INF`` when 2 units do not fit,
     and 0 at the source.
 
@@ -83,14 +90,9 @@ def _two_route_costs(adj: list, radj: list, dist: list, via: list, source: int,
     """
     n = len(adj)
     children: list[list[int]] = [[] for _ in range(n)]
-    parent = [-1] * n
-    for y, e in enumerate(via):
-        if e is not None:
-            for x, _, eid in radj[y]:
-                if eid == e:
-                    children[x].append(y)
-                    parent[y] = x
-                    break
+    for y, x in enumerate(parent):
+        if x >= 0:
+            children[x].append(y)
     # part[x]: id of x's part; -1 once popped, and for unreached vertices.
     part = [-1 if d == INF else 0 for d in dist]
     label = [INF] * n
@@ -177,7 +179,7 @@ def safe_subgraph_distances(instance: Instance) -> tuple[list[list], dict]:
     dist: list[list] = []
     witness: dict[tuple[int, int], tuple[int, ...]] = {}
     for u in range(n):
-        du, via = _shortest_tree(adj, u)
+        du, via, _ = _shortest_tree(adj, u)
         dist.append(du)
         for v in range(n):
             if du[v] != INF:
