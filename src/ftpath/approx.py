@@ -16,8 +16,7 @@ crosses at least 2 support edges, and the support holds 2 edge-disjoint
 u-v routes (Menger).  It therefore weighs at least ``c2``, the min
 cost of 2 edge-disjoint routes, which ``bipath``'s table takes for
 every target of a source from one Suurballe-Tarjan pass with every
-capacity 1; ``c2`` is at least twice the distance d1 over all edges.  A
-safe path no longer than ``c2`` wins without a flow.
+capacity 1.  A safe path no longer than ``c2`` wins without a flow.
 """
 
 from __future__ import annotations

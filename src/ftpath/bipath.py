@@ -14,17 +14,15 @@ at most the route's length, and reads no link into a vertex cut off
 from t.
 
 That search is lazy.  Settling a source reads only a lower bound on
-each link: the safe distance, or the two-route cost ``c2``, which one
-extra Dijkstra pass over the source's shortest-path tree gives for
-every target (Suurballe & Tarjan, "A quick method for finding shortest
-pairs of disjoint paths", Networks 14, 1984) and which here is the flow
-link's exact length.  Twice ``d1``, the u-v distance over every edge,
-is a free lower bound on ``c2`` that decides most pairs before the pass
-runs.  A safe path no longer than ``c2`` wins without a flow; any other
-link runs its flow, which gives its edges, only when its bound reaches
-the top of the search's queue, and the flow network is built for the
-first such flow.  The bounds are exact, so every answer is the one the
-full table gives.
+each link, the smaller of its safe distance and its two-route cost
+``c2``, which one Dijkstra pass over the source's shortest-path tree
+gives for every target (Suurballe & Tarjan, "A quick method for finding
+shortest pairs of disjoint paths", Networks 14, 1984) and which here is
+the flow link's exact length.  A safe path no longer than ``c2`` wins
+without a flow; any other link runs its flow, which gives its edges,
+only when its bound reaches the top of the search's queue, and the flow
+network is built for the first such flow.  The bounds are exact, so
+every answer is the one the full table gives.
 """
 
 from __future__ import annotations
@@ -82,27 +80,25 @@ class _Links:
     """Link lengths computed on first read, see :class:`LinkLengths`.
 
     ``weight(net, result)`` gives the length of a pair's flow link; a
-    safe path wins ties.  The safe shortest-path tree of a source, and
-    its tree ``d1`` over all edges, are built when a pair from it is
-    first read; a pair's flow only when a bound cannot settle the pair,
-    and ``net`` with the first flow.  ``potential`` is ``d2(v -> t)``,
-    which doubles faulty edges and lies below every link.
+    safe path wins ties.  A source's safe shortest-path tree and its
+    ``c2`` row are built when a pair from it is first read; a pair's
+    flow only when ``c2`` is below its safe distance, and ``net`` with
+    the first flow.  ``potential`` is ``d2(v -> t)``, which doubles
+    faulty edges and lies below every link.
 
-    The bound ``lb``: a flow link weighs at least ``c2``, the min cost
-    of 2 unit routes from u to v, which ``shortest._two_route_costs``
-    gives for every v of a source in one pass (Suurballe & Tarjan
-    1984).  With 2 units the weight is the flow's cost and ``c2``, on
+    The bound is ``c2``, the min cost of 2 unit routes from u to v,
+    which ``shortest._two_route_costs`` gives for every v of a source in
+    one pass (Suurballe & Tarjan 1984): a flow link weighs at least
+    ``c2``.  With 2 units the weight is the flow's cost and ``c2``, on
     the same capacities, equals it.  With ``units`` > 2 the weight is
     the support's, where no edge carries more than ``units - 1`` units
     (the safe capacity; an undirected edge is never loaded both ways):
     every u-v cut then crosses 2 or more support edges, so the support
     holds 2 edge-disjoint u-v routes (Menger) and weighs at least their
-    cost, ``c2`` with every capacity 1.  Either way ``c2 >= 2 * d1``,
-    which is free once ``d1`` is built, so the pass runs only for a
-    source with a pair that ``2 * d1`` does not decide.  A safe distance
-    of at most ``lb`` wins without a flow, and ``length`` skips the flow
-    of a pair whose bound exceeds the caller's ``limit``.  ``bound``
-    runs no flow, so the lazy meta search can put ``length`` off.
+    cost, ``c2`` with every capacity 1.  ``bound`` runs no flow, so the
+    lazy meta search can put ``length`` off.  Neither reads ``limit``: a
+    link entry that pops with v unsettled keys no longer than v's label,
+    so its bound is within ``limit`` and there is no flow to skip.
     """
 
     def __init__(self, instance: Instance, safe_cap: int, units: int, weight):
@@ -114,7 +110,7 @@ class _Links:
         self.all_radj = adjacency(instance, reverse=True) if instance.directed else self.all_adj
         # Tree edges that may carry both units of a 2-unit link.
         self.doubled = frozenset(safe) if units == 2 and safe_cap >= 2 else frozenset()
-        self.trees: dict[int, tuple] = {}  # u -> (dist, via, d1, d1 via, d1 pred)
+        self.trees: dict[int, tuple] = {}  # u -> safe (dist, via)
         self.two_route: dict[int, list] = {}  # u -> c2 row
         self.entries: dict[tuple[int, int], tuple] = {}
 
@@ -130,8 +126,8 @@ class _Links:
         edges, which ``d2`` does not double.  A flow link's support holds
         two u-v routes P1 and P2, as ``c2`` does, and ``c(P1) + c(P2) >=
         2 * min c(Pi) >= d2(u, v)``, for ``bipath``'s flow cost and for
-        ``approx_k``'s support weight alike.  ``d2 >= d1``, so A* settles
-        fewer sources than on ``d1``, and ``d2`` is infinite where ``d1`` is.
+        ``approx_k``'s support weight alike.  ``d2`` is at least the
+        distance over all edges, and infinite exactly where that is.
         """
         faulty = self.instance._faulty
         doubled = [[(x, w << faulty[e], e) for x, w, e in row] for row in self.all_radj]
@@ -140,32 +136,19 @@ class _Links:
     def _tree(self, u: int) -> tuple:
         tree = self.trees.get(u)
         if tree is None:
-            dist, via, _ = _shortest_tree(self.safe_adj, u)
-            tree = self.trees[u] = (dist, via, *_shortest_tree(self.all_adj, u))
+            tree = self.trees[u] = _shortest_tree(self.safe_adj, u)[:2]
         return tree
 
     def _c2(self, u: int) -> list:
         row = self.two_route.get(u)
         if row is None:
-            _, _, d1, via, pred = self._tree(u)
             row = self.two_route[u] = _two_route_costs(
-                self.all_adj, self.all_radj, d1, via, pred, u, self.doubled)
+                self.all_adj, self.all_radj, *_shortest_tree(self.all_adj, u), u,
+                self.doubled)
         return row
 
-    def _bounds(self, u: int, v: int, limit=INF) -> tuple:
-        """``(safe distance, lower bound on the flow link's weight)``.
-
-        The bound is ``2 * d1`` where that decides the pair against the
-        safe distance or ``limit``, and ``c2`` otherwise.
-        """
-        dist, _, d1, _, _ = self._tree(u)
-        safe_d, lb = dist[v], 2 * d1[v]
-        if safe_d <= lb or lb > limit:
-            return safe_d, lb
-        return safe_d, self._c2(u)[v]
-
     def entry(self, u: int, v: int) -> tuple:
-        """``(safe distance, pair distance, flow or None)`` of link u -> v.
+        """``(pair distance, flow or None)`` of link u -> v.
 
         Raises:
             SolverCheckFailed: the flow link weighs less than ``c2``.
@@ -180,31 +163,26 @@ class _Links:
             if pair_d < self._c2(u)[v]:
                 raise SolverCheckFailed(
                     f"link {u}->{v} weighs {pair_d}, below its bound")
-            entry = self.entries[(u, v)] = (self._tree(u)[0][v], pair_d, res)
+            entry = self.entries[(u, v)] = (pair_d, res)
         return entry
 
     def bound(self, u: int, v: int, limit=INF):
-        """A lower bound on the link's length, above ``limit`` if it is."""
-        return min(self._bounds(u, v, limit))
+        """A lower bound on the link's length: ``min(safe distance, c2)``."""
+        return min(self._tree(u)[0][v], self._c2(u)[v])
 
     def length(self, u: int, v: int, limit=INF):
-        """The link's length, or ``INF`` if a bound puts it above ``limit``."""
-        safe_d, lb = self._bounds(u, v, limit)
-        if safe_d <= lb:
+        """The link's length, with a flow only if ``c2`` is below the safe distance."""
+        safe_d = self._tree(u)[0][v]
+        if safe_d <= self._c2(u)[v]:
             return safe_d
-        if lb > limit:
-            return INF
-        _, pair_d, _ = self.entry(u, v)
-        return safe_d if safe_d <= pair_d else pair_d
+        return min(safe_d, self.entry(u, v)[0])  # a tie keeps the safe path
 
     def witness(self, u: int, v: int) -> tuple[str, tuple[int, ...]]:
         """Which case realizes a finite link, and its edge ids."""
-        safe_d, lb = self._bounds(u, v)
-        if safe_d > lb:
-            _, pair_d, res = self.entry(u, v)
-            if pair_d < safe_d:
-                return TWO_ROUTE, _support(self.net, res)
-        return SAFE_PATH, path_edges(self.instance, self.trees[u][1], u, v)
+        dist, via = self._tree(u)
+        if self.length(u, v) < dist[v]:
+            return TWO_ROUTE, _support(self.net, self.entry(u, v)[1])
+        return SAFE_PATH, path_edges(self.instance, via, u, v)
 
 
 def _one_failure_links(instance: Instance) -> _Links:
@@ -224,12 +202,11 @@ def link_lengths(instance: Instance) -> LinkLengths:
     """
     links = _one_failure_links(instance)
     n = range(instance.vertex_count)
-    rows = [[links.entry(u, v) for v in n] for u in n]
+    pair_dist = [[links.entry(u, v)[0] for v in n] for u in n]
     dist = [[links.length(u, v) for v in n] for u in n]
     witness = {(u, v): links.witness(u, v)
                for u in n for v in n if dist[u][v] != INF}
-    return LinkLengths([[e[0] for e in row] for row in rows],
-                       [[e[1] for e in row] for row in rows], dist, witness)
+    return LinkLengths([links._tree(u)[0] for u in n], pair_dist, dist, witness)
 
 
 def solve_1ftp(instance: Instance) -> Solution:

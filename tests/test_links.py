@@ -334,7 +334,7 @@ def _general_corpus(seeds, monkeypatch):
 
 def test_a_star_reads_fewer_sources_on_the_general_corpus(monkeypatch):
     # Every source whose link row the search reads costs a safe tree and
-    # a d1 tree; the A* order on d2 reads fewer of them, with the same
+    # a c2 pass; the A* order on d2 reads fewer of them, with the same
     # answers.
     instances = _general_corpus((3, 4), monkeypatch)
     sources = []
@@ -535,7 +535,7 @@ def test_lazy_meta_search_reading_contract(potential):
     # random amount, or 0, and INF only where the length is INF.  Above
     # ``limit`` either call may also answer any larger value.
     rng = random.Random(43 + potential)
-    unread = evaluated = 0
+    unread = evaluated = within = 0
     for _ in range(500):
         n = rng.randint(2, 9)
         s, t = rng.sample(range(n), 2)
@@ -554,7 +554,7 @@ def test_lazy_meta_search_reading_contract(potential):
             return b
 
         def length(u, v, limit):
-            events.append(("length", u, v, None))
+            events.append(("length", u, v, limit))
             return table[u][v] if table[u][v] <= limit else loose(table[u][v], limit)
 
         found = meta_shortest_path(n, length, s, t, h if potential else None, bound=bound)
@@ -564,17 +564,22 @@ def test_lazy_meta_search_reading_contract(potential):
         lengths = [(u, v) for kind, u, v, _ in events if kind == "length"]
         assert len(set(bounds)) == len(bounds) and len(set(lengths)) == len(lengths)
         settled, read = [], {}
-        for kind, u, v, b in events:
+        for kind, u, v, value in events:
             if kind == "bound":
                 if not settled or settled[-1] != u:
                     assert u not in settled
                     settled.append(u)
                 assert v not in settled and h[v] != INF
-                read[(u, v)] = b
+                read[(u, v)] = value
                 continue
             assert (u, v) in read and v not in settled
             # The entry's key reached the top before t's final label.
             assert true[u] + read[(u, v)] + h[v] <= true[t]
+            # v's label is no shorter than the entry's when it pops, so
+            # the bound read at settle is within this read's limit: a lazy
+            # read never has a flow to skip.
+            assert read[(u, v)] <= value
+            within += 1
             evaluated += lower[u][v] < table[u][v]
         assert t not in settled
         # Settling u reads the bound of every unsettled v that can reach t.
@@ -584,7 +589,7 @@ def test_lazy_meta_search_reading_contract(potential):
         keys = [true[u] + h[u] for u in settled]
         assert keys == sorted(keys) and all(key <= true[t] for key in keys)
         unread += len(bounds) - len(lengths)
-    assert unread >= 2000 and evaluated >= 1000
+    assert unread >= 2000 and evaluated >= 1000 and within >= 2000
 
 
 def test_lazy_links_run_few_flows_on_the_general_corpus(monkeypatch):
@@ -743,7 +748,9 @@ def test_flow_link_weight_lower_bound(directed):
                                       (approx_k, 3)])
 def test_no_flow_for_links_the_bound_decides(solver, k, monkeypatch):
     # A pair whose safe distance is at most the flow link's lower bound
-    # is settled without min_cost_flow.
+    # is settled without min_cost_flow: neither the weak bound
+    # ceil(units * d1 / (units - 1)) nor c2, the bound the table reads,
+    # on the solver's own capacities, lets a flow run for it.
     rng = random.Random(97 + k)
     original = flow.min_cost_flow
     calls = []
@@ -753,7 +760,7 @@ def test_no_flow_for_links_the_bound_decides(solver, k, monkeypatch):
         return original(net, s, t, amount)
 
     monkeypatch.setattr(flow, "min_cost_flow", recording)
-    decided = 0
+    decided = c2_decided = 0
     for _ in range(40):
         inst = _general_sized_instance(rng, directed=rng.random() < 0.5).with_budget(k)
         calls.clear()
@@ -762,16 +769,19 @@ def test_no_flow_for_links_the_bound_decides(solver, k, monkeypatch):
         except Infeasible:
             pass
         safe = [e.id for e in inst.edges if not e.faulty]
+        c2 = _c2_rows(inst, 2 if solver is solve_1ftp and inst.directed else 1)
         for u in {s for s, _ in calls}:
             safe_d = dijkstra_tree(inst, u, safe)[0]
             d1 = dijkstra_tree(inst, u, range(len(inst.edges)))[0]
             for s, v in calls:
                 if s == u:
                     assert safe_d[v] > _lower_bound(k + 1, d1[v])
-            decided += sum(safe_d[v] <= _lower_bound(k + 1, d1[v])
-                           for v in range(inst.vertex_count) if v != u)
-    # The bound decides many pairs from these sources: the pin has teeth.
-    assert decided >= 100
+                    assert safe_d[v] > c2[u][v]
+            others = [v for v in range(inst.vertex_count) if v != u]
+            decided += sum(safe_d[v] <= _lower_bound(k + 1, d1[v]) for v in others)
+            c2_decided += sum(safe_d[v] <= c2[u][v] for v in others)
+    # Both bounds decide many pairs from these sources: the pin has teeth.
+    assert decided >= 100 and c2_decided >= 150
 
 
 def _recording_networks(monkeypatch):
@@ -795,8 +805,8 @@ def _recording_networks(monkeypatch):
 
 def test_the_flow_network_is_built_on_the_first_flow(monkeypatch):
     built, flows = _recording_networks(monkeypatch)
-    # The safe route 0-1-2 (cost 2) is decided by its bound 2 * d1 = 2
-    # against the faulty edges 0-2: no flow, so no network.
+    # The safe route 0-1-2 (cost 2) is decided by its bound c2 = 2, the
+    # two faulty edges 0-2: no flow, so no network.
     safe = build_instance(False, 3, 0, 2, 1, [
         (0, 1, 1, False), (1, 2, 1, False), (0, 2, 1, True), (0, 2, 1, True)])
     for solver in (solve_1ftp, approx_k):
