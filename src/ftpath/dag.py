@@ -10,6 +10,14 @@ over the splits of each tail's units among its heads.  A forward dynamic
 program finds the cheapest route with one staged transition per layer
 (all configurations split at once, tail by tail); only its links get a
 realizing edge set (:func:`link_cost`), mapped back through edge origins.
+The program is branch and bound (Hart, Nilsson & Raphael 1968) with the
+bound h = the largest all-edge distance to t over a configuration's
+support.  h is admissible, since every unit must reach t over bought
+edges, and consistent, since a link buys an edge out of every tail.  A
+greedy pass that keeps each layer's least (cost + h, code) gives an
+incumbent UB; the exact pass then advances only from cost + h <= UB.
+Every configuration on an optimal route passes, and so does each of its
+equal-cost parents, so the backtrack reads the same costs and parents.
 A link reruns one transition with each edge's weight packed above a tie
 bit of its own, so the one optimum it reaches is the cheapest edge set
 with the least sum of ``2^id``.
@@ -281,8 +289,10 @@ def _pair_rows(edges, weights, k: int, pos: dict[int, int]
         (faulty if e.faulty else safe).append(w)
     rows: dict[int, list[tuple[int, list[int]]]] = {}
     for (tail, head), (safe, faulty) in groups.items():
-        sums = [0, *accumulate(sorted(faulty))][:k + 2]  # sums[f]: the f cheapest
-        row = [min(safe + sums[f:f + 1]) for f in range(k + 2 if safe else len(sums))]
+        row = [0, *accumulate(sorted(faulty)[:k + 1])]  # row[f]: the f cheapest
+        if safe:  # capped at the cheapest safe edge, which carries any f
+            cap = min(safe)
+            row = [w if w < cap else cap for w in row] + [cap] * (k + 2 - len(row))
         rows.setdefault(pos[tail], []).append((pos[head], row))
     return rows
 
@@ -355,16 +365,40 @@ def link_cost(layered: LayeredInstance, d1: Configuration, d2: Configuration,
 
 def _route_tables(layered: LayeredInstance, k: int) -> list[dict[int, tuple[int, int]]]:
     # best[i]: demand code over layer i -> (cost, parent code over layer
-    # i-1), least in cost, then first in descending demand order.
-    bits = (k + 1).bit_length()
-    pos = {v: p for layer in layered.layers for p, v in enumerate(layer)}
-    best = [{k + 1: (0, 0)}]
-    for i in range(len(layered.layers) - 1):
+    # i-1), least in cost, then first in descending demand order, for every
+    # configuration on an optimal route.  Other entries may be missing or
+    # carry a higher cost; the backtrack never reads them.
+    layers, bits = layered.layers, (k + 1).bit_length()
+    mask = (1 << bits) - 1
+    pos = {v: p for layer in layers for p, v in enumerate(layer)}
+    # Walking back from t: each layer's pair rows, and the all-edge distance
+    # d from each of its vertices to t, as (d, digit shift), farthest first.
+    rows, far, dist = [], [], [0]
+    for i in range(len(layers) - 2, -1, -1):
         edges = layered.edges_in_layer(i)
-        rows = _pair_rows(edges, [e.w for e in edges], k, pos)
-        best.append(_advance(rows, {code: cost for code, (cost, _) in best[i].items()},
-                             len(layered.layers[i]), len(layered.layers[i + 1]), bits))
-    return best
+        rows.append(_pair_rows(edges, [e.w for e in edges], k, pos))
+        dist = [min((row[1] + dist[h] for h, row in rows[-1].get(p, ())), default=math.inf)
+                for p in range(len(layers[i]))]
+        far.append(sorted(zip(dist, range(bits * (len(dist) - 1), -1, -bits)), reverse=True))
+    rows.reverse()
+    far.reverse()
+
+    def bound(i: int, code: int) -> float:  # h: the largest d over the code's support
+        for d, at in far[i]:
+            if code >> at & mask:
+                return d
+
+    def forward(keep) -> list[dict[int, tuple[int, int]]]:
+        # keep picks a layer's starts from its (cost + h, code, cost) triples.
+        best = [{k + 1: (0, 0)}]
+        for i, layer_rows in enumerate(rows):
+            ranked = [(cost + bound(i, code), code, cost) for code, (cost, _) in best[i].items()]
+            best.append(_advance(layer_rows, {code: cost for _, code, cost in keep(ranked)},
+                                 len(layers[i]), len(layers[i + 1]), bits))
+        return best
+
+    ub = forward(lambda ranked: heapq.nsmallest(1, ranked))[-1].get(k + 1, (math.inf,))[0]
+    return forward(lambda ranked: [start for start in ranked if start[0] <= ub])
 
 
 def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solution:
@@ -373,9 +407,11 @@ def solve_kftp_dag(instance: Instance, cap: int = DEFAULT_CONFIG_CAP) -> Solutio
     Runs a forward dynamic program over layer configurations: per layer,
     one staged transition splits all configurations' units, tail by tail,
     over the per-pair cost table, merging equal partial states, and ties
-    keep the parent first in descending demand order.  It layerizes and
-    checks the cap first, so the first two errors below mean that the
-    solver does not apply.
+    keep the parent first in descending demand order.  A greedy incumbent
+    and a distance-to-t bound skip the configurations that no optimal
+    route uses (see the module docstring).  It layerizes and checks the
+    cap first, so the first two errors below mean that the solver does
+    not apply.
 
     Raises:
         NotADag: not a DAG.

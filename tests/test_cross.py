@@ -7,16 +7,20 @@ every instance, ``srp`` on series-parallel ones and ``dag`` on DAGs, and
 ``approx_k`` is exact at k = 1 as well (its ratio bound is k).  Each
 family draws seeded instances past the oracle's reach and requires the
 three solvers to give one cost, or all three to raise ``Infeasible``.
+The fractional relaxation ``frac`` sandwiches the DAG costs as well: it
+is at most ``dag``'s optimum, and k+1 times it is at least
+``approx_kplus1``'s cost.
 """
 
 import random
 
 import pytest
 
-from ftpath.approx import approx_k
+from ftpath.approx import approx_k, approx_kplus1
 from ftpath.bipath import solve_1ftp
 from ftpath.core import Infeasible
 from ftpath.dag import solve_kftp_dag
+from ftpath.frac import solve_frac
 from ftpath.srp import solve_srp
 
 from conftest import random_dag_instance, random_srp_instance
@@ -62,3 +66,35 @@ def test_exact_solvers_agree_at_k_1(family):
     assert mismatches == []
     # Both outcomes occur often: agreement on costs and on Infeasible.
     assert 30 <= infeasible <= len(drawn) - 100, family
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_lp_sandwich_on_dags(k):
+    """frac <= dag <= approx_kplus1 <= (k+1)·frac, and Infeasible agrees.
+
+    ``frac`` is the LP relaxation, so it is at most every exact cost, and
+    ``approx_kplus1`` is a feasible answer, so it is at least ``dag``'s
+    optimum.  The last bound is stronger than the ratio k+1 over OPT.
+    Proof sketch: scale an LP-feasible ``x`` by k+1 and cap faulty edges
+    at 1.  Take any cut C.  If it has k+1 faulty edges with
+    ``(k+1)x_e >= 1``, it carries k+1.  If not, call those faulty edges S;
+    the row ``x(C - S) >= 1`` gives k+1.  So a (k+1)-unit flow of cost at
+    most (k+1)·``c·x`` fits ``approx_kplus1``'s network, and its support
+    costs no more.
+    """
+    rng = random.Random(20250603 + k)
+    checked, infeasible = 0, 0
+    for _ in range(120):
+        inst = random_dag_instance(rng, n_max=8, m_max=18, k=k)
+        try:
+            lp = solve_frac(inst).value
+        except Infeasible:
+            for solver in (solve_kftp_dag, approx_kplus1):
+                with pytest.raises(Infeasible):
+                    solver(inst)
+            infeasible += 1
+            continue
+        exact, rounded = solve_kftp_dag(inst).cost, approx_kplus1(inst).cost
+        assert lp <= exact <= rounded <= (k + 1) * lp, (inst, lp, exact, rounded)
+        checked += 1
+    assert checked >= 40 and infeasible >= 20, (checked, infeasible)

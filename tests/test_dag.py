@@ -811,17 +811,36 @@ def _spread_tables(layered, k, tables):
         for i, table in enumerate(tables) if i]
 
 
+def _distances_to_t(layered):
+    # The all-edge distance from each layered vertex to t, walking the
+    # edges from the last layer back.
+    dist = {layered.layers[-1][0]: 0}
+    for e in sorted(layered.edges, key=lambda e: -e.layer):
+        dist[e.tail] = min(dist.get(e.tail, math.inf), e.w + dist.get(e.head, math.inf))
+    return dist
+
+
 def test_staged_transition_matches_the_per_spread_program():
-    # Every layer's table agrees in cost and parent for every spread, and
-    # solve_kftp_dag gives the same edges, cost or error message.
+    # Every reference entry that the distance bound cannot rule out (its
+    # cost plus h is at most the optimum) agrees in cost and parent; the
+    # others may be missing.  solve_kftp_dag gives the same edges, cost or
+    # error message.
     rng = random.Random(1720)
-    ties, solved, compared = [0], 0, 0
+    ties, solved, compared, kept, total = [0], 0, 0, 0, 0
     for _ in range(2500):
         inst = _tie_heavy_dag(rng)
         layered, best = layerize(inst), None
         if layered.edges:
             best = _reference_tables(layered, inst.k, ties)
-            assert _spread_tables(layered, inst.k, dag._route_tables(layered, inst.k)) == best
+            got = _spread_tables(layered, inst.k, dag._route_tables(layered, inst.k))
+            opt = best[-1].get((0,) * (inst.k + 1), (math.inf,))[0]
+            dist = _distances_to_t(layered)
+            for layer, table, table_got in zip(layered.layers, best, got):
+                for spread, (cost, parent) in table.items():
+                    if cost + max(dist[layer[p]] for p in spread) <= opt:
+                        assert table_got.get(spread) == (cost, parent)
+            kept += sum(map(len, got))
+            total += sum(map(len, best))
             compared += 1
         try:
             expected = _reference_solve(inst, layered, best)
@@ -834,3 +853,106 @@ def test_staged_transition_matches_the_per_spread_program():
         assert (sorted(solution.edges), solution.cost) == expected
         solved += 1
     assert compared >= 2000 and solved >= 1500 and ties[0] >= 5000
+    assert kept < total
+
+
+# Test-local copies of _pair_rows and _route_tables before the distance
+# bound: every row took min(safe + sums[f:f + 1]), and every layer
+# advanced from all configurations of the layer before.
+
+def _unpruned_pair_rows(edges, weights, k, pos):
+    groups = {}
+    for e, w in zip(edges, weights):
+        safe, faulty = groups.setdefault((e.tail, e.head), ([], []))
+        (faulty if e.faulty else safe).append(w)
+    rows = {}
+    for (tail, head), (safe, faulty) in groups.items():
+        sums = [0, *accumulate(sorted(faulty))][:k + 2]
+        row = [min(safe + sums[f:f + 1]) for f in range(k + 2 if safe else len(sums))]
+        rows.setdefault(pos[tail], []).append((pos[head], row))
+    return rows
+
+
+def _unpruned_route_tables(layered, k):
+    bits = (k + 1).bit_length()
+    pos = {v: p for layer in layered.layers for p, v in enumerate(layer)}
+    best = [{k + 1: (0, 0)}]
+    for i in range(len(layered.layers) - 1):
+        edges = layered.edges_in_layer(i)
+        rows = _unpruned_pair_rows(edges, [e.w for e in edges], k, pos)
+        best.append(dag._advance(rows, {code: cost for code, (cost, _) in best[i].items()},
+                                 len(layered.layers[i]), len(layered.layers[i + 1]), bits))
+    return best
+
+
+def _pruning_corpus(rng):
+    # Seeded DAGs at k = 0-3: random and tie-heavy ones (zero weights,
+    # parallel arcs), long chains with skip edges, s = t, and documents
+    # with no s-t path or too few disjoint routes.
+    for k in range(4):
+        for _ in range(60):
+            yield random_dag_instance(rng, n_max=10, m_max=26, k=k, max_w=rng.choice((0, 2, 9)))
+            yield _tie_heavy_dag(rng)
+        for _ in range(8):
+            n = rng.randint(8, 16)
+            edges = [(u, u + 1, rng.randint(0, 3), rng.random() < 0.5)
+                     for u in range(n - 1) for _ in range(rng.randint(1, k + 1))]
+            edges += [(u, rng.randrange(u + 1, n), rng.randint(0, 9), rng.random() < 0.5)
+                      for u in rng.sample(range(n - 1), n // 2)]
+            yield build_instance(True, n, 0, n - 1, k, edges)
+        v = rng.randrange(5)
+        yield build_instance(True, 5, v, v, k, [(0, 1, 1, True), (1, 4, 2, False)])
+        yield build_instance(True, 4, 0, 3, k, [(0, 1, 1, False), (2, 3, 1, False)])
+        yield build_instance(True, 3, 0, 2, k, [(0, 1, 1, True)] * (k + 1) + [(1, 2, 4, True)] * k)
+
+
+def _outcome(inst):
+    try:
+        solution = solve_kftp_dag(inst)
+    except Infeasible as err:
+        return str(err)
+    return sorted(solution.edges), solution.cost
+
+
+def test_distance_bound_pruning_keeps_every_answer(monkeypatch):
+    # solve_kftp_dag answers as with the unpruned tables, and the pruned
+    # tables advance from at most half as many configurations.
+    expanded, advance = [0], dag._advance
+
+    def counting(rows, starts, *widths):
+        expanded[0] += len(starts)
+        return advance(rows, starts, *widths)
+
+    rng = random.Random(3406)
+    counts, infeasible = [0, 0], 0
+    for inst in _pruning_corpus(rng):
+        outcomes = []
+        for which, tables in enumerate((dag._route_tables, _unpruned_route_tables)):
+            with monkeypatch.context() as patch:
+                patch.setattr(dag, "_route_tables", tables)
+                outcomes.append(_outcome(inst))
+                patch.setattr(dag, "_advance", counting)
+                expanded[0] = 0
+                layered = layerize(inst)
+                if layered.edges:
+                    tables(layered, inst.k)
+                counts[which] += expanded[0]
+        assert outcomes[0] == outcomes[1]
+        infeasible += isinstance(outcomes[0], str)
+    assert 50 <= infeasible <= 400
+    assert 2 * counts[0] <= counts[1]
+
+
+def test_pair_rows_match_the_unpruned_rows():
+    # Random tail-head groups, plain and packed w << E | 1 << j weights.
+    rng = random.Random(3407)
+    for _ in range(400):
+        k = rng.randint(0, 3)
+        edges = [dag.LayeredEdge(j, 0, rng.randrange(3), 3 + rng.randrange(3), 0,
+                                 rng.random() < 0.6, j) for j in range(rng.randint(1, 12))]
+        plain = [rng.randint(0, 4) for _ in edges]
+        packed = [w << len(edges) | 1 << j for j, w in enumerate(plain)]
+        pos = {v: v % 3 for v in range(6)}
+        for weights in (plain, packed):
+            assert dag._pair_rows(edges, weights, k, pos) == \
+                _unpruned_pair_rows(edges, weights, k, pos)
